@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import AbstractSet, Sequence
 
+import numpy as np
+
 from .core import AcquisitionPolicy, AcquisitionSpec
 from .rng import MixStream
 
@@ -58,5 +60,7 @@ def select_batch(
             if w > best_w:
                 best, best_w = i, w
         return (best,)
-    ordered = sorted(pool, key=lambda i: (-wealths[i], i))
-    return tuple(sorted(ordered[:k]))
+    # pool is ascending, so a stable sort on -wealth breaks ties by id.
+    ids = np.array(pool)
+    top = ids[np.argsort(-np.array(wealths, dtype=np.float64)[ids], kind="stable")[:k]]
+    return tuple(sorted(top.tolist()))

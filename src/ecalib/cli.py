@@ -62,6 +62,11 @@ def _require_synthetic(plan: RunPlan, command: str) -> None:
         raise EcalibError(f"{command} needs a synthetic source (ground truth required)")
 
 
+def _check_workers(args) -> None:
+    if args.workers < 1:
+        raise EcalibError(f"--workers must be >= 1, got {args.workers}")
+
+
 def cmd_simulate(args) -> int:
     plan = _override_seed(load_config(args.config), args.seed)
     _require_synthetic(plan, "simulate")
@@ -89,6 +94,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    _check_workers(args)
     plan = _override_seed(load_config(args.config), args.seed)
     _require_synthetic(plan, "validate")
     out = _prepare_out(args.out)
@@ -200,6 +206,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_workers(args)
     plan = _override_seed(load_config(args.config), args.seed)
     _require_synthetic(plan, "sweep")
     if not plan.sweep:

@@ -57,16 +57,21 @@ class OracleClient:
         self._lines: queue.Queue = queue.Queue()
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
-        hello = self._request(
-            {
-                "type": "hello",
-                "n_candidates": cfg.n_candidates,
-                "alpha": cfg.alpha,
-                "direction": cfg.direction.value,
-            }
-        )
-        if hello.get("type") != "hello":
-            raise OracleMalformed(f"expected hello ack, got: {hello!r}")
+        try:
+            hello = self._request(
+                {
+                    "type": "hello",
+                    "n_candidates": cfg.n_candidates,
+                    "alpha": cfg.alpha,
+                    "direction": cfg.direction.value,
+                }
+            )
+            if hello.get("type") != "hello":
+                raise OracleMalformed(f"expected hello ack, got: {hello!r}")
+        except BaseException:
+            # Nothing outside can close a client whose constructor raised.
+            self._shutdown(kill=True)
+            raise
         self.stateless = bool(hello.get("stateless", False))
 
     def _pump(self) -> None:
@@ -124,18 +129,28 @@ class OracleClient:
             out.append(v)
         return out
 
-    def close(self) -> None:
+    def _shutdown(self, kill: bool) -> None:
         proc = self._proc
         if proc.stdin is not None:
             try:
                 proc.stdin.close()
             except OSError:
                 pass
+        if kill:
+            proc.kill()
         try:
             proc.wait(timeout=2.0)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        # With the child gone the reader meets EOF; stdout is closed only
+        # after the reader has let go of it.
+        self._reader.join(timeout=2.0)
+        if not self._reader.is_alive() and proc.stdout is not None:
+            proc.stdout.close()
+
+    def close(self) -> None:
+        self._shutdown(kill=False)
 
     def __enter__(self) -> "OracleClient":
         return self

@@ -12,6 +12,12 @@ Composite requirements (cfg.extra_metrics nonempty) keep one e-process per
 metric per candidate and certify on their minimum; the merged process gets
 its own running maximum, since max over rounds of the min is not the min of
 the per-metric maxima.
+
+Selection rules are pure functions of the p-values (e-values for ebh), so
+the loop re-selects only in rounds where an input of the rule changed: a
+running maximum rose, or for ebh an e-value moved.  In every other round the
+certified set is the one the rule returned last.  Before the first round all
+p- and e-values are 1, where every rule selects nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .core import (
 )
 from .eprocess import EProcessState, bet_bound, payoff, update
 from .errors import InvalidConfig, SourceFailure
-from .rng import TAG_ACQ, TAG_TOKEN, MixStream, mix64
+from .rng import TAG_ACQ, TAG_TOKEN, MixStream, mix64, mix64_from
 
 # exp() overflows past ~709.78; report such wealths as inf.
 _EXP_MAX = 709.0
@@ -51,7 +57,8 @@ class RiskSource(Protocol):
     and an opaque per-round stream token, and returns one risk in [0, 1] per
     id (or one length-K sequence per id for K-metric configs).  A source may
     derive a whole round from a single latent draw, making the batch
-    arbitrarily dependent.
+    arbitrarily dependent.  A source that never reads the token may set the
+    class attribute ``reads_token = False``; it then receives "" instead.
     """
 
     def query(self, round_index: int, ids: Sequence[int], token: str) -> Sequence:
@@ -135,6 +142,9 @@ def _run(
     evals = [1.0] * n  # merged wealth, linear
 
     select_fn = _make_selector(cfg, pvals, evals)
+    on_evals = cfg.selection_rule is SelectionRuleName.EBH
+    acq_prefix = mix64(TAG_ACQ, seed, trial)
+    token_prefix = mix64(TAG_TOKEN, seed, trial) if getattr(source, "reads_token", True) else None
     certified: frozenset[int] = frozenset()
     records: list[RoundRecord] = []
     n_queries = 0
@@ -143,13 +153,13 @@ def _run(
 
     for t in range(1, horizon + 1):
         batch = acquisition.select_batch(
-            cfg.acquisition, merged_lw, certified, MixStream(TAG_ACQ, seed, trial, t), t
+            cfg.acquisition, merged_lw, certified, MixStream.from_prefix(acq_prefix, t), t
         )
         if not batch:
             stop_reason = StopReason.POOL_EXHAUSTED
             stop_t = t - 1
             break
-        token = f"{mix64(TAG_TOKEN, seed, trial, t):016x}"
+        token = "" if token_prefix is None else f"{mix64_from(token_prefix, t):016x}"
         values = source.query(t, batch, token)
         if len(values) != len(batch):
             raise SourceFailure(
@@ -164,6 +174,7 @@ def _run(
                 if len(row) != n_metrics:
                     raise SourceFailure(f"round {t}: expected {n_metrics} metrics per id")
             risks_row = tuple(rows)
+        changed = False
         for pos, i in enumerate(batch):
             row = rows[pos]
             e_i = estates[i]
@@ -187,9 +198,13 @@ def _run(
             if lw > merged_lrm[i]:
                 merged_lrm[i] = lw
                 pvals[i] = math.exp(-lw)
-            evals[i] = _exp(lw)
+                changed = True
+            e = _exp(lw)
+            if on_evals and e != evals[i]:
+                changed = True
+            evals[i] = e
         n_queries += len(batch)
-        if select_each_round:
+        if select_each_round and changed:
             certified = select_fn().selected
         if record_rounds:
             records.append(

@@ -12,6 +12,12 @@ recorded in run manifests as ``splitmix64-v1``:
   k = 1, 2, ... with s = mix64(*parts).
 - Uniforms in [0, 1) take the top 53 bits: u64 >> 11, scaled by 2**-53.
 - Bounded integers use the multiply-then-shift reduction (u64 * n) >> 64.
+
+The fold is a left fold, so a key prefix can be hashed once and continued:
+``mix64_from(mix64(a, b, c), d, e) == mix64(a, b, c, d, e)``.  The engine
+and the synthetic sources hash their (tag, seed, trial) prefixes once per
+run and fold only the per-round parts, which yields the same keys as hashing
+every key in full.
 """
 
 from __future__ import annotations
@@ -39,12 +45,16 @@ def _scramble(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix64(*parts: int) -> int:
-    """Fold integer key parts into a single 64-bit hash."""
-    h = 0
+def mix64_from(h: int, *parts: int) -> int:
+    """Continue the fold of ``mix64`` from ``h``, the hash of a key prefix."""
     for p in parts:
         h = _scramble((h + GOLDEN + (p & MASK64)) & MASK64)
     return h
+
+
+def mix64(*parts: int) -> int:
+    """Fold integer key parts into a single 64-bit hash."""
+    return mix64_from(0, *parts)
 
 
 class MixStream:
@@ -54,6 +64,13 @@ class MixStream:
 
     def __init__(self, *parts: int):
         self._state = mix64(*parts)
+
+    @classmethod
+    def from_prefix(cls, prefix: int, *parts: int) -> "MixStream":
+        """The stream keyed by the parts hashed into ``prefix`` plus ``parts``."""
+        stream = cls.__new__(cls)
+        stream._state = mix64_from(prefix, *parts)
+        return stream
 
     def next_u64(self) -> int:
         self._state = (self._state + GOLDEN) & MASK64
@@ -75,9 +92,14 @@ class MixStream:
         return pool[:k]
 
 
+def unit_uniform_from(prefix: int, *parts: int) -> float:
+    """``unit_uniform`` of the key whose prefix hashes to ``prefix``."""
+    return (_scramble((mix64_from(prefix, *parts) + GOLDEN) & MASK64) >> 11) * _INV_2_53
+
+
 def unit_uniform(*parts: int) -> float:
     """First uniform of the stream keyed by ``parts``."""
-    return (_scramble((mix64(*parts) + GOLDEN) & MASK64) >> 11) * _INV_2_53
+    return unit_uniform_from(0, *parts)
 
 
 # Vectorized mirror of the scalar path, used by the Monte Carlo fast lane.

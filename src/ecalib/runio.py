@@ -348,6 +348,8 @@ class ReplaySource:
     """Serves the risks logged in rounds.csv back to the engine, verifying
     that the engine asks for exactly the logged ids in each round."""
 
+    reads_token = False
+
     def __init__(self, rows: dict[int, dict], multi_metric: bool):
         self.rows = rows
         self.multi_metric = multi_metric

@@ -5,13 +5,18 @@ ebh) they return the certified set plus the per-rank thresholds that produced
 it.  Step-up rules (bh, by, ebh) default to the standard closure (select every
 rank up to the largest passing rank k*); ``literal=True`` instead selects
 exactly the ranks whose own predicate passes, which can be non-contiguous.
-Ties in p or e are ranked by ascending id so results are deterministic.
+Ties in p or e are ranked by ascending id so results are deterministic: the
+step-up rules rank with a stable argsort, which orders ties exactly as
+sorting on (value, id) does, and compute each (N, delta)'s thresholds once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from .core import check_order
 from .errors import OutOfRange
@@ -37,22 +42,58 @@ def _check_e(e: Sequence[float]) -> None:
             raise OutOfRange(f"e-value {v!r} not a nonnegative real")
 
 
-def _step_up(
-    ranked: list[int],
-    values: Sequence[float],
-    thresholds: tuple[float, ...],
-    passes,
-    literal: bool,
-) -> frozenset[int]:
+def _checked_array(values: Sequence[float], check, in_domain) -> np.ndarray:
+    """``values`` as float64, after the same range check ``check`` makes."""
+    x = np.array(values, dtype=np.float64)
+    if not in_domain(x).all():
+        check(values)  # raises on the first value out of domain
+    return x
+
+
+def _p_in_domain(x: np.ndarray) -> np.ndarray:
+    return (x >= 0.0) & (x <= 1.0)
+
+
+def _e_in_domain(x: np.ndarray) -> np.ndarray:
+    return x >= 0.0
+
+
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
+# Per-rank thresholds depend only on (n, delta); each rule computes them once
+# as the reported tuple plus a float64 copy for the vectorised compare.
+
+
+@lru_cache(maxsize=64)
+def _bh_thresholds(n: int, delta: float) -> tuple[tuple[float, ...], np.ndarray]:
+    thr = tuple((k + 1) * delta / n for k in range(n))
+    return thr, _frozen(thr)
+
+
+@lru_cache(maxsize=64)
+def _by_thresholds(n: int, delta: float) -> tuple[tuple[float, ...], np.ndarray]:
+    h_n = sum(1.0 / k for k in range(1, n + 1))
+    thr = tuple((k + 1) * delta / (n * h_n) for k in range(n))
+    return thr, _frozen(thr)
+
+
+@lru_cache(maxsize=64)
+def _ebh_thresholds(n: int, delta: float) -> tuple[tuple[float, ...], np.ndarray]:
+    thr = tuple(n / ((k + 1) * delta) for k in range(n))
+    return thr, _frozen(thr)
+
+
+def _step_up(ranked: np.ndarray, passed: np.ndarray, literal: bool) -> frozenset[int]:
+    """Certified ids given the ranking and each rank's own predicate."""
     if literal:
-        return frozenset(
-            ranked[k] for k in range(len(ranked)) if passes(values[ranked[k]], thresholds[k])
-        )
-    k_star = 0
-    for k in range(len(ranked)):
-        if passes(values[ranked[k]], thresholds[k]):
-            k_star = k + 1
-    return frozenset(ranked[:k_star])
+        return frozenset(ranked[passed].tolist())
+    hits = np.flatnonzero(passed)
+    k_star = int(hits[-1]) + 1 if len(hits) else 0
+    return frozenset(ranked[:k_star].tolist())
 
 
 def bonferroni(p: Sequence[float], delta: float) -> SelectionResult:
@@ -78,32 +119,27 @@ def fixed_sequence(p: Sequence[float], order: Sequence[int], delta: float) -> Se
     return SelectionResult(frozenset(selected), "fixed_sequence", (delta,) * n)
 
 
+def _p_step_up(p: Sequence[float], thresholds, rule: str, literal: bool) -> SelectionResult:
+    thr, thr_arr = thresholds
+    x = _checked_array(p, _check_p, _p_in_domain)
+    # A stable sort of ascending p keeps tied p in ascending id order.
+    ranked = np.argsort(x, kind="stable")
+    return SelectionResult(_step_up(ranked, x[ranked] <= thr_arr, literal), rule, thr)
+
+
 def bh(p: Sequence[float], delta: float, literal: bool = False) -> SelectionResult:
     """Step-up over ascending p with per-rank threshold k * delta / N."""
-    _check_p(p)
-    n = len(p)
-    ranked = sorted(range(n), key=lambda i: (p[i], i))
-    thresholds = tuple((k + 1) * delta / n for k in range(n))
-    selected = _step_up(ranked, p, thresholds, lambda v, t: v <= t, literal)
-    return SelectionResult(selected, "bh", thresholds)
+    return _p_step_up(p, _bh_thresholds(len(p), delta), "bh", literal)
 
 
 def by(p: Sequence[float], delta: float, literal: bool = False) -> SelectionResult:
     """bh with every threshold shrunk by the harmonic sum H_N."""
-    _check_p(p)
-    n = len(p)
-    h_n = sum(1.0 / k for k in range(1, n + 1))
-    ranked = sorted(range(n), key=lambda i: (p[i], i))
-    thresholds = tuple((k + 1) * delta / (n * h_n) for k in range(n))
-    selected = _step_up(ranked, p, thresholds, lambda v, t: v <= t, literal)
-    return SelectionResult(selected, "by", thresholds)
+    return _p_step_up(p, _by_thresholds(len(p), delta), "by", literal)
 
 
 def ebh(e: Sequence[float], delta: float, literal: bool = False) -> SelectionResult:
     """Step-up over descending e with per-rank threshold N / (k * delta)."""
-    _check_e(e)
-    n = len(e)
-    ranked = sorted(range(n), key=lambda i: (-e[i], i))
-    thresholds = tuple(n / ((k + 1) * delta) for k in range(n))
-    selected = _step_up(ranked, e, thresholds, lambda v, t: v >= t, literal)
-    return SelectionResult(selected, "ebh", thresholds)
+    thr, thr_arr = _ebh_thresholds(len(e), delta)
+    x = _checked_array(e, _check_e, _e_in_domain)
+    ranked = np.argsort(-x, kind="stable")
+    return SelectionResult(_step_up(ranked, x[ranked] >= thr_arr, literal), "ebh", thr)

@@ -34,7 +34,15 @@ from .core import (
 from .eprocess import bet_bound, quantile_transform
 from .errors import InvalidConfig, NoReliableArm
 from .orchestrator import RunResult, run_altt
-from .rng import TAG_RISK, TAG_SHARED, unit_uniform, unit_uniform_np
+from .rng import (
+    TAG_RISK,
+    TAG_SHARED,
+    mix64,
+    mix64_from,
+    unit_uniform,
+    unit_uniform_from,
+    unit_uniform_np,
+)
 
 
 @dataclass(frozen=True)
@@ -136,15 +144,34 @@ def sample_risk(
 
 
 class SyntheticSource:
-    """RiskSource over a SyntheticSpec, bound to one (base_seed, trial)."""
+    """RiskSource over a SyntheticSpec, bound to one (base_seed, trial).
+
+    Draws the same risks as ``sample_risk``: the (tag, seed, trial) key
+    prefix is hashed once here, so each draw folds only (round, id, 0).
+    """
+
+    reads_token = False
 
     def __init__(self, spec: SyntheticSpec, base_seed: int, trial: int):
         self.spec = spec
         self.base_seed = base_seed
         self.trial = trial
+        tag = TAG_SHARED if spec.shared_draw else TAG_RISK
+        self._prefix = mix64(tag, base_seed, trial)
 
     def query(self, round_index: int, ids: Sequence[int], token: str) -> list[float]:
-        return [sample_risk(self.spec, i, round_index, self.base_seed, self.trial) for i in ids]
+        spec = self.spec
+        arms = spec.arms
+        if spec.shared_draw:
+            u = unit_uniform_from(self._prefix, round_index, 0)
+            raws = [arms[i].draw(u) for i in ids]
+        else:
+            prefix = mix64_from(self._prefix, round_index)
+            raws = [arms[i].draw(unit_uniform_from(prefix, i, 0)) for i in ids]
+        thr = spec.quantile_threshold
+        if thr is None:
+            return raws
+        return [float(quantile_transform(raw, thr)) for raw in raws]
 
 
 @dataclass(frozen=True)
@@ -167,20 +194,25 @@ class CompositeSyntheticSpec:
 
 
 class CompositeSyntheticSource:
+    reads_token = False
+
     def __init__(self, spec: CompositeSyntheticSpec, base_seed: int, trial: int):
         self.spec = spec
         self.base_seed = base_seed
         self.trial = trial
+        self._shared_prefix = mix64(TAG_SHARED, base_seed, trial)
+        self._risk_prefix = mix64(TAG_RISK, base_seed, trial)
 
     def query(self, round_index: int, ids: Sequence[int], token: str) -> list[tuple[float, ...]]:
+        risk_prefix = mix64_from(self._risk_prefix, round_index)
         out = []
         for i in ids:
             row = []
             for k, mspec in enumerate(self.spec.metrics):
                 if mspec.shared_draw:
-                    u = unit_uniform(TAG_SHARED, self.base_seed, self.trial, round_index, k)
+                    u = unit_uniform_from(self._shared_prefix, round_index, k)
                 else:
-                    u = unit_uniform(TAG_RISK, self.base_seed, self.trial, round_index, i, k)
+                    u = unit_uniform_from(risk_prefix, i, k)
                 raw = mspec.arms[i].draw(u)
                 if mspec.quantile_threshold is not None:
                     raw = float(quantile_transform(raw, mspec.quantile_threshold))
@@ -363,6 +395,8 @@ def run_trials(
     """
     if M < 1:
         raise InvalidConfig(["M must be >= 1"])
+    if workers < 1:
+        raise InvalidConfig([f"workers must be >= 1, got {workers}"])
     if gt is not None and not isinstance(spec, CompositeSyntheticSpec):
         if tuple(gt.true_means) != spec.means():
             raise InvalidConfig(["gt means disagree with spec means"])

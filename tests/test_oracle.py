@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import subprocess
 import sys
+import warnings
+from unittest import mock
 
 import pytest
 
@@ -145,6 +149,36 @@ class TestAbortPaths:
         )
         with pytest.raises(InvalidConfig):
             oracle_client(demo_argv("0.5,0.5"), cfg)
+
+
+class TestShutdown:
+    def test_close_releases_the_child_and_its_pipes(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            client = oracle_client(demo_argv("0.5,0.5"), oracle_config(2))
+            client.close()
+            proc = client._proc
+            assert proc.stdout.closed
+            assert proc.returncode is not None
+            del client, proc
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_failed_handshake_leaves_no_child_running(self):
+        started = []
+        popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            started.append(popen(*args, **kwargs))
+            return started[-1]
+
+        argv = [sys.executable, "-c", "import time; time.sleep(60)"]
+        with mock.patch.object(subprocess, "Popen", recording_popen):
+            with pytest.raises(OracleTimeout):
+                oracle_client(argv, oracle_config(2), timeout=0.5)
+        (proc,) = started
+        assert proc.poll() is not None
+        assert proc.stdout.closed
 
 
 class TestCalibrateCommand:

@@ -19,6 +19,7 @@ from ecalib.core import (
 )
 from ecalib.errors import InvalidConfig, SourceFailure
 from ecalib.orchestrator import StopReason, run_altt, run_ltt
+from ecalib.rng import TAG_TOKEN, mix64
 from ecalib.simharness import Bernoulli, PointMass, SyntheticSpec
 
 
@@ -91,10 +92,10 @@ class TestSingleArmWalkthrough:
         run_altt(config_n1(), source)
         rounds = [q[0] for q in source.queries]
         assert rounds == [1, 2, 3, 4, 5]
-        for _, ids, token in source.queries:
+        for t, ids, token in source.queries:
             assert ids == (0,)
-            assert len(token) == 16
-            int(token, 16)  # hex-parsable
+            # Sources outside the package get the full keyed token.
+            assert token == f"{mix64(TAG_TOKEN, 0, 0, t):016x}"
 
 
 class TestDeterminismAndIsolation:

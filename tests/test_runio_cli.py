@@ -335,6 +335,18 @@ class TestValidateReportSweep:
         cfg_path = write_doc(tmp_path, self.validate_doc())
         assert main(["sweep", "--config", cfg_path, "--trials", "2", "--out", str(tmp_path / "s")]) == 1
 
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_rejected(self, tmp_path, caplog, command, workers):
+        doc = self.validate_doc()
+        doc["sweep"] = {"epsilon": [0.2]}
+        cfg_path = write_doc(tmp_path, doc)
+        out = tmp_path / "w"
+        argv = [command, "--config", cfg_path, "--trials", "2", "--out", str(out), "--workers", workers]
+        assert main(argv) == 1
+        assert f"--workers must be >= 1, got {workers}" in caplog.text
+        assert not out.exists()
+
     def test_broken_config_exits_1(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{oops", encoding="utf-8")

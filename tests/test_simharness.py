@@ -253,6 +253,13 @@ class TestMetricOrderings:
         parallel = run_trials(cfg, spec, M=6, base_seed=11, workers=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        spec = SyntheticSpec(tuple(Bernoulli(p) for p in (0.1, 0.3, 0.7)))
+        cfg = full_batch_config(3, alpha=0.4, delta=0.1, t_max=5, d_stop=3)
+        with pytest.raises(InvalidConfig, match=f"workers must be >= 1, got {workers}"):
+            run_trials(cfg, spec, M=2, workers=workers)
+
 
 class TestSingleArmLane:
     """The vectorized lane must reproduce the engine trajectory exactly."""
