@@ -10,12 +10,9 @@ from .core import (  # noqa: F401
     CalibrationConfig,
     Direction,
     ErrorMetric,
-    EvidenceLog,
     GroundTruth,
     MetricSpec,
-    RiskObservation,
     SelectionRuleName,
-    ordering_from_prior,
     reliable_set,
     validate_config,
 )
@@ -24,7 +21,6 @@ from .eprocess import (  # noqa: F401
     EProcessState,
     anytime_p,
     bet_bound,
-    min_merge,
     payoff,
     quantile_transform,
     update,

@@ -13,7 +13,6 @@ strategies are clipped to cap = clip_fraction * mu_max * (1 - max_bet_epsilon).
   deviations) so early bets stay moderate.
 - ONS: online Newton step on the log-wealth gradient with step size
   2 / (2 - ln 3).
-- LBOW: recognized but not implemented; next_bet raises UnsupportedStrategy.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 
 from .core import BettingSpec, BettingStrategy
 from .eprocess import BetBound, Payoff
-from .errors import UnsupportedStrategy
 
 # ONS step size 2 / (2 - ln 3).
 ONS_STEP = 2.0 / (2.0 - 1.0986122886681098)
@@ -75,9 +73,7 @@ def next_bet(spec: BettingSpec, state: BettingState, bound: BetBound) -> float:
     if strategy is BettingStrategy.AGRAPA:
         m = state.reg_mean
         return _clip(m / (state.reg_var + m * m), bet_cap(spec, bound))
-    if strategy is BettingStrategy.ONS:
-        return state.ons_mu
-    raise UnsupportedStrategy(f"no implementation for {strategy.value}")
+    return state.ons_mu  # ONS
 
 
 def observe(

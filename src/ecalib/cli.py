@@ -22,18 +22,19 @@ import math
 import sys
 from pathlib import Path
 
-from .core import BettingStrategy, ErrorMetric
+from .core import ErrorMetric
 from .errors import EcalibError
 from .oracle import oracle_client
 from .orchestrator import run_altt
 from .runio import (
+    SWEEP_AXES,
     OracleSpec,
     RunPlan,
     load_config,
     read_manifest,
     realized_curves,
     replay_check,
-    summary_curves,
+    sweep_value,
     utc_now,
     write_final_json,
     write_manifest,
@@ -67,14 +68,8 @@ def _check_workers(args) -> None:
         raise EcalibError(f"--workers must be >= 1, got {args.workers}")
 
 
-def cmd_simulate(args) -> int:
-    plan = _override_seed(load_config(args.config), args.seed)
-    _require_synthetic(plan, "simulate")
-    out = _prepare_out(args.out)
-    started = utc_now()
-    source = plan.source.make_source(plan.cfg.seed, 0)
-    result = run_altt(plan.cfg, source, trial=0, record_rounds=True)
-    reliable = derive_reliable(plan.cfg, plan.source)
+def _write_single_run(command: str, out: Path, plan: RunPlan, started: str, result, reliable) -> int:
+    """The run directory of one logged run (simulate, calibrate)."""
     write_manifest(out, plan, started=started, finished=utc_now(), stop_reason=result.stop_reason.value)
     write_rounds_csv(out, [(0, result)], bool(plan.cfg.extra_metrics))
     write_summary_csv(out, *realized_curves(result, reliable))
@@ -88,9 +83,19 @@ def cmd_simulate(args) -> int:
         },
     )
     logger.info(
-        "simulate: stopped at t=%d (%s), selected %s", result.T, result.stop_reason.value, sorted(result.selected)
+        "%s: stopped at t=%d (%s), selected %s", command, result.T, result.stop_reason.value, sorted(result.selected)
     )
     return 0
+
+
+def cmd_simulate(args) -> int:
+    plan = _override_seed(load_config(args.config), args.seed)
+    _require_synthetic(plan, "simulate")
+    out = _prepare_out(args.out)
+    started = utc_now()
+    source = plan.source.make_source(plan.cfg.seed, 0)
+    result = run_altt(plan.cfg, source, trial=0, record_rounds=True)
+    return _write_single_run("simulate", out, plan, started, result, derive_reliable(plan.cfg, plan.source))
 
 
 def cmd_validate(args) -> int:
@@ -116,7 +121,7 @@ def cmd_validate(args) -> int:
     margin = 3.0 * math.sqrt(cfg.delta * (1.0 - cfg.delta) / args.trials)
     passed = estimate <= cfg.delta + margin
     write_manifest(out, plan, started=started, finished=utc_now(), trials=args.trials)
-    write_summary_csv(out, *summary_curves(summary))
+    write_summary_csv(out, summary.tpr_curve, summary.fwer_curve, summary.fdr_curve, summary.set_size_curve)
     write_final_json(
         out,
         {
@@ -159,22 +164,7 @@ def cmd_calibrate(args) -> int:
     started = utc_now()
     with oracle_client(command, plan.cfg, timeout) as source:
         result = run_altt(plan.cfg, source, trial=0, record_rounds=True)
-    write_manifest(out, plan, started=started, finished=utc_now(), stop_reason=result.stop_reason.value)
-    write_rounds_csv(out, [(0, result)], False)
-    write_summary_csv(out, *realized_curves(result, None))
-    write_final_json(
-        out,
-        {
-            "selected": sorted(result.selected),
-            "stop_reason": result.stop_reason.value,
-            "T": result.T,
-            "n_queries": result.n_queries,
-        },
-    )
-    logger.info(
-        "calibrate: stopped at t=%d (%s), selected %s", result.T, result.stop_reason.value, sorted(result.selected)
-    )
-    return 0
+    return _write_single_run("calibrate", out, plan, started, result, None)
 
 
 def cmd_report(args) -> int:
@@ -213,23 +203,18 @@ def cmd_sweep(args) -> int:
         raise EcalibError("config has no sweep block")
     out = _prepare_out(args.out)
     started = utc_now()
-    axes = {
-        "strategy": plan.sweep.get("strategy", [plan.cfg.betting.strategy.value]),
-        "alpha": plan.sweep.get("alpha", [plan.cfg.alpha]),
-        "delta": plan.sweep.get("delta", [plan.cfg.delta]),
-        "epsilon": plan.sweep.get("epsilon", [plan.cfg.acquisition.epsilon]),
+    base = plan.cfg
+    defaults = {
+        "strategy": base.betting.strategy.value,
+        "alpha": base.alpha,
+        "delta": base.delta,
+        "epsilon": base.acquisition.epsilon,
     }
     rows = []
-    for strategy, alpha, delta, epsilon in itertools.product(
-        axes["strategy"], axes["alpha"], axes["delta"], axes["epsilon"]
-    ):
-        cfg = dataclasses.replace(
-            plan.cfg,
-            alpha=float(alpha),
-            delta=float(delta),
-            betting=dataclasses.replace(plan.cfg.betting, strategy=BettingStrategy(strategy)),
-            acquisition=dataclasses.replace(plan.cfg.acquisition, epsilon=float(epsilon)),
-        )
+    for cell in itertools.product(*(plan.sweep.get(axis, [defaults[axis]]) for axis in SWEEP_AXES)):
+        cfg = base
+        for axis, value in zip(SWEEP_AXES, cell):
+            cfg = sweep_value(cfg, axis, value)
         reliable = derive_reliable(cfg, plan.source)
         summary = run_trials(
             cfg,
@@ -241,10 +226,7 @@ def cmd_sweep(args) -> int:
         )
         rows.append(
             [
-                strategy,
-                alpha,
-                delta,
-                epsilon,
+                *cell,
                 summary.fwer_hat,
                 summary.fdr_hat_unconditional,
                 summary.fdr_hat_conditional,
@@ -255,7 +237,7 @@ def cmd_sweep(args) -> int:
         )
         logger.info(
             "sweep cell strategy=%s alpha=%s delta=%s epsilon=%s: fwer=%.4f tpr=%.4f",
-            strategy, alpha, delta, epsilon, summary.fwer_hat, summary.tpr_hat,
+            *cell, summary.fwer_hat, summary.tpr_hat,
         )
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

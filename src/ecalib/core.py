@@ -10,12 +10,9 @@ reliable sets) derives from that convention.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidConfig, InvalidOrder, OutOfRange
-
-# Candidates are dense integer ids in [0, n_candidates).
-HyperparameterId = int
 
 
 class Direction(enum.Enum):
@@ -41,7 +38,6 @@ class BettingStrategy(enum.Enum):
     MAX = "max"
     AGRAPA = "agrapa"
     ONS = "ons"
-    LBOW = "lbow"
 
 
 class AcquisitionPolicy(enum.Enum):
@@ -171,94 +167,6 @@ def check_order(order: tuple[int, ...], n: int) -> None:
     """Raise InvalidOrder unless order is a permutation of range(n)."""
     if len(order) != n or sorted(order) != list(range(n)):
         raise InvalidOrder(f"order must be a permutation of 0..{n - 1}")
-
-
-@dataclass(frozen=True)
-class RiskObservation:
-    """One observed risk for one candidate in one round (round >= 1)."""
-
-    round: int
-    id: HyperparameterId
-    risk: float
-
-    def __post_init__(self):
-        if self.round < 1:
-            raise OutOfRange("observation round must be >= 1")
-        if not 0.0 <= self.risk <= 1.0:
-            raise OutOfRange(f"risk {self.risk!r} out of [0,1]")
-
-
-@dataclass
-class EvidenceLog:
-    """Append-only record of which ids were tested each round and what they scored.
-
-    ``prior`` is an optional block of pre-run observations (recorded as round 0)
-    that may inform testing order but carries no statistical weight.
-    """
-
-    n_candidates: int
-    prior: tuple[tuple[HyperparameterId, float], ...] = ()
-    _rounds: list[tuple[int, tuple[HyperparameterId, ...], tuple[float, ...]]] = field(
-        default_factory=list, init=False, repr=False
-    )
-
-    def __post_init__(self):
-        for i, r in self.prior:
-            if not 0 <= i < self.n_candidates:
-                raise OutOfRange(f"prior id {i} out of range")
-            if not 0.0 <= r <= 1.0:
-                raise OutOfRange(f"prior risk {r!r} out of [0,1]")
-
-    def append(
-        self, round_index: int, tested: tuple[HyperparameterId, ...], risks: tuple[float, ...]
-    ) -> None:
-        expected = self._rounds[-1][0] + 1 if self._rounds else 1
-        if round_index != expected:
-            raise OutOfRange(f"round {round_index} breaks the 1,2,... sequence")
-        if len(tested) != len(set(tested)) or len(tested) != len(risks):
-            raise OutOfRange("tested ids must be distinct and aligned with risks")
-        for i in tested:
-            if not 0 <= i < self.n_candidates:
-                raise OutOfRange(f"tested id {i} out of range")
-        for r in risks:
-            if not 0.0 <= r <= 1.0:
-                raise OutOfRange(f"risk {r!r} out of [0,1]")
-        self._rounds.append((round_index, tuple(tested), tuple(risks)))
-
-    @property
-    def rounds(self) -> tuple[tuple[int, tuple[HyperparameterId, ...], tuple[float, ...]], ...]:
-        return tuple(self._rounds)
-
-    def observations(self) -> tuple[RiskObservation, ...]:
-        return tuple(
-            RiskObservation(t, i, r)
-            for t, tested, risks in self._rounds
-            for i, r in zip(tested, risks)
-        )
-
-    def counts(self) -> list[int]:
-        """Times each id has been tested (prior block excluded)."""
-        c = [0] * self.n_candidates
-        for _, tested, _ in self._rounds:
-            for i in tested:
-                c[i] += 1
-        return c
-
-
-def ordering_from_prior(log: EvidenceLog, alpha: float, direction: Direction) -> tuple[int, ...]:
-    """Best-first candidate order from the prior block's mean payoffs.
-
-    Ids absent from the prior sort last; ties break by ascending id.  Intended
-    as a FixedSequence testing order; it never touches betting state.
-    """
-    sums = [0.0] * log.n_candidates
-    counts = [0] * log.n_candidates
-    for i, r in log.prior:
-        g = alpha - r if direction is Direction.RISK_BELOW else r - alpha
-        sums[i] += g
-        counts[i] += 1
-    mean_g = [sums[i] / counts[i] if counts[i] else float("-inf") for i in range(log.n_candidates)]
-    return tuple(sorted(range(log.n_candidates), key=lambda i: (-mean_g[i], i)))
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .core import Direction
-from .errors import BetOutOfBounds, EmptyMerge, OutOfRange
+from .errors import BetOutOfBounds, OutOfRange
 
 # Payoff g is the stake-normalized margin; wealth update is 1 + mu * g.
 Payoff = float
@@ -107,18 +106,6 @@ def update(state: EProcessState, g: Payoff, mu: float, bound: BetBound) -> EProc
 def anytime_p(state: EProcessState) -> float:
     """1 / max historical wealth, valid at every stopping time (Ville)."""
     return min(1.0, math.exp(-state.log_running_max))
-
-
-def min_merge(states: Sequence[EProcessState]) -> float:
-    """Current wealth of the composite (all requirements must hold) process.
-
-    The minimum of per-requirement e-processes is an e-process for the union
-    null.  Its running max must be tracked on the merged values over rounds,
-    not derived from the components' running maxes.
-    """
-    if not states:
-        raise EmptyMerge("min_merge needs at least one component")
-    return min(s.wealth for s in states)
 
 
 def quantile_transform(raw_risk: float, threshold: float) -> int:

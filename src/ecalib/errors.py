@@ -23,14 +23,6 @@ class BetOutOfBounds(EcalibError):
     """A bet mu violated 0 <= mu < mu_max."""
 
 
-class EmptyMerge(EcalibError):
-    """min_merge was called with no component processes."""
-
-
-class UnsupportedStrategy(EcalibError):
-    """Requested betting strategy has no implementation."""
-
-
 class InvalidOrder(EcalibError):
     """A testing order is not a permutation of the candidate ids."""
 

@@ -4,7 +4,7 @@ Wire protocol: newline-delimited JSON over the child's stdin/stdout, UTF-8,
 one record per line.
 
 - client -> oracle  {"type": "hello", "n_candidates": N, "alpha": a, "direction": "risk_below"}
-- oracle -> client  {"type": "hello", ...}            (may set "stateless": true)
+- oracle -> client  {"type": "hello", ...}            (extra keys are ignored)
 - client -> oracle  {"type": "test", "round": t, "ids": [..], "token": "<16 hex>"}
 - oracle -> client  {"type": "risks", "round": t, "values": [..]}
 - either direction  {"type": "error", "message": "..."}   aborts the run
@@ -46,7 +46,6 @@ class OracleClient:
             raise InvalidConfig(["oracle sources support single-metric configs only"])
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         self.timeout = timeout
-        self.stateless = False
         self._proc = subprocess.Popen(
             argv,
             stdin=subprocess.PIPE,
@@ -72,7 +71,6 @@ class OracleClient:
             # Nothing outside can close a client whose constructor raised.
             self._shutdown(kill=True)
             raise
-        self.stateless = bool(hello.get("stateless", False))
 
     def _pump(self) -> None:
         out = self._proc.stdout

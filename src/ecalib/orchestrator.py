@@ -32,7 +32,6 @@ from .betting import BettingState, next_bet, observe
 from .core import (
     AcquisitionPolicy,
     CalibrationConfig,
-    EvidenceLog,
     SelectionRuleName,
     validate_config,
 )
@@ -85,13 +84,6 @@ class RunResult:
     final_anytime_p: tuple[float, ...]
     n_queries: int
 
-    def evidence(self, n_candidates: int) -> EvidenceLog:
-        """Rebuild the evidence log from recorded rounds (single-metric runs)."""
-        log = EvidenceLog(n_candidates)
-        for rec in self.records:
-            log.append(rec.t, rec.tested, tuple(float(r) for r in rec.risks))
-        return log
-
 
 def _exp(lw: float) -> float:
     if lw > _EXP_MAX:
@@ -121,11 +113,12 @@ def _run(
     source: RiskSource,
     trial: int,
     horizon: int,
-    select_each_round: bool,
-    early_stop: bool,
+    adaptive: bool,
     record_rounds: bool,
     round_hook,
 ) -> RunResult:
+    """The shared engine.  With ``adaptive`` the rule re-selects each round
+    and the run stops at d_stop; without it the rule runs once at the end."""
     validate_config(cfg)
     n = cfg.n_candidates
     metrics = [(cfg.alpha, cfg.direction)] + [(m.alpha, m.direction) for m in cfg.extra_metrics]
@@ -204,7 +197,7 @@ def _run(
                 changed = True
             evals[i] = e
         n_queries += len(batch)
-        if select_each_round and changed:
+        if adaptive and changed:
             certified = select_fn().selected
         if record_rounds:
             records.append(
@@ -212,12 +205,12 @@ def _run(
             )
         if round_hook is not None:
             round_hook(t, batch, certified)
-        if early_stop and len(certified) >= cfg.d_stop:
+        if adaptive and len(certified) >= cfg.d_stop:
             stop_reason = StopReason.REACHED_D
             stop_t = t
             break
 
-    if not select_each_round:
+    if not adaptive:
         certified = select_fn().selected
 
     return RunResult(
@@ -240,7 +233,7 @@ def run_altt(
     round_hook=None,
 ) -> RunResult:
     """Adaptive loop: per-round selection, stop at d_stop / t_max / empty pool."""
-    return _run(cfg, source, trial, cfg.t_max, True, True, record_rounds, round_hook)
+    return _run(cfg, source, trial, cfg.t_max, True, record_rounds, round_hook)
 
 
 def run_ltt(
@@ -261,4 +254,4 @@ def run_ltt(
         raise InvalidConfig(["run_ltt requires a non-adaptive acquisition policy"])
     if T < 0:
         raise InvalidConfig(["T must be >= 0"])
-    return _run(cfg, source, trial, T, False, False, record_rounds, round_hook)
+    return _run(cfg, source, trial, T, False, record_rounds, round_hook)

@@ -19,7 +19,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime
+import enum
 import json
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -44,7 +46,6 @@ from .simharness import (
     Beta,
     CompositeSyntheticSpec,
     Distribution,
-    MetricsSummary,
     PointMass,
     SyntheticSpec,
 )
@@ -79,17 +80,6 @@ def _dist_to_dict(d: Distribution) -> dict:
     return {"dist": "point", "value": d.value}
 
 
-def _dist_from_dict(d: dict) -> Distribution:
-    kind = d.get("dist")
-    if kind == "bernoulli":
-        return Bernoulli(float(d["p"]))
-    if kind == "beta":
-        return Beta(float(d["a"]), float(d["b"]))
-    if kind == "point":
-        return PointMass(float(d["value"]))
-    raise InvalidConfig([f"unknown distribution {kind!r}"])
-
-
 def _synth_to_dict(s: SyntheticSpec) -> dict:
     out = {
         "kind": "synthetic",
@@ -99,15 +89,6 @@ def _synth_to_dict(s: SyntheticSpec) -> dict:
     if s.quantile_threshold is not None:
         out["quantile_threshold"] = s.quantile_threshold
     return out
-
-
-def _synth_from_dict(d: dict) -> SyntheticSpec:
-    thr = d.get("quantile_threshold")
-    return SyntheticSpec(
-        arms=tuple(_dist_from_dict(a) for a in d.get("arms", [])),
-        shared_draw=bool(d.get("shared_draw", False)),
-        quantile_threshold=None if thr is None else float(thr),
-    )
 
 
 def source_to_dict(source) -> dict:
@@ -155,84 +136,188 @@ def config_to_dict(plan: RunPlan) -> dict:
     return out
 
 
-def _enum_value(enum_cls, raw, field: str):
+_REQUIRED = object()
+_JSON_TYPE = {bool: "boolean", int: "integer", float: "number", str: "string", dict: "object", list: "list"}
+
+# Sweep axes in grid order: the cells of cmd_sweep are their product.
+SWEEP_AXES = ("strategy", "alpha", "delta", "epsilon")
+
+# Each distribution's parameters, their domain, and how a violation reads.
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "out of [0,1]")
+_DISTS = {
+    "bernoulli": (Bernoulli, ("p",), *_UNIT),
+    "beta": (Beta, ("a", "b"), lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
+    "point": (PointMass, ("value",), *_UNIT),
+}
+
+
+def _check(value, kind, name: str, bad: list[str]):
+    """value as ``kind`` if it has the matching JSON type, else None with a
+    violation in bad.  An enum takes one of its string values; an integer is
+    a valid float (returned as one); a boolean is only a boolean."""
+    if isinstance(kind, enum.EnumMeta):
+        return _enum_value(kind, value, name, bad)
+    json_types = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, json_types):
+        bad.append(f"{name} must be a JSON {_JSON_TYPE[kind]}, got {value!r}")
+        return None
+    return float(value) if kind is float else value
+
+
+def _field(d: dict, key: str, kind, bad: list[str], default=_REQUIRED, name: str | None = None):
+    """d[key] checked by _check; a missing key yields the default or, for a
+    required field, a violation.  Fields that default to None may be null."""
+    if key not in d and default is _REQUIRED:
+        bad.append(f"missing config field {name or key!r}")
+    if key not in d or (d[key] is None and default is None):
+        return None if default is _REQUIRED else default
+    return _check(d[key], kind, name or key, bad)
+
+
+def _enum_value(enum_cls, raw, field: str, bad: list[str]):
     try:
         return enum_cls(raw)
     except ValueError:
-        allowed = ", ".join(e.value for e in enum_cls)
-        raise InvalidConfig([f"{field} must be one of: {allowed}"]) from None
+        bad.append(f"{field} must be one of: {', '.join(e.value for e in enum_cls)}")
+        return None
+
+
+def _dist_from_dict(d, name: str, bad: list[str]) -> Distribution | None:
+    """One arm; a parameter outside its distribution's domain is refused here."""
+    if _check(d, dict, name, bad) is None:
+        return None
+    if d.get("dist") not in _DISTS:
+        bad.append(f"unknown distribution {d.get('dist')!r} at {name}")
+        return None
+    cls, params, in_domain, domain = _DISTS[d["dist"]]
+    values = [_field(d, key, float, bad, name=f"{name}.{key}") for key in params]
+    for key, v in zip(params, values):
+        if v is not None and not in_domain(v):
+            bad.append(f"{name}.{key} {v!r} {domain}")
+    return cls(*values)
+
+
+def _synth_from_dict(d, name: str, bad: list[str]) -> SyntheticSpec | None:
+    if _check(d, dict, name, bad) is None:
+        return None
+    arms = _field(d, "arms", list, bad, [], f"{name}.arms") or []
+    return SyntheticSpec(
+        arms=tuple(_dist_from_dict(a, f"{name}.arms[{j}]", bad) for j, a in enumerate(arms)),
+        shared_draw=_field(d, "shared_draw", bool, bad, False, f"{name}.shared_draw"),
+        quantile_threshold=_field(d, "quantile_threshold", float, bad, None, f"{name}.quantile_threshold"),
+    )
+
+
+def sweep_value(cfg: CalibrationConfig, axis: str, value) -> CalibrationConfig:
+    """cfg with one sweep axis set to value."""
+    if axis == "strategy":
+        return dataclasses.replace(cfg, betting=dataclasses.replace(cfg.betting, strategy=BettingStrategy(value)))
+    if axis == "epsilon":
+        return dataclasses.replace(cfg, acquisition=dataclasses.replace(cfg.acquisition, epsilon=float(value)))
+    return dataclasses.replace(cfg, **{axis: float(value)})
 
 
 def parse_config(d: dict) -> RunPlan:
-    """Validate and convert one JSON config document into a RunPlan."""
-    try:
-        batch_size = int(d["batch_size"]) if "batch_size" in d else 1
-        acq_d = d.get("acquisition", {})
-        acq = AcquisitionSpec(
-            policy=_enum_value(AcquisitionPolicy, acq_d.get("policy", "uniform_all"), "acquisition.policy"),
-            epsilon=float(acq_d.get("epsilon", 0.0)),
-            batch_size=int(acq_d.get("batch_size", batch_size)),
-        )
-        bet_d = d.get("betting", {})
-        bet = BettingSpec(
-            strategy=_enum_value(BettingStrategy, bet_d.get("strategy", "agrapa"), "betting.strategy"),
-            clip_fraction=float(bet_d.get("clip_fraction", 0.75)),
-            max_bet_epsilon=float(bet_d.get("max_bet_epsilon", 1e-6)),
-        )
-        order = d.get("fixed_sequence_order")
-        extra = tuple(
-            MetricSpec(float(m["alpha"]), _enum_value(Direction, m["direction"], "extra_metrics.direction"))
-            for m in d.get("extra_metrics", [])
-        )
-        cfg = CalibrationConfig(
-            n_candidates=int(d["n_candidates"]),
-            alpha=float(d["alpha"]),
-            delta=float(d["delta"]),
-            direction=_enum_value(Direction, d["direction"], "direction"),
-            error_metric=_enum_value(ErrorMetric, d["error_metric"], "error_metric"),
-            selection_rule=_enum_value(SelectionRuleName, d["selection_rule"], "selection_rule"),
-            acquisition=acq,
-            betting=bet,
-            t_max=int(d["t_max"]),
-            d_stop=int(d["d_stop"]),
-            batch_size=batch_size,
-            seed=int(d["seed"]),
-            literal_set=bool(d.get("literal_set", False)),
-            fixed_sequence_order=None if order is None else tuple(int(i) for i in order),
-            extra_metrics=extra,
-        )
-    except KeyError as exc:
-        raise InvalidConfig([f"missing config field {exc.args[0]!r}"]) from None
+    """Validate and convert one JSON config document into a RunPlan.
+
+    Flags must be JSON booleans, counts and the seed JSON integers, rates
+    JSON numbers.  Each InvalidConfig lists every violation of its stage:
+    types, then the source and validate_config, then the sweep values (each
+    put into the config), so that no sweep cell fails after others have run.
+    """
+    if not isinstance(d, dict):
+        raise InvalidConfig(["config must be a JSON object"])
+    bad: list[str] = []
+    batch_size = _field(d, "batch_size", int, bad, 1)
+    acq_d = _field(d, "acquisition", dict, bad, {}) or {}
+    bet_d = _field(d, "betting", dict, bad, {}) or {}
+    order = _field(d, "fixed_sequence_order", list, bad, None)
+    extra = tuple(
+        MetricSpec(_field(m, "alpha", float, bad, name=f"extra_metrics[{j}].alpha"),
+                   _field(m, "direction", Direction, bad, name=f"extra_metrics[{j}].direction"))
+        for j, m in enumerate(_field(d, "extra_metrics", list, bad, []) or [])
+        if _check(m, dict, f"extra_metrics[{j}]", bad) is not None
+    )
+    cfg = CalibrationConfig(
+        n_candidates=_field(d, "n_candidates", int, bad),
+        alpha=_field(d, "alpha", float, bad),
+        delta=_field(d, "delta", float, bad),
+        direction=_field(d, "direction", Direction, bad),
+        error_metric=_field(d, "error_metric", ErrorMetric, bad),
+        selection_rule=_field(d, "selection_rule", SelectionRuleName, bad),
+        acquisition=AcquisitionSpec(
+            policy=_field(acq_d, "policy", AcquisitionPolicy, bad, "uniform_all", "acquisition.policy"),
+            epsilon=_field(acq_d, "epsilon", float, bad, 0.0, "acquisition.epsilon"),
+            batch_size=_field(acq_d, "batch_size", int, bad, batch_size, "acquisition.batch_size"),
+        ),
+        betting=BettingSpec(
+            strategy=_field(bet_d, "strategy", BettingStrategy, bad, "agrapa", "betting.strategy"),
+            clip_fraction=_field(bet_d, "clip_fraction", float, bad, 0.75, "betting.clip_fraction"),
+            max_bet_epsilon=_field(bet_d, "max_bet_epsilon", float, bad, 1e-6, "betting.max_bet_epsilon"),
+        ),
+        t_max=_field(d, "t_max", int, bad),
+        d_stop=_field(d, "d_stop", int, bad),
+        batch_size=batch_size,
+        seed=_field(d, "seed", int, bad),
+        literal_set=_field(d, "literal_set", bool, bad, False),
+        fixed_sequence_order=None if order is None else tuple(
+            _check(i, int, f"fixed_sequence_order[{j}]", bad) for j, i in enumerate(order)
+        ),
+        extra_metrics=extra,
+    )
 
     src_d = d.get("source")
     if not isinstance(src_d, dict):
-        raise InvalidConfig(["config needs a source block"])
+        raise InvalidConfig(bad + ["config needs a source block"])
     kind = src_d.get("kind")
     if kind == "synthetic":
-        source = _synth_from_dict(src_d)
-        if source.n != cfg.n_candidates:
-            raise InvalidConfig(["source arm count disagrees with n_candidates"])
+        source = _synth_from_dict(src_d, "source", bad)
     elif kind == "composite":
-        source = CompositeSyntheticSpec(
-            tuple(_synth_from_dict(m) for m in src_d.get("metrics", []))
-        )
-        if source.n != cfg.n_candidates:
-            raise InvalidConfig(["source arm count disagrees with n_candidates"])
-        if len(source.metrics) != 1 + len(cfg.extra_metrics):
-            raise InvalidConfig(["composite source metric count disagrees with config"])
+        metrics = _field(src_d, "metrics", list, bad, [], "source.metrics") or []
+        metrics = [_synth_from_dict(m, f"source.metrics[{k}]", bad) for k, m in enumerate(metrics)]
+        try:
+            source = CompositeSyntheticSpec(tuple(m for m in metrics if m is not None))
+        except InvalidConfig as exc:
+            bad += exc.violations
     elif kind == "oracle":
-        source = OracleSpec(str(src_d["command"]), float(src_d.get("timeout", 60.0)))
-        if cfg.extra_metrics:
-            raise InvalidConfig(["oracle sources support single-metric configs only"])
+        command = _field(src_d, "command", str, bad, name="source.command")
+        source = OracleSpec(command, _field(src_d, "timeout", float, bad, 60.0, "source.timeout"))
+        if source.timeout is not None and not (math.isfinite(source.timeout) and source.timeout > 0.0):
+            bad.append("source.timeout must be finite and > 0")
     else:
-        raise InvalidConfig([f"unknown source kind {kind!r}"])
+        bad.append(f"unknown source kind {kind!r}")
 
-    sweep = d.get("sweep", {})
-    allowed_axes = {"epsilon", "delta", "alpha", "strategy"}
-    if not isinstance(sweep, dict) or not set(sweep) <= allowed_axes:
-        raise InvalidConfig([f"sweep axes must be a subset of {sorted(allowed_axes)}"])
+    sweep = _field(d, "sweep", dict, bad, {}) or {}
+    if not set(sweep) <= set(SWEEP_AXES):
+        bad.append(f"sweep axes must be a subset of {sorted(SWEEP_AXES)}")
+    for axis, values in sweep.items():
+        if not isinstance(values, list) or not values:
+            bad.append(f"sweep.{axis} must be a nonempty JSON list")
+    if bad:
+        raise InvalidConfig(bad)
 
-    validate_config(cfg)
+    if isinstance(source, (SyntheticSpec, CompositeSyntheticSpec)) and source.n != cfg.n_candidates:
+        bad.append("source arm count disagrees with n_candidates")
+    if isinstance(source, CompositeSyntheticSpec) and len(source.metrics) != 1 + len(cfg.extra_metrics):
+        bad.append("composite source metric count disagrees with config")
+    if isinstance(source, OracleSpec) and cfg.extra_metrics:
+        bad.append("oracle sources support single-metric configs only")
+    try:
+        validate_config(cfg)
+    except InvalidConfig as exc:
+        bad += exc.violations
+    if bad:
+        raise InvalidConfig(bad)
+    for axis, values in sweep.items():
+        for j, v in enumerate(values):
+            name = f"sweep.{axis}[{j}]"
+            if _check(v, BettingStrategy if axis == "strategy" else float, name, bad) is not None:
+                try:
+                    validate_config(sweep_value(cfg, axis, v))
+                except InvalidConfig as exc:
+                    bad += [f"{name} {v!r}: {m}" for m in exc.violations]
+    if bad:
+        raise InvalidConfig(bad)
     return RunPlan(cfg=cfg, source=source, sweep=dict(sweep))
 
 
@@ -314,10 +399,6 @@ def write_summary_csv(
             w.writerow([t + 1, fmt17(tpr[t]), fmt17(fwer[t]), fmt17(fdr[t]), fmt17(sizes[t])])
 
 
-def summary_curves(summary: MetricsSummary):
-    return summary.tpr_curve, summary.fwer_curve, summary.fdr_curve, summary.set_size_curve
-
-
 def realized_curves(result: RunResult, reliable: frozenset[int] | None):
     """Single-trial curves over the recorded rounds; ground-truth columns are
     NaN when no reliable set is known (external oracle runs)."""
@@ -350,9 +431,8 @@ class ReplaySource:
 
     reads_token = False
 
-    def __init__(self, rows: dict[int, dict], multi_metric: bool):
+    def __init__(self, rows: dict[int, dict]):
         self.rows = rows
-        self.multi_metric = multi_metric
 
     def query(self, round_index: int, ids: Sequence[int], token: str):
         row = self.rows.get(round_index)
@@ -398,15 +478,10 @@ def replay_check(run_dir: str | Path) -> int:
         raise ReplayMismatch("rounds.csv holds no rounds")
     checked = 0
     for trial, rows in sorted(trials.items()):
-        for t, row in rows.items():
-            if multi:
-                row["risks"] = [
-                    tuple(float(x) for x in cell.split("|"))
-                    for cell in row["risk_cell"].split(";")
-                ]
-            else:
-                row["risks"] = [float(x) for x in row["risk_cell"].split(";")]
-        source = ReplaySource(rows, multi)
+        for row in rows.values():
+            cells = row["risk_cell"].split(";")
+            row["risks"] = [tuple(map(float, c.split("|"))) for c in cells] if multi else list(map(float, cells))
+        source = ReplaySource(rows)
         result = run_altt(plan.cfg, source, trial=trial, record_rounds=True)
         if len(result.records) != len(rows):
             raise ReplayMismatch(

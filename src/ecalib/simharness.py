@@ -147,27 +147,28 @@ class SyntheticSource:
     """RiskSource over a SyntheticSpec, bound to one (base_seed, trial).
 
     Draws the same risks as ``sample_risk``: the (tag, seed, trial) key
-    prefix is hashed once here, so each draw folds only (round, id, 0).
+    prefix is hashed once here, so each draw folds only (round, id, metric).
+    ``metric`` is the index of this spec within a composite, 0 otherwise.
     """
 
     reads_token = False
 
-    def __init__(self, spec: SyntheticSpec, base_seed: int, trial: int):
+    def __init__(self, spec: SyntheticSpec, base_seed: int, trial: int, metric: int = 0):
         self.spec = spec
-        self.base_seed = base_seed
-        self.trial = trial
+        self._metric = metric
         tag = TAG_SHARED if spec.shared_draw else TAG_RISK
         self._prefix = mix64(tag, base_seed, trial)
 
     def query(self, round_index: int, ids: Sequence[int], token: str) -> list[float]:
         spec = self.spec
         arms = spec.arms
+        k = self._metric
         if spec.shared_draw:
-            u = unit_uniform_from(self._prefix, round_index, 0)
+            u = unit_uniform_from(self._prefix, round_index, k)
             raws = [arms[i].draw(u) for i in ids]
         else:
             prefix = mix64_from(self._prefix, round_index)
-            raws = [arms[i].draw(unit_uniform_from(prefix, i, 0)) for i in ids]
+            raws = [arms[i].draw(unit_uniform_from(prefix, i, k)) for i in ids]
         thr = spec.quantile_threshold
         if thr is None:
             return raws
@@ -194,31 +195,17 @@ class CompositeSyntheticSpec:
 
 
 class CompositeSyntheticSource:
+    """One SyntheticSource per metric; each id gets the K-tuple of their draws."""
+
     reads_token = False
 
     def __init__(self, spec: CompositeSyntheticSpec, base_seed: int, trial: int):
-        self.spec = spec
-        self.base_seed = base_seed
-        self.trial = trial
-        self._shared_prefix = mix64(TAG_SHARED, base_seed, trial)
-        self._risk_prefix = mix64(TAG_RISK, base_seed, trial)
+        self._sources = [
+            SyntheticSource(m, base_seed, trial, k) for k, m in enumerate(spec.metrics)
+        ]
 
     def query(self, round_index: int, ids: Sequence[int], token: str) -> list[tuple[float, ...]]:
-        risk_prefix = mix64_from(self._risk_prefix, round_index)
-        out = []
-        for i in ids:
-            row = []
-            for k, mspec in enumerate(self.spec.metrics):
-                if mspec.shared_draw:
-                    u = unit_uniform_from(self._shared_prefix, round_index, k)
-                else:
-                    u = unit_uniform_from(risk_prefix, i, k)
-                raw = mspec.arms[i].draw(u)
-                if mspec.quantile_threshold is not None:
-                    raw = float(quantile_transform(raw, mspec.quantile_threshold))
-                row.append(raw)
-            out.append(tuple(row))
-        return out
+        return list(zip(*(s.query(round_index, ids, token) for s in self._sources)))
 
 
 def derive_reliable(cfg: CalibrationConfig, spec) -> frozenset[int]:
@@ -251,13 +238,6 @@ class MetricsSummary:
     set_size_curve: tuple[float, ...]
     stop_reason_counts: dict[str, int]
     tpr_trials: tuple[float, ...]
-
-
-def _trial_arrays(horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rel_hits = np.zeros(horizon, dtype=np.int32)
-    unrel_hits = np.zeros(horizon, dtype=np.int32)
-    sizes = np.zeros(horizon, dtype=np.int32)
-    return rel_hits, unrel_hits, sizes
 
 
 def _make_hook(rel_hits, unrel_hits, sizes, reliable: frozenset[int], unreliable: frozenset[int]):
@@ -365,7 +345,7 @@ class TrialAccumulator:
 def _one_trial(args) -> tuple[int, RunResult, np.ndarray, np.ndarray, np.ndarray]:
     cfg, spec, base_seed, trial, reliable = args
     unreliable = frozenset(range(cfg.n_candidates)) - reliable
-    rel_hits, unrel_hits, sizes = _trial_arrays(cfg.t_max)
+    rel_hits, unrel_hits, sizes = (np.zeros(cfg.t_max, dtype=np.int32) for _ in range(3))
     hook = _make_hook(rel_hits, unrel_hits, sizes, reliable, unreliable)
     source = spec.make_source(base_seed, trial)
     result = run_altt(cfg, source, trial=trial, record_rounds=False, round_hook=hook)
@@ -379,7 +359,6 @@ def _one_trial(args) -> tuple[int, RunResult, np.ndarray, np.ndarray, np.ndarray
 def run_trials(
     cfg: CalibrationConfig,
     spec,
-    gt: GroundTruth | None = None,
     M: int = 1,
     base_seed: int = 0,
     *,
@@ -389,7 +368,6 @@ def run_trials(
 ) -> MetricsSummary:
     """M independent adaptive runs, scored against ground truth.
 
-    gt, when given, must agree with the spec's means (single-metric specs).
     ``reliable`` overrides the derived reliable set for instances where the
     requirement does not reduce to cfg.alpha on spec.means().
     """
@@ -397,9 +375,6 @@ def run_trials(
         raise InvalidConfig(["M must be >= 1"])
     if workers < 1:
         raise InvalidConfig([f"workers must be >= 1, got {workers}"])
-    if gt is not None and not isinstance(spec, CompositeSyntheticSpec):
-        if tuple(gt.true_means) != spec.means():
-            raise InvalidConfig(["gt means disagree with spec means"])
     if reliable is None:
         reliable = derive_reliable(cfg, spec)
     if compute_tpr and not reliable:
@@ -471,10 +446,8 @@ def single_arm_mc(
             m_reg = (0.5 + sum_g) / t
             v_reg = (0.25 + ssd) / t
             mu = np.clip(m_reg / (v_reg + m_reg * m_reg), 0.0, cap)
-        elif strategy is BettingStrategy.ONS:
+        else:  # ONS
             mu = ons_mu.copy()
-        else:
-            raise InvalidConfig([f"single_arm_mc does not support {strategy.value}"])
 
         x = np.maximum(mu * g, -1.0)
         log_w = log_w + np.log1p(x)

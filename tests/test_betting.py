@@ -11,7 +11,6 @@ import pytest
 from ecalib.core import BettingSpec, BettingStrategy, Direction
 from ecalib.betting import ONS_STEP, BettingState, bet_cap, next_bet, observe
 from ecalib.eprocess import bet_bound
-from ecalib.errors import UnsupportedStrategy
 
 
 def spec_for(strategy, clip_fraction=0.75, max_bet_epsilon=1e-6):
@@ -172,13 +171,6 @@ class TestBetRanges:
             bound = bet_bound(alpha, Direction.RISK_BELOW)
             mu = next_bet(spec_for(BettingStrategy.MAX), BettingState(), bound)
             assert 0.0 < mu < bound.mu_max
-
-
-class TestUnsupported:
-    def test_lbow_raises(self):
-        bound = bet_bound(0.5, Direction.RISK_BELOW)
-        with pytest.raises(UnsupportedStrategy):
-            next_bet(spec_for(BettingStrategy.LBOW), BettingState(), bound)
 
 
 def payoff_sample(rng: random.Random, alpha: float) -> float:

@@ -1,4 +1,4 @@
-"""Configuration, evidence-log, and ground-truth helpers."""
+"""Configuration and ground-truth helpers."""
 
 from __future__ import annotations
 
@@ -14,12 +14,10 @@ from ecalib.core import (
     CalibrationConfig,
     Direction,
     ErrorMetric,
-    EvidenceLog,
     GroundTruth,
     MetricSpec,
     SelectionRuleName,
     check_order,
-    ordering_from_prior,
     reliable_set,
     validate_config,
 )
@@ -113,32 +111,6 @@ class TestCheckOrder:
             check_order(order, 3)
 
 
-class TestEvidenceLog:
-    def test_append_and_counts(self):
-        log = EvidenceLog(3)
-        log.append(1, (0, 2), (0.5, 0.25))
-        log.append(2, (1,), (1.0,))
-        assert log.counts() == [1, 1, 1]
-        assert log.rounds[0][1] == (0, 2)
-        assert len(log.observations()) == 3
-
-    def test_round_sequence_enforced(self):
-        log = EvidenceLog(3)
-        log.append(1, (0,), (0.0,))
-        with pytest.raises(OutOfRange):
-            log.append(3, (0,), (0.0,))
-
-    def test_id_range_enforced(self):
-        log = EvidenceLog(2)
-        with pytest.raises(OutOfRange):
-            log.append(1, (2,), (0.0,))
-
-    def test_risk_range_enforced(self):
-        log = EvidenceLog(2)
-        with pytest.raises(OutOfRange):
-            log.append(1, (0,), (1.5,))
-
-
 class TestGroundTruth:
     def test_reliable_set_risk_below(self):
         gt = GroundTruth((0.1, 0.2, 0.30001))
@@ -153,24 +125,6 @@ class TestGroundTruth:
             GroundTruth((0.5, 1.2))
 
 
-class TestOrderingFromPrior:
-    def test_best_first_by_prior_payoff(self):
-        # id 0 risky (mean 0.9), id 2 strong (mean 0.0), id 1 untouched.
-        log = EvidenceLog(3, prior=((0, 0.9), (2, 0.0), (0, 0.9)))
-        order = ordering_from_prior(log, 0.2, Direction.RISK_BELOW)
-        assert order == (2, 0, 1)
-
-    def test_prior_block_is_validated(self):
-        with pytest.raises(OutOfRange):
-            EvidenceLog(2, prior=((5, 0.1),))
-        with pytest.raises(OutOfRange):
-            EvidenceLog(2, prior=((0, 1.4),))
-
-    def test_no_prior_data_falls_back_to_id_order(self):
-        log = EvidenceLog(4)
-        assert ordering_from_prior(log, 0.5, Direction.RISK_BELOW) == (0, 1, 2, 3)
-
-
 class TestEnumValues:
     def test_string_values_are_wire_format(self):
         assert Direction.RISK_BELOW.value == "risk_below"
@@ -178,3 +132,6 @@ class TestEnumValues:
         assert BettingStrategy.AGRAPA.value == "agrapa"
         assert AcquisitionPolicy.EPS_GREEDY.value == "eps_greedy"
         assert ErrorMetric.FWER.value == "fwer"
+
+    def test_betting_strategies_are_the_implemented_four(self):
+        assert [s.value for s in BettingStrategy] == ["unit", "max", "agrapa", "ons"]

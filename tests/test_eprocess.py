@@ -14,12 +14,11 @@ from ecalib.eprocess import (
     EProcessState,
     anytime_p,
     bet_bound,
-    min_merge,
     payoff,
     quantile_transform,
     update,
 )
-from ecalib.errors import BetOutOfBounds, EmptyMerge, OutOfRange
+from ecalib.errors import BetOutOfBounds, OutOfRange
 
 
 class TestBetBound:
@@ -111,19 +110,6 @@ class TestUpdate:
         assert after.n_updates == 2
         # the running max from before bankruptcy still backs the p-value
         assert anytime_p(after) == 1.0
-
-
-class TestMinMerge:
-    def test_takes_pointwise_minimum(self):
-        bound = bet_bound(0.5, Direction.RISK_BELOW)
-        a = update(EProcessState(), 0.5, 1.0, bound)  # wealth 1.5
-        b = update(EProcessState(), -0.5, 1.0, bound)  # wealth 0.5
-        assert min_merge([a, b]) == pytest.approx(0.5)
-        assert min_merge([a]) == pytest.approx(1.5)
-
-    def test_empty_merge_rejected(self):
-        with pytest.raises(EmptyMerge):
-            min_merge([])
 
 
 class TestQuantileTransform:

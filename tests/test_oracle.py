@@ -64,7 +64,6 @@ class TestHappyPath:
     def test_point_oracle_certifies_the_good_arm(self):
         cfg = oracle_config(2)
         with oracle_client(demo_argv("0.0,1.0", "--dist", "point"), cfg) as source:
-            assert source.stateless is True
             result = run_altt(cfg, source)
         assert result.selected == frozenset({0})
         assert result.stop_reason.value == "reached_d"

@@ -6,8 +6,11 @@ import csv
 import json
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecalib.cli import main
 from ecalib.core import (
@@ -200,6 +203,170 @@ class TestConfigErrors:
             load_config(path)
 
 
+def error_lines(caplog) -> list[str]:
+    """ERROR records as main's log format prints them."""
+    return [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records if r.levelname == "ERROR"]
+
+
+def set_path(doc: dict, path: tuple, value) -> dict:
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestStrictScalarTypes:
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("literal_set",), "false", "literal_set must be a JSON boolean, got 'false'"),
+            (("n_candidates",), 2.7, "n_candidates must be a JSON integer, got 2.7"),
+            (("n_candidates",), True, "n_candidates must be a JSON integer, got True"),
+            (("alpha",), "abc", "alpha must be a JSON number, got 'abc'"),
+            (("alpha",), True, "alpha must be a JSON number, got True"),
+            (("seed",), "5", "seed must be a JSON integer, got '5'"),
+            (("t_max",), 80.0, "t_max must be a JSON integer, got 80.0"),
+            (("acquisition", "epsilon"), "0.3", "acquisition.epsilon must be a JSON number"),
+            (("acquisition", "batch_size"), False, "acquisition.batch_size must be a JSON integer"),
+            (("betting", "strategy"), 3, "betting.strategy must be one of: unit, max, agrapa, ons"),
+            (("betting",), "agrapa", "betting must be a JSON object"),
+            (("source", "shared_draw"), 1, "source.shared_draw must be a JSON boolean, got 1"),
+            (("source", "arms", 1, "p"), "0.3", "source.arms[1].p must be a JSON number"),
+            (("fixed_sequence_order",), [0, 1.0, 2], "fixed_sequence_order[1] must be a JSON integer"),
+            (("extra_metrics",), [{"alpha": "0.5", "direction": "risk_below"}], "extra_metrics[0].alpha must be a JSON number"),
+        ],
+    )
+    def test_wrong_json_type_is_named(self, path, value, message):
+        doc = set_path(base_config_doc(), path, value)
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            parse_config(doc)
+
+    def test_every_violation_in_one_error(self):
+        doc = base_config_doc()
+        doc["literal_set"] = "false"
+        doc["n_candidates"] = 2.7
+        doc["alpha"] = "abc"
+        with pytest.raises(InvalidConfig) as exc:
+            parse_config(doc)
+        assert {v.split(" ")[0] for v in exc.value.violations} == {"literal_set", "n_candidates", "alpha"}
+
+    def test_missing_enum_field_named(self):
+        doc = base_config_doc()
+        del doc["direction"]
+        with pytest.raises(InvalidConfig, match="missing config field 'direction'"):
+            parse_config(doc)
+
+    def test_integers_are_numbers(self):
+        doc = base_config_doc()
+        doc["acquisition"]["epsilon"] = 0
+        doc["betting"]["clip_fraction"] = 1
+        plan = parse_config(doc)
+        assert plan.cfg.acquisition.epsilon == 0.0 and isinstance(plan.cfg.acquisition.epsilon, float)
+        assert plan.cfg.betting.clip_fraction == 1.0
+        assert plan == parse_config(json.loads(json.dumps(config_to_dict(plan))))
+
+    def test_optional_fields_may_be_null(self):
+        doc = base_config_doc()
+        doc["fixed_sequence_order"] = None
+        doc["source"]["quantile_threshold"] = None
+        assert parse_config(doc) == parse_config(base_config_doc())
+
+    def test_non_object_config_refused(self):
+        with pytest.raises(InvalidConfig, match="JSON object"):
+            parse_config([1, 2])
+
+    def test_lbow_refused_at_parse(self):
+        doc = base_config_doc()
+        doc["betting"] = {"strategy": "lbow"}
+        with pytest.raises(InvalidConfig, match="betting.strategy must be one of: unit, max, agrapa, ons$"):
+            parse_config(doc)
+
+    def test_cli_refuses_before_writing(self, tmp_path, caplog):
+        doc = base_config_doc()
+        doc["literal_set"] = "false"
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
+        [line] = error_lines(caplog)
+        assert line.startswith("ERROR ecalib: literal_set must be a JSON boolean")
+        assert not out.exists()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        alpha=st.floats(0.01, 0.99),
+        epsilon=st.floats(0.0, 1.0),
+        literal=st.booleans(),
+        shared=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+        params=st.lists(st.tuples(st.sampled_from(["bernoulli", "beta", "point"]), st.floats(0.01, 1.0)), min_size=6, max_size=6),
+    )
+    def test_manifest_config_round_trips(self, n, alpha, epsilon, literal, shared, seed, params):
+        arms = {
+            "bernoulli": lambda x: {"dist": "bernoulli", "p": x},
+            "beta": lambda x: {"dist": "beta", "a": x, "b": 2.0 * x},
+            "point": lambda x: {"dist": "point", "value": x},
+        }
+        doc = base_config_doc()
+        doc.update(n_candidates=n, alpha=alpha, d_stop=n, seed=seed, literal_set=literal)
+        doc["acquisition"]["epsilon"] = epsilon
+        doc["source"] = {"kind": "synthetic", "arms": [arms[k](x) for k, x in params[:n]], "shared_draw": shared}
+        plan = parse_config(doc)
+        assert parse_config(json.loads(json.dumps(config_to_dict(plan)))) == plan
+
+
+class TestDistributionParameters:
+    @pytest.mark.parametrize(
+        "arm, field",
+        [
+            ({"dist": "bernoulli", "p": 1.7}, "source.arms[0].p 1.7 out of [0,1]"),
+            ({"dist": "bernoulli", "p": -0.1}, "source.arms[0].p -0.1 out of [0,1]"),
+            ({"dist": "point", "value": 1.5}, "source.arms[0].value 1.5 out of [0,1]"),
+            ({"dist": "beta", "a": -1.0, "b": 2.0}, "source.arms[0].a -1.0 must be finite and > 0"),
+            ({"dist": "beta", "a": 2.0, "b": 0}, "source.arms[0].b 0.0 must be finite and > 0"),
+            ({"dist": "beta", "a": float("inf"), "b": 2.0}, "source.arms[0].a inf must be finite and > 0"),
+            ({"dist": "beta", "a": float("nan"), "b": 2.0}, "source.arms[0].a nan must be finite and > 0"),
+            ({"dist": "bernoulli"}, "missing config field 'source.arms[0].p'"),
+        ],
+    )
+    def test_out_of_domain_parameter_refused(self, arm, field):
+        doc = base_config_doc()
+        doc["source"]["arms"][0] = arm
+        with pytest.raises(InvalidConfig, match=re.escape(field)):
+            parse_config(doc)
+
+    def test_composite_metric_arms_checked(self):
+        doc = base_config_doc()
+        doc["n_candidates"] = 1
+        doc["d_stop"] = 1
+        doc["extra_metrics"] = [{"alpha": 0.5, "direction": "risk_below"}]
+        doc["source"] = {
+            "kind": "composite",
+            "metrics": [
+                {"kind": "synthetic", "arms": [{"dist": "bernoulli", "p": 0.2}]},
+                {"kind": "synthetic", "arms": [{"dist": "beta", "a": 2.0, "b": -4.0}]},
+            ],
+        }
+        with pytest.raises(InvalidConfig, match=re.escape("source.metrics[1].arms[0].b")):
+            parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "command, arm",
+        [("simulate", {"dist": "bernoulli", "p": 1.7}), ("validate", {"dist": "beta", "a": -1.0, "b": 2.0})],
+    )
+    def test_refused_before_any_output(self, tmp_path, caplog, command, arm):
+        doc = base_config_doc()
+        doc["source"]["arms"][2] = arm
+        out = tmp_path / "run"
+        argv = [command, "--config", write_doc(tmp_path, doc), "--out", str(out)]
+        if command == "validate":
+            argv += ["--trials", "2"]
+        assert main(argv) == 1
+        [line] = error_lines(caplog)
+        assert line.startswith("ERROR ecalib: source.arms[2].")
+        assert not out.exists()
+
+
 class TestManifest:
     def test_round_trip_and_provenance_fields(self, tmp_path):
         plan = parse_config(base_config_doc())
@@ -346,6 +513,36 @@ class TestValidateReportSweep:
         assert main(argv) == 1
         assert f"--workers must be >= 1, got {workers}" in caplog.text
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sweep, axis",
+        [
+            ({"strategy": ["agrapa", "foo"]}, "sweep.strategy[1] must be one of: unit, max, agrapa, ons"),
+            ({"strategy": ["lbow"]}, "sweep.strategy[0] must be one of"),
+            ({"alpha": ["abc"]}, "sweep.alpha[0] must be a JSON number"),
+            ({"alpha": [0.2, 1.5]}, "sweep.alpha[1] 1.5: alpha out of (0,1)"),
+            ({"delta": [0.1, 0]}, "sweep.delta[1] 0: delta out of (0,1)"),
+            ({"epsilon": [0.5, -0.1]}, "sweep.epsilon[1] -0.1: acquisition epsilon out of [0,1]"),
+            ({"alpha": 0.2}, "sweep.alpha must be a nonempty JSON list"),
+        ],
+    )
+    def test_bad_sweep_value_refused_before_any_cell(self, tmp_path, caplog, sweep, axis):
+        doc = self.validate_doc()
+        doc["sweep"] = sweep
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", write_doc(tmp_path, doc), "--trials", "2", "--out", str(out)]) == 1
+        [line] = error_lines(caplog)
+        assert line.startswith("ERROR ecalib: ") and axis in line
+        assert not (out / "sweep.csv").exists()
+
+    def test_every_bad_sweep_value_in_one_error(self):
+        doc = self.validate_doc()
+        doc["sweep"] = {"strategy": ["foo", "unit"], "alpha": ["abc", 1.5, 0.3]}
+        with pytest.raises(InvalidConfig) as exc:
+            parse_config(doc)
+        assert [v.split(" ")[0] for v in exc.value.violations] == [
+            "sweep.strategy[0]", "sweep.alpha[0]", "sweep.alpha[1]",
+        ]
 
     def test_broken_config_exits_1(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -25,7 +25,6 @@ from ecalib.simharness import (
     Bernoulli,
     Beta,
     CompositeSyntheticSpec,
-    GroundTruth,
     PointMass,
     SyntheticSpec,
     derive_reliable,
@@ -197,11 +196,6 @@ class TestScoringBookkeeping:
         assert summ.set_size_curve[-1] == 2.0  # carried past the stop round
         assert summ.tpr_curve[-1] == 1.0
 
-    def test_ground_truth_must_match_spec(self):
-        spec, cfg = self.spec_and_config()
-        with pytest.raises(InvalidConfig):
-            run_trials(cfg, spec, gt=GroundTruth((0.0, 0.0, 0.5)), M=1)
-
     def test_m_must_be_positive(self):
         spec, cfg = self.spec_and_config()
         with pytest.raises(InvalidConfig):
@@ -312,15 +306,3 @@ class TestSingleArmLane:
         )
         rate = float(np.mean(out["max_log_wealth"] >= math.log(1.0 / delta)))
         assert rate <= delta + 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
-
-    def test_unsupported_strategy_rejected(self):
-        with pytest.raises(InvalidConfig):
-            single_arm_mc(
-                0.3,
-                0.2,
-                Direction.RISK_BELOW,
-                BettingSpec(BettingStrategy.LBOW),
-                10,
-                10,
-                0,
-            )
