@@ -18,8 +18,6 @@ from .core import (  # noqa: F401
 )
 from .eprocess import (  # noqa: F401
     BetBound,
-    EProcessState,
-    anytime_p,
     bet_bound,
     payoff,
     quantile_transform,

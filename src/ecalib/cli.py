@@ -48,7 +48,10 @@ logger = logging.getLogger("ecalib")
 
 def _prepare_out(path: str) -> Path:
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise EcalibError(f"--out {path!r}: cannot create directory: {exc.strerror}") from None
     return out
 
 
@@ -160,6 +163,8 @@ def cmd_calibrate(args) -> int:
         raise EcalibError("calibrate needs an oracle source")
     command = args.oracle or plan.source.command
     timeout = args.timeout if args.timeout is not None else plan.source.timeout
+    if not (math.isfinite(timeout) and timeout > 0.0):
+        raise EcalibError(f"--timeout must be finite and > 0, got {args.timeout}")
     out = _prepare_out(args.out)
     started = utc_now()
     with oracle_client(command, plan.cfg, timeout) as source:
@@ -184,7 +189,10 @@ def cmd_report(args) -> int:
         with open(run / "summary.csv", newline="", encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
                 rows.append([run.name, row["t"], row["tpr"], row["fwer"], row["fdr"], row["mean_set_size"]])
-    sink = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
+    try:
+        sink = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        raise EcalibError(f"--out {args.out!r}: {exc.strerror}") from None
     try:
         w = csv.writer(sink)
         w.writerow(["run", "t", "tpr", "fwer", "fdr", "mean_set_size"])
@@ -256,7 +264,7 @@ def cmd_sweep(args) -> int:
 def cmd_replay(args) -> int:
     checked = replay_check(args.input)
     manifest = read_manifest(Path(args.input))
-    logger.info("replay: %d rounds reproduced exactly (run of %s)", checked, manifest["started_utc"])
+    logger.info("replay: %d rounds reproduced exactly (run of %s)", checked, manifest.get("started_utc"))
     return 0
 
 

@@ -110,6 +110,16 @@ class CalibrationConfig:
 def validate_config(cfg: CalibrationConfig) -> CalibrationConfig:
     """Check every config invariant; raise InvalidConfig listing all failures."""
     bad: list[str] = []
+    enums = [
+        ("direction", cfg.direction, Direction),
+        ("error_metric", cfg.error_metric, ErrorMetric),
+        ("selection_rule", cfg.selection_rule, SelectionRuleName),
+        ("acquisition.policy", cfg.acquisition.policy, AcquisitionPolicy),
+        ("betting.strategy", cfg.betting.strategy, BettingStrategy),
+    ] + [(f"extra_metrics[{k}].direction", m.direction, Direction) for k, m in enumerate(cfg.extra_metrics)]
+    for name, value, kind in enums:
+        if not isinstance(value, kind):
+            bad.append(f"{name} must be a {kind.__name__} member, got {value!r}")
     n = cfg.n_candidates
     if not isinstance(n, int) or n < 1:
         bad.append("n_candidates must be a positive integer")

@@ -8,9 +8,11 @@ the payoff has non-positive conditional mean, so wealth is a nonnegative
 supermartingale and Ville's inequality makes 1 / running_max(wealth) an
 anytime-valid p-value.
 
-Wealth is tracked in the log domain; a multiplicative factor <= 0 (possible
-only through rounding at the bet boundary) sends the process to an absorbing
-zero-wealth state instead of producing NaNs.
+A process is its log wealth, one float starting at 0.  A multiplicative
+factor <= 0 (possible only through rounding at the bet boundary) sends it to
+-inf, zero wealth, instead of producing NaNs; -inf is absorbing, since
+-inf + log1p(x) = -inf.  The running maximum and the p-value live in the
+engine (orchestrator._run), which takes them over the merged process.
 """
 
 from __future__ import annotations
@@ -55,57 +57,18 @@ def payoff(risk: float, alpha: float, direction: Direction) -> Payoff:
     return risk - alpha
 
 
-@dataclass
-class EProcessState:
-    """Wealth, its running maximum, and the update count for one process.
+def update(log_wealth: float, g: Payoff, mu: float, bound: BetBound) -> float:
+    """One betting round: log wealth += log(1 + mu * g).
 
-    Stored as logs; ``bankrupt`` marks the absorbing zero-wealth state.
-    Treat instances as immutable: update() returns a new state.
-    """
-
-    log_wealth: float = 0.0
-    log_running_max: float = 0.0
-    n_updates: int = 0
-    bankrupt: bool = False
-
-    @property
-    def wealth(self) -> float:
-        if self.bankrupt:
-            return 0.0
-        return math.exp(self.log_wealth)
-
-    @property
-    def running_max(self) -> float:
-        return math.exp(self.log_running_max)
-
-
-def update(state: EProcessState, g: Payoff, mu: float, bound: BetBound) -> EProcessState:
-    """One betting round: wealth *= (1 + mu * g).
-
-    Requires 0 <= mu < mu_max.  Bankruptcy (factor <= 0, reachable only via
-    rounding at the boundary) is absorbing; updates still count.
+    Requires 0 <= mu < mu_max.  A factor <= 0 (reachable only via rounding
+    at the boundary) returns -inf, which every later update keeps.
     """
     if not 0.0 <= mu < bound.mu_max:
         raise BetOutOfBounds(f"mu {mu!r} outside [0, {bound.mu_max!r})")
-    if state.bankrupt:
-        return EProcessState(
-            state.log_wealth, state.log_running_max, state.n_updates + 1, True
-        )
     x = mu * g
     if x <= -1.0:
-        return EProcessState(
-            float("-inf"), state.log_running_max, state.n_updates + 1, True
-        )
-    lw = state.log_wealth + math.log1p(x)
-    lrm = state.log_running_max
-    if lw > lrm:
-        lrm = lw
-    return EProcessState(lw, lrm, state.n_updates + 1, False)
-
-
-def anytime_p(state: EProcessState) -> float:
-    """1 / max historical wealth, valid at every stopping time (Ville)."""
-    return min(1.0, math.exp(-state.log_running_max))
+        return -math.inf
+    return log_wealth + math.log1p(x)
 
 
 def quantile_transform(raw_risk: float, threshold: float) -> int:

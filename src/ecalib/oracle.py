@@ -46,13 +46,16 @@ class OracleClient:
             raise InvalidConfig(["oracle sources support single-metric configs only"])
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         self.timeout = timeout
-        self._proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
+        try:
+            self._proc = subprocess.Popen(
+                argv,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+                bufsize=1,
+            )
+        except OSError as exc:
+            raise OracleError(f"cannot start oracle {command!r}: {exc.strerror}") from None
         self._lines: queue.Queue = queue.Queue()
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()

@@ -8,10 +8,10 @@ of candidates.  run_ltt shares the same engine but defers selection to a
 single application after a fixed number of rounds, which is why the two
 coincide exactly under a non-adaptive policy and identical seeds.
 
-Composite requirements (cfg.extra_metrics nonempty) keep one e-process per
-metric per candidate and certify on their minimum; the merged process gets
-its own running maximum, since max over rounds of the min is not the min of
-the per-metric maxima.
+Each candidate keeps one log wealth per metric (K = 1 + len(extra_metrics))
+and is certified on their minimum, the merged process.  Its running maximum
+is the one source of anytime_p = min(1, 1 / max_{s<=t} wealth_s); max over
+rounds of the min is not the min of per-metric maxima, so none are kept.
 
 Selection rules are pure functions of the p-values (e-values for ebh), so
 the loop re-selects only in rounds where an input of the rule changed: a
@@ -35,7 +35,7 @@ from .core import (
     SelectionRuleName,
     validate_config,
 )
-from .eprocess import EProcessState, bet_bound, payoff, update
+from .eprocess import bet_bound, payoff, update
 from .errors import InvalidConfig, SourceFailure
 from .rng import TAG_ACQ, TAG_TOKEN, MixStream, mix64, mix64_from
 
@@ -127,7 +127,7 @@ def _run(
     bspec = cfg.betting
     seed = cfg.seed
 
-    estates = [[EProcessState() for _ in range(n_metrics)] for _ in range(n)]
+    lws = [[0.0] * n_metrics for _ in range(n)]  # per-metric log wealths
     bstates = [[BettingState() for _ in range(n_metrics)] for _ in range(n)]
     merged_lw = [0.0] * n  # log of min-over-metrics wealth
     merged_lrm = [0.0] * n  # running max of merged log wealth
@@ -170,7 +170,7 @@ def _run(
         changed = False
         for pos, i in enumerate(batch):
             row = rows[pos]
-            e_i = estates[i]
+            lw_i = lws[i]
             b_i = bstates[i]
             for k in range(n_metrics):
                 r = row[k]
@@ -181,12 +181,9 @@ def _run(
                 bs = b_i[k]
                 mu = next_bet(bspec, bs, bound)
                 g = payoff(r, alpha_k, dir_k)
-                e_i[k] = update(e_i[k], g, mu, bound)
+                lw_i[k] = update(lw_i[k], g, mu, bound)
                 b_i[k] = observe(bspec, bs, g, mu, bound)
-            if n_metrics == 1:
-                lw = e_i[0].log_wealth
-            else:
-                lw = min(s.log_wealth for s in e_i)
+            lw = min(lw_i)
             merged_lw[i] = lw
             if lw > merged_lrm[i]:
                 merged_lrm[i] = lw

@@ -52,7 +52,7 @@ from .simharness import (
 
 
 class ReplayMismatch(EcalibError):
-    """A logged run could not be reproduced from its own rounds.csv."""
+    """A run directory could not be read back, or its log not reproduced."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -246,12 +246,12 @@ def parse_config(d: dict) -> RunPlan:
         error_metric=_field(d, "error_metric", ErrorMetric, bad),
         selection_rule=_field(d, "selection_rule", SelectionRuleName, bad),
         acquisition=AcquisitionSpec(
-            policy=_field(acq_d, "policy", AcquisitionPolicy, bad, "uniform_all", "acquisition.policy"),
+            policy=_field(acq_d, "policy", AcquisitionPolicy, bad, AcquisitionPolicy.UNIFORM_ALL, "acquisition.policy"),
             epsilon=_field(acq_d, "epsilon", float, bad, 0.0, "acquisition.epsilon"),
             batch_size=_field(acq_d, "batch_size", int, bad, batch_size, "acquisition.batch_size"),
         ),
         betting=BettingSpec(
-            strategy=_field(bet_d, "strategy", BettingStrategy, bad, "agrapa", "betting.strategy"),
+            strategy=_field(bet_d, "strategy", BettingStrategy, bad, BettingStrategy.AGRAPA, "betting.strategy"),
             clip_fraction=_field(bet_d, "clip_fraction", float, bad, 0.75, "betting.clip_fraction"),
             max_bet_epsilon=_field(bet_d, "max_bet_epsilon", float, bad, 1e-6, "betting.max_bet_epsilon"),
         ),
@@ -321,13 +321,20 @@ def parse_config(d: dict) -> RunPlan:
     return RunPlan(cfg=cfg, source=source, sweep=dict(sweep))
 
 
+def _read_json(path: Path, error):
+    """The JSON document at path; a file that cannot be read, is not UTF-8
+    or is not JSON raises error(message naming the path)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise error(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_config(path: str | Path) -> RunPlan:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig([f"config is not valid JSON: {exc}"]) from None
-    return parse_config(doc)
+    return parse_config(_read_json(path, lambda message: InvalidConfig([message])))
 
 
 def utc_now() -> str:
@@ -358,7 +365,14 @@ def write_manifest(
 
 
 def read_manifest(run_dir: Path) -> dict:
-    return json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    path = Path(run_dir) / "manifest.json"
+    doc = _read_json(path, ReplayMismatch)
+    if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
+        raise ReplayMismatch(f"{path} holds no config object")
+    return doc
+
+
+ROUNDS_HEADER = ["trial", "t", "tested_ids", "risks", "wealths", "selected_ids"]
 
 
 def _risk_cell(risks_row, multi_metric: bool) -> str:
@@ -370,7 +384,7 @@ def _risk_cell(risks_row, multi_metric: bool) -> str:
 def write_rounds_csv(out_dir: Path, results: Sequence[tuple[int, RunResult]], multi_metric: bool) -> None:
     with open(out_dir / "rounds.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["trial", "t", "tested_ids", "risks", "wealths", "selected_ids"])
+        w.writerow(ROUNDS_HEADER)
         for trial, result in results:
             for rec in result.records:
                 w.writerow(
@@ -445,23 +459,34 @@ class ReplaySource:
         return row["risks"]
 
 
-def _parse_rounds_csv(run_dir: Path) -> dict[int, dict[int, dict]]:
-    """rounds.csv -> {trial: {t: {tested, risks(raw strings), wealths, selected}}}."""
+def _parse_rounds_csv(run_dir: Path, multi_metric: bool) -> dict[int, dict[int, dict]]:
+    """rounds.csv -> {trial: {t: {tested, risks, wealth_strs, selected}}};
+    ReplayMismatch names the file (and line) of any unreadable part."""
+    path = run_dir / "rounds.csv"
     trials: dict[int, dict[int, dict]] = {}
-    with open(run_dir / "rounds.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            t = int(row["t"])
-            tested = [int(x) for x in row["tested_ids"].split(";")] if row["tested_ids"] else []
-            selected = (
-                [int(x) for x in row["selected_ids"].split(";")] if row["selected_ids"] else []
-            )
-            trials.setdefault(int(row["trial"]), {})[t] = {
-                "tested": tested,
-                "risk_cell": row["risks"],
-                "wealth_strs": row["wealths"].split(";") if row["wealths"] else [],
-                "selected": selected,
-            }
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh, restval="")
+            if reader.fieldnames != ROUNDS_HEADER:
+                raise ReplayMismatch(f"{path}: header {reader.fieldnames} != {ROUNDS_HEADER}")
+            for row in reader:
+                t = int(row["t"])
+                tested = [int(x) for x in row["tested_ids"].split(";")] if row["tested_ids"] else []
+                selected = (
+                    [int(x) for x in row["selected_ids"].split(";")] if row["selected_ids"] else []
+                )
+                cells = row["risks"].split(";")
+                risks = [tuple(map(float, c.split("|"))) for c in cells] if multi_metric else list(map(float, cells))
+                trials.setdefault(int(row["trial"]), {})[t] = {
+                    "tested": tested,
+                    "risks": risks,
+                    "wealth_strs": row["wealths"].split(";") if row["wealths"] else [],
+                    "selected": selected,
+                }
+    except OSError as exc:
+        raise ReplayMismatch(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ReplayMismatch(f"{path} line {reader.line_num}: {exc}") from None
     return trials
 
 
@@ -472,15 +497,11 @@ def replay_check(run_dir: str | Path) -> int:
     run_dir = Path(run_dir)
     manifest = read_manifest(run_dir)
     plan = parse_config(manifest["config"])
-    multi = bool(plan.cfg.extra_metrics)
-    trials = _parse_rounds_csv(run_dir)
+    trials = _parse_rounds_csv(run_dir, bool(plan.cfg.extra_metrics))
     if not trials:
         raise ReplayMismatch("rounds.csv holds no rounds")
     checked = 0
     for trial, rows in sorted(trials.items()):
-        for row in rows.values():
-            cells = row["risk_cell"].split(";")
-            row["risks"] = [tuple(map(float, c.split("|"))) for c in cells] if multi else list(map(float, cells))
         source = ReplaySource(rows)
         result = run_altt(plan.cfg, source, trial=trial, record_rounds=True)
         if len(result.records) != len(rows):

@@ -23,6 +23,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.special import betainc, betaincinv
 
+from .betting import ONS_STEP, BettingState, bet_cap, next_bet
 from .core import (
     BettingSpec,
     BettingStrategy,
@@ -419,7 +420,7 @@ def single_arm_mc(
     with keep_paths, also ``log_wealth_paths`` of shape (trials, rounds).
     """
     bound = bet_bound(alpha, direction)
-    cap = betting.clip_fraction * bound.mu_max * (1.0 - betting.max_bet_epsilon)
+    cap = bet_cap(betting, bound)
     strategy = betting.strategy
     trials = np.arange(n_trials, dtype=np.uint64)
     log_w = np.zeros(n_trials)
@@ -429,7 +430,8 @@ def single_arm_mc(
     ons_mu = np.zeros(n_trials)
     ons_a = np.ones(n_trials)
     paths = np.zeros((n_trials, n_rounds)) if keep_paths else None
-    ons_step = 2.0 / (2.0 - math.log(3.0))
+    # UNIT and MAX bet a constant; the scalar rule gives it.
+    constant_mu = next_bet(betting, BettingState(), bound)
 
     for t in range(1, n_rounds + 1):
         u = unit_uniform_np([TAG_RISK, base_seed, trials, t, 0, 0])
@@ -438,10 +440,8 @@ def single_arm_mc(
             g = alpha - risk
         else:
             g = risk - alpha
-        if strategy is BettingStrategy.UNIT:
-            mu = min(1.0, cap)
-        elif strategy is BettingStrategy.MAX:
-            mu = bound.mu_max * (1.0 - betting.max_bet_epsilon)
+        if strategy in (BettingStrategy.UNIT, BettingStrategy.MAX):
+            mu = constant_mu
         elif strategy is BettingStrategy.AGRAPA:
             m_reg = (0.5 + sum_g) / t
             v_reg = (0.25 + ssd) / t
@@ -464,7 +464,7 @@ def single_arm_mc(
             denom = 1.0 + mu * g
             z = -g / denom
             ons_a = ons_a + z * z
-            ons_mu = np.clip(ons_mu - ons_step * z / ons_a, 0.0, cap)
+            ons_mu = np.clip(ons_mu - ONS_STEP * z / ons_a, 0.0, cap)
 
     out = {"final_log_wealth": log_w, "max_log_wealth": max_log_w}
     if paths is not None:

@@ -1,0 +1,49 @@
+"""The benchmark's tracer binds package names by attribute substitution.
+
+``perfbench/tracing.py`` wraps functions where the engine looks them up
+(``orchestrator.update``, ``cli.run_trials``, ...).  A rename or a dropped
+import breaks the benchmark without failing any package test; this test
+installs the tracer, counts its substitutions and checks that ``restore``
+puts every original back.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from ecalib import betting, eprocess, orchestrator
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Substitutions Tracer.install makes; a changed count means a changed binding.
+N_SUBSTITUTIONS = 39
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    yield tracing
+    sys.modules.pop("tracing", None)
+
+
+def test_tracer_installs_every_binding_and_restores_it(tracing):
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        saved = list(tracer._saved)
+        assert len(saved) == N_SUBSTITUTIONS
+        for owner, attr, original in saved:
+            assert getattr(owner, attr) is not original, f"{owner.__name__}.{attr} not wrapped"
+    finally:
+        tracer.restore()
+    for owner, attr, original in saved:
+        assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"
+    assert orchestrator.update is eprocess.update
+    assert orchestrator.payoff is eprocess.payoff
+    assert orchestrator.next_bet is betting.next_bet
+    assert orchestrator.observe is betting.observe

@@ -9,15 +9,7 @@ import numpy as np
 import pytest
 
 from ecalib.core import Direction
-from ecalib.eprocess import (
-    BetBound,
-    EProcessState,
-    anytime_p,
-    bet_bound,
-    payoff,
-    quantile_transform,
-    update,
-)
+from ecalib.eprocess import BetBound, bet_bound, payoff, quantile_transform, update
 from ecalib.errors import BetOutOfBounds, OutOfRange
 
 
@@ -57,59 +49,40 @@ class TestUpdate:
         rng = random.Random(2024)
         bound = bet_bound(0.3, Direction.RISK_BELOW)
         for sweep in range(50):
-            state = EProcessState()
+            log_wealth = 0.0
             product = 1.0
-            run_max = 1.0
             for _ in range(rng.randrange(1, 60)):
                 g = payoff(rng.random(), 0.3, Direction.RISK_BELOW)
                 mu = rng.random() * bound.mu_max * 0.75
-                state = update(state, g, mu, bound)
+                log_wealth = update(log_wealth, g, mu, bound)
                 product *= 1.0 + mu * g
-                run_max = max(run_max, product)
-            assert state.wealth == pytest.approx(product, rel=1e-12)
-            assert state.running_max == pytest.approx(run_max, rel=1e-12)
-            assert anytime_p(state) == pytest.approx(min(1.0, 1.0 / run_max), rel=1e-12)
-
-    def test_running_max_never_decreases(self):
-        bound = bet_bound(0.5, Direction.RISK_BELOW)
-        state = EProcessState()
-        prev = state.running_max
-        for g in [0.5, -0.5, 0.5, -0.5, -0.5]:
-            state = update(state, g, 1.0, bound)
-            assert state.running_max >= prev
-            prev = state.running_max
-
-    def test_anytime_p_capped_at_one(self):
-        bound = bet_bound(0.5, Direction.RISK_BELOW)
-        state = update(EProcessState(), -0.5, 1.0, bound)  # wealth 0.5
-        assert state.wealth == pytest.approx(0.5)
-        assert anytime_p(state) == 1.0
+            assert isinstance(log_wealth, float)
+            assert math.exp(log_wealth) == pytest.approx(product, rel=1e-12)
 
     def test_bet_domain_enforced(self):
         bound = bet_bound(0.2, Direction.RISK_BELOW)
         with pytest.raises(BetOutOfBounds):
-            update(EProcessState(), 0.1, -0.01, bound)
+            update(0.0, 0.1, -0.01, bound)
         with pytest.raises(BetOutOfBounds):
-            update(EProcessState(), 0.1, bound.mu_max, bound)
+            update(0.0, 0.1, bound.mu_max, bound)
+        # the check holds after bankruptcy too
+        with pytest.raises(BetOutOfBounds):
+            update(-math.inf, 0.1, bound.mu_max, bound)
 
     def test_zero_bet_leaves_wealth_unchanged(self):
         bound = bet_bound(0.2, Direction.RISK_BELOW)
-        state = update(EProcessState(), -0.8, 0.0, bound)
-        assert state.wealth == 1.0
-        assert state.n_updates == 1
+        assert update(0.0, -0.8, 0.0, bound) == 0.0
+        assert update(1.25, 0.2, 0.0, bound) == 1.25
 
     def test_bankruptcy_is_absorbing(self):
         # A factor of exactly zero empties the wealth forever.
         bound = BetBound(0.5, Direction.RISK_BELOW, 2.0000001)
-        state = update(EProcessState(), -0.5, 2.0, bound)
-        assert state.bankrupt
-        assert state.wealth == 0.0
-        after = update(state, 0.5, 1.0, bound)
-        assert after.bankrupt
-        assert after.wealth == 0.0
-        assert after.n_updates == 2
-        # the running max from before bankruptcy still backs the p-value
-        assert anytime_p(after) == 1.0
+        log_wealth = update(0.0, -0.5, 2.0, bound)
+        assert log_wealth == -math.inf
+        assert math.exp(log_wealth) == 0.0
+        for g, mu in [(0.5, 1.0), (0.5, 2.0), (-0.5, 2.0), (-0.5, 0.0)]:
+            log_wealth = update(log_wealth, g, mu, bound)
+            assert log_wealth == -math.inf
 
 
 class TestQuantileTransform:
@@ -132,12 +105,13 @@ class TestVilleSmoke:
         ever = 0
         trials = 2000
         for _ in range(trials):
-            state = EProcessState()
+            log_wealth = 0.0
             for _ in range(80):
                 risk = 1.0 if rng.random() < 0.6 else 0.0
-                state = update(state, payoff(risk, 0.5, Direction.RISK_BELOW), 0.5, bound)
-            if state.running_max >= 10.0:
-                ever += 1
+                log_wealth = update(log_wealth, payoff(risk, 0.5, Direction.RISK_BELOW), 0.5, bound)
+                if log_wealth >= math.log(10.0):
+                    ever += 1
+                    break
         bound_p = 0.1
         margin = 3.0 * math.sqrt(bound_p * (1 - bound_p) / trials)
         assert ever / trials <= bound_p + margin

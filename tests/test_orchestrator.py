@@ -20,7 +20,7 @@ from ecalib.core import (
 from ecalib.errors import InvalidConfig, SourceFailure
 from ecalib.orchestrator import StopReason, run_altt, run_ltt
 from ecalib.rng import TAG_TOKEN, mix64
-from ecalib.simharness import Bernoulli, PointMass, SyntheticSpec
+from ecalib.simharness import Bernoulli, Beta, CompositeSyntheticSpec, PointMass, SyntheticSpec
 
 
 class ConstantSource:
@@ -235,6 +235,52 @@ class TestCompositeMetrics:
 
         with pytest.raises(SourceFailure):
             run_altt(cfg, ShortRowSource())
+
+
+class TestAnytimeP:
+    """The engine's merged running max is the one source of the p-value."""
+
+    def runs(self):
+        arms = (Bernoulli(0.2), Bernoulli(0.35), Bernoulli(0.5), Bernoulli(0.7))
+        cfg = CalibrationConfig(
+            n_candidates=4,
+            alpha=0.4,
+            delta=0.1,
+            direction=Direction.RISK_BELOW,
+            error_metric=ErrorMetric.FDR,
+            selection_rule=SelectionRuleName.BH,
+            acquisition=AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.3, batch_size=2),
+            betting=BettingSpec(BettingStrategy.ONS),
+            t_max=150,
+            d_stop=4,
+            batch_size=2,
+            seed=31,
+        )
+        yield cfg, SyntheticSpec(arms)
+        composite = dataclasses.replace(
+            cfg,
+            betting=BettingSpec(BettingStrategy.AGRAPA),
+            extra_metrics=(MetricSpec(alpha=0.6, direction=Direction.REWARD_ABOVE),),
+        )
+        rewards = SyntheticSpec((Beta(6.0, 2.0), Bernoulli(0.55), Beta(2.0, 2.0), Bernoulli(0.8)))
+        yield composite, CompositeSyntheticSpec((SyntheticSpec(arms), rewards))
+
+    def test_p_is_one_over_the_running_max_of_logged_wealth(self):
+        for cfg, spec in self.runs():
+            seen_dip = seen_cap = False
+            for trial in range(3):
+                result = run_altt(cfg, spec.make_source(cfg.seed, trial), trial=trial)
+                run_max = [1.0] * cfg.n_candidates
+                for rec in result.records:
+                    for i in range(cfg.n_candidates):
+                        run_max[i] = max(run_max[i], rec.wealth[i])
+                        assert rec.anytime_p[i] == pytest.approx(min(1.0, 1.0 / run_max[i]), rel=1e-12)
+                        seen_dip |= 1.0 < run_max[i] and rec.wealth[i] < run_max[i]
+                        seen_cap |= rec.wealth[i] < 1.0 and rec.anytime_p[i] == 1.0
+                assert result.final_anytime_p == result.records[-1].anytime_p
+            # Both behaviours are reached: p keeps the running max after the
+            # wealth falls, and stays capped at 1 while wealth is below 1.
+            assert seen_dip and seen_cap
 
 
 class TestSourceValidation:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,10 @@ from ecalib.core import (
     ErrorMetric,
     MetricSpec,
     SelectionRuleName,
+    validate_config,
 )
 from ecalib.errors import InvalidConfig
+from ecalib.orchestrator import run_altt
 from ecalib.rng import MIXER_ID
 from ecalib.runio import (
     OracleSpec,
@@ -555,3 +559,145 @@ class TestValidateReportSweep:
         doc["source"] = {"kind": "oracle", "command": "true"}
         cfg_path = write_doc(tmp_path, doc)
         assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
+
+
+class TestEnumFields:
+    def test_omitted_defaults_run_as_written_out(self, tmp_path):
+        omitted = base_config_doc()
+        del omitted["acquisition"]["policy"]
+        del omitted["betting"]
+        written = base_config_doc()
+        written["acquisition"]["policy"] = "uniform_all"
+        written["betting"] = {"strategy": "agrapa"}
+        plan = parse_config(omitted)
+        assert plan.cfg.acquisition.policy is AcquisitionPolicy.UNIFORM_ALL
+        assert plan.cfg.betting.strategy is BettingStrategy.AGRAPA
+        runs = []
+        for name, doc in (("omitted", omitted), ("written", written)):
+            out = tmp_path / name
+            assert main(["simulate", "--config", write_doc(tmp_path, doc, f"{name}.json"), "--out", str(out)]) == 0
+            runs.append((out / "rounds.csv").read_bytes())
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("direction", {"direction": "risk_below"}),
+            ("error_metric", {"error_metric": "fwer"}),
+            ("selection_rule", {"selection_rule": "bonferroni"}),
+            ("acquisition.policy", {"acquisition": AcquisitionSpec("eps_greedy", 0.3)}),
+            ("betting.strategy", {"betting": BettingSpec("agrapa")}),
+            ("extra_metrics[0].direction", {"extra_metrics": (MetricSpec(0.5, "risk_below"),)}),
+        ],
+    )
+    def test_non_member_refused(self, field, change):
+        cfg = dataclasses.replace(parse_config(base_config_doc()).cfg, **change)
+        with pytest.raises(InvalidConfig, match=re.escape(f"{field} must be a ")):
+            validate_config(cfg)
+        with pytest.raises(InvalidConfig):
+            run_altt(cfg, parse_config(base_config_doc()).source.make_source(cfg.seed, 0))
+
+
+def oracle_config_doc() -> dict:
+    doc = base_config_doc()
+    doc["acquisition"] = {"policy": "full_batch", "batch_size": 1}
+    doc["source"] = {"kind": "oracle", "command": f"{sys.executable} -m ecalib.demo_oracle --means 0.1,0.3,0.7"}
+    return doc
+
+
+class TestUserSuppliedPaths:
+    """Each bad path or flag ends in one ERROR line naming it and exit 1."""
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config(self, tmp_path, caplog, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"{\"alpha\": \xff}")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        [line] = error_lines(caplog)
+        assert line.startswith("ERROR ecalib: ") and str(path) in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+    def test_bad_timeout_refused_before_start(self, tmp_path, caplog, timeout):
+        out = tmp_path / "run"
+        argv = ["calibrate", "--config", write_doc(tmp_path, oracle_config_doc()), "--timeout", timeout, "--out", str(out)]
+        assert main(argv) == 1
+        [line] = error_lines(caplog)
+        assert line.startswith("ERROR ecalib: --timeout must be finite and > 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("binary", ["definitely-not-a-real-binary", "DIR"])
+    def test_oracle_that_cannot_start(self, tmp_path, caplog, binary):
+        binary = str(tmp_path) if binary == "DIR" else binary
+        argv = ["calibrate", "--config", write_doc(tmp_path, oracle_config_doc()), "--oracle", binary,
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == 1
+        [line] = error_lines(caplog)
+        assert line.startswith("ERROR ecalib: cannot start oracle") and binary in line
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_on_an_existing_file(self, tmp_path, caplog, command, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("x", encoding="utf-8")
+        out = str(blocker / "run" if below else blocker)
+        argv = [command, "--config", write_doc(tmp_path, base_config_doc()), "--out", out]
+        if command == "validate":
+            argv += ["--trials", "2"]
+        assert main(argv) == 1
+        [line] = error_lines(caplog)
+        assert line.startswith(f"ERROR ecalib: --out {out!r}: cannot create directory")
+        assert blocker.read_text(encoding="utf-8") == "x"
+
+    @pytest.mark.parametrize("target", ["missing/report.csv", "."])
+    def test_report_out_unwritable(self, tmp_path, caplog, target):
+        run = tmp_path / "run"
+        assert main(["simulate", "--config", write_doc(tmp_path, base_config_doc()), "--out", str(run)]) == 0
+        caplog.clear()
+        out = str(tmp_path / target)
+        assert main(["report", "--in", str(run), "--out", out]) == 1
+        [line] = error_lines(caplog)
+        assert line.startswith(f"ERROR ecalib: --out {out!r}")
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda d: (d / "manifest.json").unlink(), "cannot read {d}/manifest.json"),
+            (lambda d: (d / "manifest.json").write_text("{oops"), "{d}/manifest.json is not valid JSON"),
+            (lambda d: (d / "manifest.json").write_bytes(b"\xff"), "{d}/manifest.json is not valid JSON"),
+            (lambda d: (d / "manifest.json").write_text('{"tool": "ecalib"}'), "{d}/manifest.json holds no config"),
+            (lambda d: (d / "rounds.csv").unlink(), "cannot read {d}/rounds.csv"),
+            (lambda d: edit_rounds(d, 0, 1, "round"), "{d}/rounds.csv: header"),
+            (lambda d: edit_rounds(d, 3, 1, "x"), "{d}/rounds.csv line 4: invalid literal for int()"),
+            (lambda d: edit_rounds(d, 2, 2, "0;z"), "{d}/rounds.csv line 3: invalid literal for int()"),
+            (lambda d: edit_rounds(d, 5, 5, "1;q"), "{d}/rounds.csv line 6: invalid literal for int()"),
+            (lambda d: edit_rounds(d, 2, 3, "0.5x"), "{d}/rounds.csv line 3: could not convert string to float"),
+        ],
+        ids=["no_manifest", "manifest_not_json", "manifest_not_utf8", "manifest_without_config",
+             "no_rounds", "wrong_header", "bad_round", "bad_tested_id", "bad_selected_id", "bad_risk"],
+    )
+    def test_unreadable_run_directory(self, tmp_path, caplog, damage, message):
+        run = tmp_path / "run"
+        doc = base_config_doc()
+        doc["d_stop"] = 1
+        assert main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(run)]) == 0
+        damage(run)
+        with pytest.raises(ReplayMismatch):
+            replay_check(run)
+        caplog.clear()
+        assert main(["replay", "--in", str(run)]) == 1
+        [line] = error_lines(caplog)
+        assert line.startswith("ERROR ecalib: " + message.format(d=run))
+
+
+def edit_rounds(run_dir, row: int, col: int, value: str) -> None:
+    path = run_dir / "rounds.csv"
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[row][col] = value
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
