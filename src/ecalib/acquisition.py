@@ -27,7 +27,8 @@ def select_batch(
 
     EPS_GREEDY draws its explore/exploit coin every round, so the stream
     consumption pattern does not depend on epsilon.  A pool smaller than the
-    batch is returned whole; an empty pool yields () and signals exhaustion.
+    batch is returned whole; an empty pool yields ().  The engine never
+    meets one: a run stops at d_stop <= N certified candidates.
     """
     n = len(wealths)
     policy = spec.policy

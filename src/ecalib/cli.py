@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .core import ErrorMetric
 from .errors import EcalibError
-from .oracle import oracle_client
+from .oracle import command_argv, oracle_client
 from .orchestrator import run_altt
 from .runio import (
     SWEEP_AXES,
@@ -44,6 +44,9 @@ from .runio import (
 from .simharness import derive_reliable, run_trials
 
 logger = logging.getLogger("ecalib")
+
+# sweep.csv columns after the axes: fields of each cell's MetricsSummary.
+SWEEP_COLUMNS = ("fwer_hat", "fdr_hat_unconditional", "fdr_hat_conditional", "tpr_hat", "mean_stop_round", "mean_queries")
 
 
 def _prepare_out(path: str) -> Path:
@@ -69,6 +72,12 @@ def _require_synthetic(plan: RunPlan, command: str) -> None:
 def _check_workers(args) -> None:
     if args.workers < 1:
         raise EcalibError(f"--workers must be >= 1, got {args.workers}")
+
+
+def _monte_carlo(cfg, source, args):
+    """``--trials`` trials of cfg on ``--workers`` processes (validate, sweep)."""
+    compute_tpr = bool(derive_reliable(cfg, source))
+    return run_trials(cfg, source, M=args.trials, base_seed=cfg.seed, workers=args.workers, compute_tpr=compute_tpr)
 
 
 def _write_single_run(command: str, out: Path, plan: RunPlan, started: str, result, reliable) -> int:
@@ -108,15 +117,7 @@ def cmd_validate(args) -> int:
     out = _prepare_out(args.out)
     cfg = plan.cfg
     started = utc_now()
-    reliable = derive_reliable(cfg, plan.source)
-    summary = run_trials(
-        cfg,
-        plan.source,
-        M=args.trials,
-        base_seed=cfg.seed,
-        workers=args.workers,
-        compute_tpr=bool(reliable),
-    )
+    summary = _monte_carlo(cfg, plan.source, args)
     if cfg.error_metric is ErrorMetric.FWER:
         estimate_name, estimate = "fwer_hat", summary.fwer_hat
     else:
@@ -161,7 +162,8 @@ def cmd_calibrate(args) -> int:
     plan = load_config(args.config)
     if not isinstance(plan.source, OracleSpec):
         raise EcalibError("calibrate needs an oracle source")
-    command = args.oracle or plan.source.command
+    command = plan.source.command if args.oracle is None else args.oracle
+    command_argv(command, "--oracle")  # the config's command passed this check at parse time
     timeout = args.timeout if args.timeout is not None else plan.source.timeout
     if not (math.isfinite(timeout) and timeout > 0.0):
         raise EcalibError(f"--timeout must be finite and > 0, got {args.timeout}")
@@ -223,39 +225,15 @@ def cmd_sweep(args) -> int:
         cfg = base
         for axis, value in zip(SWEEP_AXES, cell):
             cfg = sweep_value(cfg, axis, value)
-        reliable = derive_reliable(cfg, plan.source)
-        summary = run_trials(
-            cfg,
-            plan.source,
-            M=args.trials,
-            base_seed=cfg.seed,
-            workers=args.workers,
-            compute_tpr=bool(reliable),
-        )
-        rows.append(
-            [
-                *cell,
-                summary.fwer_hat,
-                summary.fdr_hat_unconditional,
-                summary.fdr_hat_conditional,
-                summary.tpr_hat,
-                summary.mean_stop_round,
-                summary.mean_queries,
-            ]
-        )
+        summary = _monte_carlo(cfg, plan.source, args)
+        rows.append([*cell, *(getattr(summary, column) for column in SWEEP_COLUMNS)])
         logger.info(
             "sweep cell strategy=%s alpha=%s delta=%s epsilon=%s: fwer=%.4f tpr=%.4f",
             *cell, summary.fwer_hat, summary.tpr_hat,
         )
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(
-            [
-                "strategy", "alpha", "delta", "epsilon",
-                "fwer_hat", "fdr_hat_unconditional", "fdr_hat_conditional",
-                "tpr_hat", "mean_stop_round", "mean_queries",
-            ]
-        )
+        w.writerow([*SWEEP_AXES, *SWEEP_COLUMNS])
         w.writerows(rows)
     write_manifest(out, plan, started=started, finished=utc_now(), trials=args.trials)
     return 0

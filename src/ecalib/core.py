@@ -47,9 +47,8 @@ class AcquisitionPolicy(enum.Enum):
     FULL_BATCH = "full_batch"
 
 
-# Rules compatible with each family-wise / false-discovery guarantee.
+# Rules that control the family-wise error rate; the others control the FDR.
 FWER_RULES = frozenset({SelectionRuleName.BONFERRONI, SelectionRuleName.FIXED_SEQUENCE})
-FDR_RULES = frozenset({SelectionRuleName.BH, SelectionRuleName.BY, SelectionRuleName.EBH})
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ class BettingSpec:
     the admissible range so wealth can never be wiped out by one round.
     """
 
-    strategy: BettingStrategy
+    strategy: BettingStrategy = BettingStrategy.AGRAPA
     clip_fraction: float = 0.75
     max_bet_epsilon: float = 1e-6
 
@@ -83,28 +82,32 @@ class AcquisitionSpec:
     random batch instead of the current-wealth leaders.
     """
 
-    policy: AcquisitionPolicy
+    policy: AcquisitionPolicy = AcquisitionPolicy.UNIFORM_ALL
     epsilon: float = 0.0
     batch_size: int = 1
 
 
 @dataclass(frozen=True)
 class CalibrationConfig:
+    """One run's settings; the batch size is ``acquisition.batch_size``."""
+
     n_candidates: int
     alpha: float
     delta: float
     direction: Direction
-    error_metric: ErrorMetric
     selection_rule: SelectionRuleName
     acquisition: AcquisitionSpec
     betting: BettingSpec
     t_max: int
     d_stop: int
-    batch_size: int
     seed: int
     literal_set: bool = False
     fixed_sequence_order: tuple[int, ...] | None = None
     extra_metrics: tuple[MetricSpec, ...] = ()
+
+    @property
+    def error_metric(self) -> ErrorMetric:
+        return ErrorMetric.FWER if self.selection_rule in FWER_RULES else ErrorMetric.FDR
 
 
 def validate_config(cfg: CalibrationConfig) -> CalibrationConfig:
@@ -112,7 +115,6 @@ def validate_config(cfg: CalibrationConfig) -> CalibrationConfig:
     bad: list[str] = []
     enums = [
         ("direction", cfg.direction, Direction),
-        ("error_metric", cfg.error_metric, ErrorMetric),
         ("selection_rule", cfg.selection_rule, SelectionRuleName),
         ("acquisition.policy", cfg.acquisition.policy, AcquisitionPolicy),
         ("betting.strategy", cfg.betting.strategy, BettingStrategy),
@@ -127,26 +129,20 @@ def validate_config(cfg: CalibrationConfig) -> CalibrationConfig:
         bad.append("alpha out of (0,1)")
     if not 0.0 < cfg.delta < 1.0:
         bad.append("delta out of (0,1)")
-    if cfg.error_metric is ErrorMetric.FWER and cfg.selection_rule not in FWER_RULES:
-        bad.append("rule/metric mismatch: FWER requires bonferroni or fixed_sequence")
-    if cfg.error_metric is ErrorMetric.FDR and cfg.selection_rule not in FDR_RULES:
-        bad.append("rule/metric mismatch: FDR requires bh, by, or ebh")
     if cfg.t_max < 1:
         bad.append("t_max must be >= 1")
     if cfg.d_stop < 1:
         bad.append("d_stop must be >= 1")
     elif isinstance(n, int) and n >= 1 and cfg.d_stop > n:
         bad.append("d_stop exceeds n_candidates")
-    if cfg.batch_size < 1:
-        bad.append("batch_size must be >= 1")
-    elif isinstance(n, int) and n >= 1 and cfg.batch_size > n:
-        bad.append("batch_size exceeds n_candidates")
     if not 0 <= cfg.seed < 2**64:
         bad.append("seed out of [0, 2**64)")
 
     acq = cfg.acquisition
-    if acq.batch_size != cfg.batch_size:
-        bad.append("acquisition.batch_size disagrees with config batch_size")
+    if acq.batch_size < 1:
+        bad.append("batch_size must be >= 1")
+    elif isinstance(n, int) and n >= 1 and acq.batch_size > n:
+        bad.append("batch_size exceeds n_candidates")
     if acq.policy is AcquisitionPolicy.EPS_GREEDY and not 0.0 <= acq.epsilon <= 1.0:
         bad.append("acquisition epsilon out of [0,1]")
 

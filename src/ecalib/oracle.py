@@ -37,14 +37,29 @@ from .errors import (
 
 _EOF = object()
 
+# Seconds to wait for each answer unless the config or caller says otherwise.
+DEFAULT_TIMEOUT = 60.0
+
+
+def command_argv(command: str | Sequence[str], name: str = "oracle command") -> list[str]:
+    """The argv of an oracle command; OracleError, calling the command
+    ``name``, unless it splits into at least one word."""
+    try:
+        argv = shlex.split(command) if isinstance(command, str) else list(command)
+    except ValueError as exc:
+        raise OracleError(f"{name} {command!r} cannot be split: {exc}") from None
+    if not argv:
+        raise OracleError(f"{name} {command!r} names no program")
+    return argv
+
 
 class OracleClient:
     """RiskSource backed by a line-protocol subprocess."""
 
-    def __init__(self, command: str | Sequence[str], cfg: CalibrationConfig, timeout: float = 60.0):
+    def __init__(self, command: str | Sequence[str], cfg: CalibrationConfig, timeout: float = DEFAULT_TIMEOUT):
         if cfg.extra_metrics:
             raise InvalidConfig(["oracle sources support single-metric configs only"])
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
+        argv = command_argv(command)
         self.timeout = timeout
         try:
             self._proc = subprocess.Popen(
@@ -160,6 +175,8 @@ class OracleClient:
         self.close()
 
 
-def oracle_client(command: str | Sequence[str], cfg: CalibrationConfig, timeout: float = 60.0) -> OracleClient:
+def oracle_client(
+    command: str | Sequence[str], cfg: CalibrationConfig, timeout: float = DEFAULT_TIMEOUT
+) -> OracleClient:
     """Start an oracle subprocess and complete the hello handshake."""
     return OracleClient(command, cfg, timeout)

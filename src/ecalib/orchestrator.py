@@ -3,10 +3,10 @@
 run_altt drives the adaptive loop: each round the acquisition policy picks a
 batch, the source reports risks, tested candidates' bets/wealths advance, the
 selection rule recomputes the certified set, and the run stops once the set
-reaches d_stop, the round budget t_max is exhausted, or acquisition runs out
-of candidates.  run_ltt shares the same engine but defers selection to a
-single application after a fixed number of rounds, which is why the two
-coincide exactly under a non-adaptive policy and identical seeds.
+reaches d_stop or the round budget t_max is exhausted.  run_ltt shares the
+same engine but defers selection to a single application after a fixed
+number of rounds, which is why the two coincide exactly under a
+non-adaptive policy and identical seeds.
 
 Each candidate keeps one log wealth per metric (K = 1 + len(extra_metrics))
 and is certified on their minimum, the merged process.  Its running maximum
@@ -46,7 +46,6 @@ _EXP_MAX = 709.0
 class StopReason(enum.Enum):
     REACHED_D = "reached_d"
     REACHED_T_MAX = "reached_t_max"
-    POOL_EXHAUSTED = "pool_exhausted"
 
 
 class RiskSource(Protocol):
@@ -148,10 +147,6 @@ def _run(
         batch = acquisition.select_batch(
             cfg.acquisition, merged_lw, certified, MixStream.from_prefix(acq_prefix, t), t
         )
-        if not batch:
-            stop_reason = StopReason.POOL_EXHAUSTED
-            stop_t = t - 1
-            break
         token = "" if token_prefix is None else f"{mix64_from(token_prefix, t):016x}"
         values = source.query(t, batch, token)
         if len(values) != len(batch):
@@ -229,7 +224,7 @@ def run_altt(
     record_rounds: bool = True,
     round_hook=None,
 ) -> RunResult:
-    """Adaptive loop: per-round selection, stop at d_stop / t_max / empty pool."""
+    """Adaptive loop: per-round selection, stop at d_stop or t_max."""
     return _run(cfg, source, trial, cfg.t_max, True, record_rounds, round_hook)
 
 

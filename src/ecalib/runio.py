@@ -23,11 +23,10 @@ import enum
 import json
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 from . import __version__
 from .core import (
-    AcquisitionPolicy,
     AcquisitionSpec,
     BettingSpec,
     BettingStrategy,
@@ -38,7 +37,8 @@ from .core import (
     SelectionRuleName,
     validate_config,
 )
-from .errors import EcalibError, InvalidConfig
+from .errors import EcalibError, InvalidConfig, OracleError
+from .oracle import DEFAULT_TIMEOUT, command_argv
 from .orchestrator import RunResult, run_altt
 from .rng import MIXER_ID
 from .simharness import (
@@ -58,7 +58,7 @@ class ReplayMismatch(EcalibError):
 @dataclasses.dataclass(frozen=True)
 class OracleSpec:
     command: str
-    timeout: float = 60.0
+    timeout: float = DEFAULT_TIMEOUT
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,14 +70,6 @@ class RunPlan:
 
 def fmt17(x: float) -> str:
     return "%.17g" % x
-
-
-def _dist_to_dict(d: Distribution) -> dict:
-    if isinstance(d, Bernoulli):
-        return {"dist": "bernoulli", "p": d.p}
-    if isinstance(d, Beta):
-        return {"dist": "beta", "a": d.a, "b": d.b}
-    return {"dist": "point", "value": d.value}
 
 
 def _synth_to_dict(s: SyntheticSpec) -> dict:
@@ -96,7 +88,13 @@ def source_to_dict(source) -> dict:
         return _synth_to_dict(source)
     if isinstance(source, CompositeSyntheticSpec):
         return {"kind": "composite", "metrics": [_synth_to_dict(m) for m in source.metrics]}
-    return {"kind": "oracle", "command": source.command, "timeout": source.timeout}
+    return {"kind": "oracle", **_spec_to_dict(source)}
+
+
+def _spec_to_dict(spec) -> dict:
+    """A spec dataclass as JSON: its fields in order, enum members by value."""
+    out = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    return {key: v.value if isinstance(v, enum.Enum) else v for key, v in out.items()}
 
 
 def config_to_dict(plan: RunPlan) -> dict:
@@ -109,28 +107,18 @@ def config_to_dict(plan: RunPlan) -> dict:
         "error_metric": cfg.error_metric.value,
         "selection_rule": cfg.selection_rule.value,
         "literal_set": cfg.literal_set,
-        "acquisition": {
-            "policy": cfg.acquisition.policy.value,
-            "epsilon": cfg.acquisition.epsilon,
-            "batch_size": cfg.acquisition.batch_size,
-        },
-        "betting": {
-            "strategy": cfg.betting.strategy.value,
-            "clip_fraction": cfg.betting.clip_fraction,
-            "max_bet_epsilon": cfg.betting.max_bet_epsilon,
-        },
+        "acquisition": _spec_to_dict(cfg.acquisition),
+        "betting": _spec_to_dict(cfg.betting),
         "t_max": cfg.t_max,
         "d_stop": cfg.d_stop,
-        "batch_size": cfg.batch_size,
+        "batch_size": cfg.acquisition.batch_size,
         "seed": cfg.seed,
         "source": source_to_dict(plan.source),
     }
     if cfg.fixed_sequence_order is not None:
         out["fixed_sequence_order"] = list(cfg.fixed_sequence_order)
     if cfg.extra_metrics:
-        out["extra_metrics"] = [
-            {"alpha": m.alpha, "direction": m.direction.value} for m in cfg.extra_metrics
-        ]
+        out["extra_metrics"] = [_spec_to_dict(m) for m in cfg.extra_metrics]
     if plan.sweep:
         out["sweep"] = plan.sweep
     return out
@@ -149,6 +137,15 @@ _DISTS = {
     "beta": (Beta, ("a", "b"), lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
     "point": (PointMass, ("value",), *_UNIT),
 }
+_DIST_NAMES = {entry[0]: name for name, entry in _DISTS.items()}
+
+# The two rule/metric mismatches, named by the metric the config states.
+_METRIC_RULES = {ErrorMetric.FWER: "bonferroni or fixed_sequence", ErrorMetric.FDR: "bh, by, or ebh"}
+
+
+def _dist_to_dict(d: Distribution) -> dict:
+    name = _DIST_NAMES[type(d)]
+    return {"dist": name, **{key: getattr(d, key) for key in _DISTS[name][1]}}
 
 
 def _check(value, kind, name: str, bad: list[str]):
@@ -172,6 +169,19 @@ def _field(d: dict, key: str, kind, bad: list[str], default=_REQUIRED, name: str
     if key not in d or (d[key] is None and default is None):
         return None if default is _REQUIRED else default
     return _check(d[key], kind, name or key, bad)
+
+
+def _spec_from_dict(cls, d: dict, name: str, bad: list[str], **defaults):
+    """cls from its JSON block, each field checked by _field against its
+    annotated type; a missing field takes the dataclass default, or the one
+    given in defaults."""
+    kinds = get_type_hints(cls)
+    return cls(**{
+        f.name: _field(d, f.name, kinds[f.name], bad,
+                       defaults.get(f.name, _REQUIRED if f.default is dataclasses.MISSING else f.default),
+                       f"{name}.{f.name}")
+        for f in dataclasses.fields(cls)
+    })
 
 
 def _enum_value(enum_cls, raw, field: str, bad: list[str]):
@@ -203,8 +213,10 @@ def _synth_from_dict(d, name: str, bad: list[str]) -> SyntheticSpec | None:
     arms = _field(d, "arms", list, bad, [], f"{name}.arms") or []
     return SyntheticSpec(
         arms=tuple(_dist_from_dict(a, f"{name}.arms[{j}]", bad) for j, a in enumerate(arms)),
-        shared_draw=_field(d, "shared_draw", bool, bad, False, f"{name}.shared_draw"),
-        quantile_threshold=_field(d, "quantile_threshold", float, bad, None, f"{name}.quantile_threshold"),
+        shared_draw=_field(d, "shared_draw", bool, bad, SyntheticSpec.shared_draw, f"{name}.shared_draw"),
+        quantile_threshold=_field(
+            d, "quantile_threshold", float, bad, SyntheticSpec.quantile_threshold, f"{name}.quantile_threshold"
+        ),
     )
 
 
@@ -228,13 +240,13 @@ def parse_config(d: dict) -> RunPlan:
     if not isinstance(d, dict):
         raise InvalidConfig(["config must be a JSON object"])
     bad: list[str] = []
-    batch_size = _field(d, "batch_size", int, bad, 1)
+    batch_size = _field(d, "batch_size", int, bad, AcquisitionSpec.batch_size)
+    metric = _field(d, "error_metric", ErrorMetric, bad)
     acq_d = _field(d, "acquisition", dict, bad, {}) or {}
     bet_d = _field(d, "betting", dict, bad, {}) or {}
     order = _field(d, "fixed_sequence_order", list, bad, None)
     extra = tuple(
-        MetricSpec(_field(m, "alpha", float, bad, name=f"extra_metrics[{j}].alpha"),
-                   _field(m, "direction", Direction, bad, name=f"extra_metrics[{j}].direction"))
+        _spec_from_dict(MetricSpec, m, f"extra_metrics[{j}]", bad)
         for j, m in enumerate(_field(d, "extra_metrics", list, bad, []) or [])
         if _check(m, dict, f"extra_metrics[{j}]", bad) is not None
     )
@@ -243,23 +255,13 @@ def parse_config(d: dict) -> RunPlan:
         alpha=_field(d, "alpha", float, bad),
         delta=_field(d, "delta", float, bad),
         direction=_field(d, "direction", Direction, bad),
-        error_metric=_field(d, "error_metric", ErrorMetric, bad),
         selection_rule=_field(d, "selection_rule", SelectionRuleName, bad),
-        acquisition=AcquisitionSpec(
-            policy=_field(acq_d, "policy", AcquisitionPolicy, bad, AcquisitionPolicy.UNIFORM_ALL, "acquisition.policy"),
-            epsilon=_field(acq_d, "epsilon", float, bad, 0.0, "acquisition.epsilon"),
-            batch_size=_field(acq_d, "batch_size", int, bad, batch_size, "acquisition.batch_size"),
-        ),
-        betting=BettingSpec(
-            strategy=_field(bet_d, "strategy", BettingStrategy, bad, BettingStrategy.AGRAPA, "betting.strategy"),
-            clip_fraction=_field(bet_d, "clip_fraction", float, bad, 0.75, "betting.clip_fraction"),
-            max_bet_epsilon=_field(bet_d, "max_bet_epsilon", float, bad, 1e-6, "betting.max_bet_epsilon"),
-        ),
+        acquisition=_spec_from_dict(AcquisitionSpec, acq_d, "acquisition", bad, batch_size=batch_size),
+        betting=_spec_from_dict(BettingSpec, bet_d, "betting", bad),
         t_max=_field(d, "t_max", int, bad),
         d_stop=_field(d, "d_stop", int, bad),
-        batch_size=batch_size,
         seed=_field(d, "seed", int, bad),
-        literal_set=_field(d, "literal_set", bool, bad, False),
+        literal_set=_field(d, "literal_set", bool, bad, CalibrationConfig.literal_set),
         fixed_sequence_order=None if order is None else tuple(
             _check(i, int, f"fixed_sequence_order[{j}]", bad) for j, i in enumerate(order)
         ),
@@ -280,8 +282,12 @@ def parse_config(d: dict) -> RunPlan:
         except InvalidConfig as exc:
             bad += exc.violations
     elif kind == "oracle":
-        command = _field(src_d, "command", str, bad, name="source.command")
-        source = OracleSpec(command, _field(src_d, "timeout", float, bad, 60.0, "source.timeout"))
+        source = _spec_from_dict(OracleSpec, src_d, "source", bad)
+        if source.command is not None:
+            try:
+                command_argv(source.command, "source.command")
+            except OracleError as exc:
+                bad.append(str(exc))
         if source.timeout is not None and not (math.isfinite(source.timeout) and source.timeout > 0.0):
             bad.append("source.timeout must be finite and > 0")
     else:
@@ -302,6 +308,11 @@ def parse_config(d: dict) -> RunPlan:
         bad.append("composite source metric count disagrees with config")
     if isinstance(source, OracleSpec) and cfg.extra_metrics:
         bad.append("oracle sources support single-metric configs only")
+    # The JSON states two settings that the config holds once.
+    if metric is not None and cfg.selection_rule is not None and metric is not cfg.error_metric:
+        bad.append(f"rule/metric mismatch: {metric.name} requires {_METRIC_RULES[metric]}")
+    if batch_size is not None and cfg.acquisition.batch_size != batch_size:
+        bad.append("acquisition.batch_size disagrees with config batch_size")
     try:
         validate_config(cfg)
     except InvalidConfig as exc:

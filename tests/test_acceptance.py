@@ -25,7 +25,6 @@ from ecalib.core import (
     BettingStrategy,
     CalibrationConfig,
     Direction,
-    ErrorMetric,
     MetricSpec,
     SelectionRuleName,
 )
@@ -60,13 +59,11 @@ def bench_config(**overrides) -> CalibrationConfig:
         alpha=0.2,
         delta=0.1,
         direction=Direction.RISK_BELOW,
-        error_metric=ErrorMetric.FWER,
         selection_rule=SelectionRuleName.BONFERRONI,
         acquisition=AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.25, batch_size=1),
         betting=BettingSpec(BettingStrategy.AGRAPA),
         t_max=2000,
         d_stop=20,
-        batch_size=1,
         seed=BENCH_SEED,
     )
     return dataclasses.replace(base, **overrides)
@@ -88,7 +85,7 @@ def test_criterion_01_fwer_control(criterion):
 
 
 def test_criterion_02_fdr_control_ebh(criterion):
-    cfg = bench_config(error_metric=ErrorMetric.FDR, selection_rule=SelectionRuleName.EBH)
+    cfg = bench_config(selection_rule=SelectionRuleName.EBH)
     summ = run_trials(cfg, BENCH_SPEC, M=TRIALS, base_seed=BENCH_SEED)
     bound = 0.1 + three_sigma(0.1, TRIALS)
     ok = summ.fdr_hat_unconditional <= bound
@@ -297,13 +294,11 @@ def composite_config() -> CalibrationConfig:
         alpha=0.3,
         delta=0.1,
         direction=Direction.RISK_BELOW,
-        error_metric=ErrorMetric.FWER,
         selection_rule=SelectionRuleName.BONFERRONI,
         acquisition=AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.25, batch_size=1),
         betting=BettingSpec(BettingStrategy.AGRAPA),
         t_max=1000,
         d_stop=6,
-        batch_size=1,
         seed=19,
         extra_metrics=(MetricSpec(alpha=0.5, direction=Direction.RISK_BELOW),),
     )
@@ -335,13 +330,11 @@ def quantile_config() -> CalibrationConfig:
         alpha=0.9,
         delta=0.1,
         direction=Direction.REWARD_ABOVE,
-        error_metric=ErrorMetric.FWER,
         selection_rule=SelectionRuleName.BONFERRONI,
         acquisition=AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.25, batch_size=1),
         betting=BettingSpec(BettingStrategy.AGRAPA),
         t_max=5000,
         d_stop=1,
-        batch_size=1,
         seed=29,
     )
 

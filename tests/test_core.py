@@ -30,13 +30,11 @@ def good_config(**overrides) -> CalibrationConfig:
         alpha=0.2,
         delta=0.1,
         direction=Direction.RISK_BELOW,
-        error_metric=ErrorMetric.FWER,
         selection_rule=SelectionRuleName.BONFERRONI,
         acquisition=AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.25, batch_size=1),
         betting=BettingSpec(BettingStrategy.AGRAPA),
         t_max=100,
         d_stop=5,
-        batch_size=1,
         seed=0,
     )
     return dataclasses.replace(base, **overrides)
@@ -56,10 +54,10 @@ class TestValidateConfig:
             ({"t_max": 0}, "t_max"),
             ({"d_stop": 0}, "d_stop"),
             ({"d_stop": 6}, "d_stop"),
-            ({"batch_size": 0}, "batch_size"),
+            ({"acquisition": AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, batch_size=0)}, "batch_size"),
             ({"seed": -1}, "seed"),
             ({"seed": 2**64}, "seed"),
-            ({"selection_rule": SelectionRuleName.BH}, "rule/metric"),
+            ({"acquisition": AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, batch_size=6)}, "batch_size exceeds"),
             ({"fixed_sequence_order": (0, 1)}, "order"),
         ],
     )
@@ -67,21 +65,6 @@ class TestValidateConfig:
         with pytest.raises(InvalidConfig) as exc:
             validate_config(good_config(**overrides))
         assert any(fragment in v for v in exc.value.violations)
-
-    def test_fdr_metric_rejects_fwer_rules(self):
-        with pytest.raises(InvalidConfig):
-            validate_config(
-                good_config(
-                    error_metric=ErrorMetric.FDR,
-                    selection_rule=SelectionRuleName.BONFERRONI,
-                )
-            )
-
-    def test_batch_size_must_match_acquisition(self):
-        cfg = good_config(batch_size=2)
-        with pytest.raises(InvalidConfig) as exc:
-            validate_config(cfg)
-        assert any("acquisition.batch_size" in v for v in exc.value.violations)
 
     def test_all_violations_reported_at_once(self):
         cfg = good_config(alpha=2.0, delta=-1.0, t_max=0)
@@ -99,6 +82,22 @@ class TestValidateConfig:
         with pytest.raises(InvalidConfig) as exc:
             validate_config(cfg)
         assert any("extra_metrics[0]" in v for v in exc.value.violations)
+
+
+class TestIndependentSettings:
+    def test_each_setting_is_one_field(self):
+        names = [f.name for f in dataclasses.fields(CalibrationConfig)]
+        assert len(names) == 13
+        assert "batch_size" not in names and "error_metric" not in names
+
+    @pytest.mark.parametrize("rule", list(SelectionRuleName))
+    def test_error_metric_follows_the_rule(self, rule):
+        fwer = rule in (SelectionRuleName.BONFERRONI, SelectionRuleName.FIXED_SEQUENCE)
+        assert good_config(selection_rule=rule).error_metric is (ErrorMetric.FWER if fwer else ErrorMetric.FDR)
+
+    def test_defaults_live_on_the_spec_types(self):
+        assert AcquisitionSpec() == AcquisitionSpec(AcquisitionPolicy.UNIFORM_ALL, 0.0, 1)
+        assert BettingSpec() == BettingSpec(BettingStrategy.AGRAPA, 0.75, 1e-6)
 
 
 class TestCheckOrder:

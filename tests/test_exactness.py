@@ -189,19 +189,17 @@ class TestSourcesDrawTheDocumentedKeys:
             assert source.query(t, [0, 1], "") == expected
 
 
-def small_config(rule, metric, n, literal=False, **kw) -> CalibrationConfig:
+def small_config(rule, n, literal=False, **kw) -> CalibrationConfig:
     base = dict(
         n_candidates=n,
         alpha=0.3,
         delta=0.2,
         direction=Direction.RISK_BELOW,
-        error_metric=metric,
         selection_rule=rule,
         acquisition=AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.3, batch_size=2),
         betting=BettingSpec(BettingStrategy.AGRAPA),
         t_max=300,
         d_stop=n,
-        batch_size=2,
         seed=4,
         literal_set=literal,
     )
@@ -227,7 +225,8 @@ class TestEngine:
     )
     @pytest.mark.parametrize("literal", [False, True])
     def test_every_round_holds_the_rule_applied_from_scratch(self, rule, metric, literal):
-        cfg = small_config(rule, metric, SMALL_SPEC.n, literal)
+        cfg = small_config(rule, SMALL_SPEC.n, literal)
+        assert cfg.error_metric is metric
         for trial in range(8):
             result = run_altt(cfg, SMALL_SPEC.make_source(cfg.seed, trial), trial=trial)
             order = tuple(range(cfg.n_candidates))
@@ -254,7 +253,7 @@ class TestEngine:
                 seen.append(token)
                 return [0.0] * len(ids)
 
-        cfg = small_config(SelectionRuleName.BONFERRONI, ErrorMetric.FWER, 3, t_max=3, d_stop=3)
+        cfg = small_config(SelectionRuleName.BONFERRONI, 3, t_max=3, d_stop=3)
         run_altt(cfg, Silent())
         assert seen == ["", "", ""]
 

@@ -20,7 +20,6 @@ from ecalib.core import (
     BettingStrategy,
     CalibrationConfig,
     Direction,
-    ErrorMetric,
     MetricSpec,
     SelectionRuleName,
 )
@@ -48,16 +47,21 @@ def oracle_config(n, **overrides) -> CalibrationConfig:
         alpha=0.5,
         delta=0.1,
         direction=Direction.RISK_BELOW,
-        error_metric=ErrorMetric.FWER,
         selection_rule=SelectionRuleName.BONFERRONI,
         acquisition=AcquisitionSpec(AcquisitionPolicy.FULL_BATCH, batch_size=n),
         betting=BettingSpec(BettingStrategy.MAX),
         t_max=10,
         d_stop=1,
-        batch_size=n,
         seed=0,
     )
     return dataclasses.replace(base, **overrides)
+
+
+class TestCommand:
+    @pytest.mark.parametrize("command", ["", "  ", [], "python3 'unterminated"])
+    def test_no_program_is_an_oracle_error(self, command):
+        with pytest.raises(OracleError, match="oracle command"):
+            oracle_client(command, oracle_config(2))
 
 
 class TestHappyPath:
@@ -87,7 +91,6 @@ class TestHappyPath:
             t_max=40,
             d_stop=3,
             acquisition=AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.3, batch_size=1),
-            batch_size=1,
             betting=BettingSpec(BettingStrategy.AGRAPA),
         )
         with oracle_client(demo_argv("0.2,0.5,0.8", "--seed", "7"), cfg) as source:

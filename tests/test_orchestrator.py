@@ -13,7 +13,6 @@ from ecalib.core import (
     BettingStrategy,
     CalibrationConfig,
     Direction,
-    ErrorMetric,
     MetricSpec,
     SelectionRuleName,
 )
@@ -41,13 +40,11 @@ def config_n1(**overrides) -> CalibrationConfig:
         alpha=0.5,
         delta=0.05,
         direction=Direction.RISK_BELOW,
-        error_metric=ErrorMetric.FWER,
         selection_rule=SelectionRuleName.BONFERRONI,
         acquisition=AcquisitionSpec(AcquisitionPolicy.FULL_BATCH, batch_size=1),
         betting=BettingSpec(BettingStrategy.MAX),
         t_max=10,
         d_stop=1,
-        batch_size=1,
         seed=0,
     )
     return dataclasses.replace(base, **overrides)
@@ -106,13 +103,11 @@ class TestDeterminismAndIsolation:
             alpha=0.4,
             delta=0.1,
             direction=Direction.RISK_BELOW,
-            error_metric=ErrorMetric.FWER,
             selection_rule=SelectionRuleName.BONFERRONI,
             acquisition=AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.3, batch_size=1),
             betting=BettingSpec(BettingStrategy.AGRAPA),
             t_max=120,
             d_stop=4,
-            batch_size=1,
             seed=11,
         )
         return cfg, spec
@@ -162,13 +157,11 @@ class TestNonAdaptiveBaseline:
             alpha=0.4,
             delta=0.1,
             direction=Direction.RISK_BELOW,
-            error_metric=ErrorMetric.FWER,
             selection_rule=SelectionRuleName.BONFERRONI,
             acquisition=AcquisitionSpec(AcquisitionPolicy.UNIFORM_ALL, batch_size=1),
             betting=BettingSpec(BettingStrategy.AGRAPA),
             t_max=60,
             d_stop=3,
-            batch_size=1,
             seed=21,
         )
         for trial in range(10):
@@ -247,13 +240,11 @@ class TestAnytimeP:
             alpha=0.4,
             delta=0.1,
             direction=Direction.RISK_BELOW,
-            error_metric=ErrorMetric.FDR,
             selection_rule=SelectionRuleName.BH,
             acquisition=AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.3, batch_size=2),
             betting=BettingSpec(BettingStrategy.ONS),
             t_max=150,
             d_stop=4,
-            batch_size=2,
             seed=31,
         )
         yield cfg, SyntheticSpec(arms)

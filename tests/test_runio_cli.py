@@ -194,6 +194,41 @@ class TestConfigErrors:
         with pytest.raises(InvalidConfig, match="sweep axes"):
             parse_config(doc)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"error_metric": "fdr"}, "rule/metric mismatch: FDR requires bh, by, or ebh"),
+            ({"selection_rule": "bh"}, "rule/metric mismatch: FWER requires bonferroni or fixed_sequence"),
+            ({"batch_size": 2}, "acquisition.batch_size disagrees with config batch_size"),
+            ({"batch_size": None, "acquisition": {"policy": "eps_greedy", "batch_size": 2}},
+             "acquisition.batch_size disagrees with config batch_size"),
+        ],
+        ids=["fdr_with_bonferroni", "fwer_with_bh", "batch_sizes_differ", "acquisition_batch_without_top_level"],
+    )
+    def test_restated_settings_must_agree(self, change, message):
+        """Each pair is refused with the message it had when the config held both."""
+        doc = {key: value for key, value in {**base_config_doc(), **change}.items() if value is not None}
+        with pytest.raises(InvalidConfig) as exc:
+            parse_config(doc)
+        assert exc.value.violations == [message]
+
+    def test_top_level_batch_size_is_the_acquisition_default(self):
+        doc = base_config_doc()
+        doc["batch_size"] = 2
+        del doc["acquisition"]["batch_size"]
+        plan = parse_config(doc)
+        assert plan.cfg.acquisition.batch_size == 2
+        assert config_to_dict(plan)["batch_size"] == config_to_dict(plan)["acquisition"]["batch_size"] == 2
+
+    def test_error_metric_still_required_and_checked(self):
+        doc = base_config_doc()
+        del doc["error_metric"]
+        with pytest.raises(InvalidConfig, match="missing config field 'error_metric'"):
+            parse_config(doc)
+        doc["error_metric"] = "fcr"
+        with pytest.raises(InvalidConfig, match="error_metric must be one of: fwer, fdr"):
+            parse_config(doc)
+
     def test_semantic_validation_applies(self):
         doc = base_config_doc()
         doc["alpha"] = 1.7
@@ -583,7 +618,6 @@ class TestEnumFields:
         "field, change",
         [
             ("direction", {"direction": "risk_below"}),
-            ("error_metric", {"error_metric": "fwer"}),
             ("selection_rule", {"selection_rule": "bonferroni"}),
             ("acquisition.policy", {"acquisition": AcquisitionSpec("eps_greedy", 0.3)}),
             ("betting.strategy", {"betting": BettingSpec("agrapa")}),
@@ -638,6 +672,20 @@ class TestUserSuppliedPaths:
         assert main(argv) == 1
         [line] = error_lines(caplog)
         assert line.startswith("ERROR ecalib: cannot start oracle") and binary in line
+
+    @pytest.mark.parametrize("where", ["source.command", "--oracle"])
+    @pytest.mark.parametrize("command", ["", "   ", "python3 'unterminated"], ids=["empty", "blank", "unsplittable"])
+    def test_oracle_command_without_a_program(self, tmp_path, caplog, where, command):
+        doc = oracle_config_doc()
+        argv = ["calibrate", "--out", str(tmp_path / "run")]
+        if where == "--oracle":
+            argv += ["--oracle", command]
+        else:
+            doc["source"]["command"] = command
+        assert main(argv + ["--config", write_doc(tmp_path, doc)]) == 1
+        [line] = error_lines(caplog)
+        assert line.startswith(f"ERROR ecalib: {where} {command!r}")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     @pytest.mark.parametrize("below", [False, True])

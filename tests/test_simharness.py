@@ -15,7 +15,6 @@ from ecalib.core import (
     BettingStrategy,
     CalibrationConfig,
     Direction,
-    ErrorMetric,
     MetricSpec,
     SelectionRuleName,
 )
@@ -40,13 +39,11 @@ def full_batch_config(n, alpha, delta, t_max, d_stop, **overrides):
         alpha=alpha,
         delta=delta,
         direction=Direction.RISK_BELOW,
-        error_metric=ErrorMetric.FWER,
         selection_rule=SelectionRuleName.BONFERRONI,
         acquisition=AcquisitionSpec(AcquisitionPolicy.FULL_BATCH, batch_size=n),
         betting=BettingSpec(BettingStrategy.MAX),
         t_max=t_max,
         d_stop=d_stop,
-        batch_size=n,
         seed=0,
     )
     return dataclasses.replace(base, **overrides)
@@ -220,10 +217,8 @@ class TestMetricOrderings:
             delta=0.2,
             t_max=200,
             d_stop=6,
-            error_metric=ErrorMetric.FDR,
             selection_rule=SelectionRuleName.BH,
             acquisition=AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.3, batch_size=1),
-            batch_size=1,
             betting=BettingSpec(BettingStrategy.AGRAPA),
         )
         summ = run_trials(cfg, spec, M=40, base_seed=3)
@@ -240,7 +235,6 @@ class TestMetricOrderings:
             t_max=60,
             d_stop=3,
             acquisition=AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.25, batch_size=1),
-            batch_size=1,
             betting=BettingSpec(BettingStrategy.AGRAPA),
         )
         serial = run_trials(cfg, spec, M=6, base_seed=11, workers=1)
