@@ -3,17 +3,22 @@
 EPS_GREEDY follows the wealth leaders among not-yet-certified candidates and
 explores uniformly (within that pool) with probability epsilon.  Only the
 ordering of ``wealths`` matters, so callers may pass wealths on any monotone
-scale (the engine passes log wealth).
+scale (the engines pass log wealth).
+
+``select_batch`` serves one run; ``select_rows`` serves a block of trials
+advancing in lock-step, one row per trial, and marks in row r exactly the
+ids ``select_batch`` returns for row r's wealths, certified set and stream.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import AbstractSet, Sequence
 
 import numpy as np
 
 from .core import AcquisitionPolicy, AcquisitionSpec
-from .rng import MixStream
+from .rng import MixStream, mix64_from_np, randbelow_np, stream_u64_np, uniform_np
 
 
 def select_batch(
@@ -46,22 +51,128 @@ def select_batch(
         return tuple(sorted(stream.sample_without_replacement(n, b)))
 
     # EPS_GREEDY
-    pool = [i for i in range(n) if i not in certified]
-    if not pool:
+    pool = _pool(frozenset(certified), n)
+    if not len(pool):
         return ()
     k = min(b, len(pool))
     if stream.uniform() < spec.epsilon:
-        picks = [pool[j] for j in stream.sample_without_replacement(len(pool), k)]
-        return tuple(sorted(picks))
+        ids = pool.tolist()
+        return tuple(sorted(ids[j] for j in stream.sample_without_replacement(len(ids), k)))
+    w = np.asarray(wealths, dtype=np.float64)[pool]
     if k == 1:
-        best = pool[0]
-        best_w = wealths[best]
-        for i in pool[1:]:
-            w = wealths[i]
-            if w > best_w:
-                best, best_w = i, w
-        return (best,)
-    # pool is ascending, so a stable sort on -wealth breaks ties by id.
-    ids = np.array(pool)
-    top = ids[np.argsort(-np.array(wealths, dtype=np.float64)[ids], kind="stable")[:k]]
-    return tuple(sorted(top.tolist()))
+        return (int(pool[np.argmax(w)]),)  # the first maximum: ties go to the lowest id
+    # A stable sort on -wealth over the ascending pool breaks ties by id.
+    return tuple(sorted(pool[np.argsort(-w, kind="stable")[:k]].tolist()))
+
+
+@lru_cache(maxsize=8)
+def _pool(certified: frozenset[int], n: int) -> np.ndarray:
+    """The uncertified ids, ascending.  A run's certified set changes only
+    when it re-selects, so most rounds find their pool here."""
+    free = np.ones(n, dtype=bool)
+    free[np.fromiter(certified, dtype=np.intp, count=len(certified))] = False
+    pool = np.flatnonzero(free)
+    pool.flags.writeable = False
+    return pool
+
+
+def select_rows(
+    spec: AcquisitionSpec,
+    wealths: np.ndarray,
+    certified: np.ndarray,
+    prefixes: np.ndarray,
+    round_index: int,
+) -> np.ndarray:
+    """Row-wise ``select_batch``: the (R, N) mask of each row's tested ids.
+
+    ``wealths`` and ``certified`` are (R, N) arrays; row r draws from the
+    stream ``MixStream.from_prefix(prefixes[r], round_index)``.  Eps-greedy
+    rows differ in pool size, so the pool is the explicit mask ~certified,
+    never a sentinel wealth: an uncertified candidate may be bankrupt at
+    -inf itself.
+    """
+    r, n = wealths.shape
+    policy = spec.policy
+    tested = np.zeros((r, n), dtype=bool)
+    if policy is AcquisitionPolicy.FULL_BATCH:
+        tested[:] = True
+        return tested
+    b = min(spec.batch_size, n)
+    if policy is AcquisitionPolicy.ROUND_ROBIN:
+        start = ((round_index - 1) * b) % n
+        tested[:, (start + np.arange(b)) % n] = True
+        return tested
+    states = mix64_from_np(prefixes, round_index)
+    if policy is AcquisitionPolicy.UNIFORM_ALL:
+        pool = np.tile(np.arange(n), (r, 1))
+        _fisher_yates(tested, pool, np.full(r, n), np.full(r, b), states, 1)
+        return tested
+
+    # EPS_GREEDY
+    free = ~certified
+    explore = uniform_np(stream_u64_np(states, 1)) < spec.epsilon
+    if b == 1:
+        # The first pool id holding the pool's top wealth, or when exploring
+        # the pool id of rank randbelow(pool size).
+        top = np.where(free, wealths, -np.inf).max(axis=1)
+        hit = free & (wealths == top[:, None])
+        if explore.any():
+            f = free[explore]
+            rank = randbelow_np(stream_u64_np(states[explore], 2), np.count_nonzero(f, axis=1))
+            hit[explore] = f & (np.cumsum(f, axis=1) == rank[:, None] + 1)
+        rows = np.arange(r)
+        pick = np.argmax(hit, axis=1)
+        tested[rows, pick] = hit[rows, pick]  # an empty pool has no hit
+        return tested
+    pool_size = np.count_nonzero(free, axis=1)
+    if explore.any():
+        rows = np.flatnonzero(explore)
+        # Row j of pool lists row j's uncertified ids first, ascending.
+        pool = np.argsort(certified[rows], axis=1, kind="stable")
+        sizes = pool_size[rows]
+        sub = np.zeros(pool.shape, dtype=bool)
+        _fisher_yates(sub, pool, sizes, np.minimum(b, sizes), states[rows], 2)
+        tested[rows] = sub
+    exploit = np.flatnonzero(~explore)
+    if len(exploit):
+        w, f = wealths[exploit], free[exploit]
+        sizes = pool_size[exploit]
+        # The b-th largest pool wealth: -inf fills the certified slots, which
+        # rank below every pool wealth, so they cannot change its value.  A
+        # pool smaller than the batch is taken whole (threshold -inf).
+        thr = np.partition(np.where(f, w, -np.inf), n - b, axis=1)[:, n - b]
+        thr[sizes < b] = -np.inf
+        above = f & (w > thr[:, None])
+        tied = f & (w == thr[:, None])
+        # Fill the rest of the batch with the lowest-id ties.
+        room = np.minimum(b, sizes) - np.count_nonzero(above, axis=1)
+        tested[exploit] = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+    return tested
+
+
+def _fisher_yates(
+    tested: np.ndarray,
+    pool: np.ndarray,
+    sizes: np.ndarray,
+    k: np.ndarray,
+    states: np.ndarray,
+    first: int,
+) -> None:
+    """``MixStream.sample_without_replacement`` row-wise: k[j] picks from the
+    first sizes[j] entries of pool row j, with draw i on stream output
+    first + i; marks the picked ids in ``tested``.
+
+    A draw depends only on its stream and the pool size, so all are taken
+    at once; steps past a row's k swap slots that row never reads.
+    """
+    steps = np.arange(int(k.max(initial=0)))
+    rows = np.arange(len(pool))
+    u64 = stream_u64_np(states[:, None], first + steps)
+    swaps = steps + randbelow_np(u64, np.maximum(sizes[:, None] - steps, 1))
+    for i in steps:
+        swap = swaps[:, i]
+        held = pool[:, i].copy()
+        pool[:, i] = pool[rows, swap]
+        pool[rows, swap] = held
+    picks = np.arange(pool.shape[1]) < k[:, None]
+    tested[np.repeat(rows, k), pool[picks]] = True

@@ -13,12 +13,19 @@ strategies are clipped to cap = clip_fraction * mu_max * (1 - max_bet_epsilon).
   deviations) so early bets stay moderate.
 - ONS: online Newton step on the log-wealth gradient with step size
   2 / (2 - ln 3).
+
+The recursions serve both engines: a BettingState holds floats for one
+candidate, or numpy arrays with one element per (trial, candidate) pair for
+the trial-batched engine.  Every step is elementwise IEEE arithmetic, so an
+array element equals the float the same inputs give.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import BettingSpec, BettingStrategy
 from .eprocess import BetBound, Payoff
@@ -56,12 +63,21 @@ def bet_cap(spec: BettingSpec, bound: BetBound) -> float:
     return spec.clip_fraction * bound.mu_max * (1.0 - spec.max_bet_epsilon)
 
 
-def _clip(x: float, hi: float) -> float:
+def _clip(x, hi: float):
+    if isinstance(x, np.ndarray):
+        return np.where(x < 0.0, 0.0, np.where(x > hi, hi, x))
     if x < 0.0:
         return 0.0
     if x > hi:
         return hi
     return x
+
+
+def _positive(x):
+    """x, or the least positive normal float where x <= 0."""
+    if isinstance(x, np.ndarray):
+        return np.where(x <= 0.0, sys.float_info.min, x)
+    return sys.float_info.min if x <= 0.0 else x
 
 
 def next_bet(spec: BettingSpec, state: BettingState, bound: BetBound) -> float:
@@ -92,10 +108,8 @@ def observe(
     new_ssd = state.sum_sq_dev + dev * dev
 
     if spec.strategy is BettingStrategy.ONS:
-        denom = 1.0 + mu_used * g
-        if denom <= 0.0:
-            # Reachable only through rounding at the bet boundary.
-            denom = sys.float_info.min
+        # denom <= 0 is reachable only through rounding at the bet boundary.
+        denom = _positive(1.0 + mu_used * g)
         z = -g / denom
         curvature = state.ons_curvature + z * z
         raw = state.ons_mu - ONS_STEP * z / curvature

@@ -12,13 +12,21 @@ A process is its log wealth, one float starting at 0.  A multiplicative
 factor <= 0 (possible only through rounding at the bet boundary) sends it to
 -inf, zero wealth, instead of producing NaNs; -inf is absorbing, since
 -inf + log1p(x) = -inf.  The running maximum and the p-value live in the
-engine (orchestrator._run), which takes them over the merged process.
+engines (orchestrator), which take them over the merged process.
+
+``payoffs`` and ``updates`` are ``payoff`` and ``update`` over arrays, for
+the trial-batched engine.  Its log1p is math's, taken one element at a time
+(``each``): numpy's log1p and exp differ from math's in the last bit on
+some inputs, and the two engines must agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from .core import Direction
 from .errors import BetOutOfBounds, OutOfRange
@@ -57,6 +65,13 @@ def payoff(risk: float, alpha: float, direction: Direction) -> Payoff:
     return risk - alpha
 
 
+def payoffs(risks: np.ndarray, alpha: float, direction: Direction) -> np.ndarray:
+    """``payoff`` of each risk; the caller has checked that they lie in [0, 1]."""
+    if direction is Direction.RISK_BELOW:
+        return alpha - risks
+    return risks - alpha
+
+
 def update(log_wealth: float, g: Payoff, mu: float, bound: BetBound) -> float:
     """One betting round: log wealth += log(1 + mu * g).
 
@@ -71,9 +86,31 @@ def update(log_wealth: float, g: Payoff, mu: float, bound: BetBound) -> float:
     return log_wealth + math.log1p(x)
 
 
-def quantile_transform(raw_risk: float, threshold: float) -> int:
+def each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``fn`` of every element of ``x``, computed by the float function."""
+    return np.fromiter(map(fn, x.ravel().tolist()), dtype=np.float64, count=x.size).reshape(x.shape)
+
+
+def updates(log_wealth: np.ndarray, g: np.ndarray, mu, bound: BetBound) -> np.ndarray:
+    """``update`` of each element; ``mu`` is an array or one shared bet."""
+    mus = np.broadcast_to(mu, np.shape(g))
+    out_of_bounds = ~((mus >= 0.0) & (mus < bound.mu_max))
+    if out_of_bounds.any():
+        raise BetOutOfBounds(f"mu {float(mus[out_of_bounds][0])!r} outside [0, {bound.mu_max!r})")
+    x = mu * g
+    ruined = x <= -1.0
+    out = log_wealth + each(math.log1p, np.where(ruined, 0.0, x))
+    out[ruined] = -math.inf
+    return out
+
+
+def quantile_transform(raw_risk, threshold: float):
     """Indicator 1[raw <= threshold], turning a quantile requirement on the
-    raw score into a mean requirement on the transformed one."""
-    if not 0.0 <= raw_risk <= 1.0:
-        raise OutOfRange(f"raw risk {raw_risk!r} out of [0,1]")
-    return 1 if raw_risk <= threshold else 0
+    raw score into a mean requirement on the transformed one.  Elementwise
+    over an array of raw risks."""
+    raw = np.asarray(raw_risk, dtype=np.float64)
+    out_of_range = ~((raw >= 0.0) & (raw <= 1.0))
+    if out_of_range.any():
+        raise OutOfRange(f"raw risk {float(raw[out_of_range].flat[0])!r} out of [0,1]")
+    indicator = (raw <= threshold).astype(np.int64)
+    return indicator if indicator.ndim else int(indicator)

@@ -8,6 +8,10 @@ exactly the ranks whose own predicate passes, which can be non-contiguous.
 Ties in p or e are ranked by ascending id so results are deterministic: the
 step-up rules rank with a stable argsort, which orders ties exactly as
 sorting on (value, id) does, and compute each (N, delta)'s thresholds once.
+
+``select_rows`` applies a rule to every row of an (R, N) array at once, for
+the trial-batched engine; each row's mask marks exactly the set the rule
+returns for that row.  The step-up rules share one row-wise core.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import check_order
+from .core import SelectionRuleName, check_order
 from .errors import OutOfRange
 
 
@@ -87,13 +91,28 @@ def _ebh_thresholds(n: int, delta: float) -> tuple[tuple[float, ...], np.ndarray
     return thr, _frozen(thr)
 
 
-def _step_up(ranked: np.ndarray, passed: np.ndarray, literal: bool) -> frozenset[int]:
-    """Certified ids given the ranking and each rank's own predicate."""
-    if literal:
-        return frozenset(ranked[passed].tolist())
-    hits = np.flatnonzero(passed)
-    k_star = int(hits[-1]) + 1 if len(hits) else 0
-    return frozenset(ranked[:k_star].tolist())
+def _step_up_rows(ranked: np.ndarray, passed: np.ndarray, literal: bool) -> np.ndarray:
+    """(R, N) mask of certified ids given each row's ranking and each rank's
+    own predicate.  The closure keeps every rank at or below a passing one."""
+    if not literal:
+        passed = np.logical_or.accumulate(passed[:, ::-1], axis=1)[:, ::-1]
+    selected = np.empty(passed.shape, dtype=bool)
+    np.put_along_axis(selected, ranked, passed, axis=1)
+    return selected
+
+
+def _ranked_rows(x: np.ndarray, thr_arr: np.ndarray, ascending: bool, literal: bool) -> np.ndarray:
+    """Step-up over ascending p (``ascending``) or descending e, row-wise.
+
+    A stable sort keeps tied values in ascending id order."""
+    ranked = np.argsort(x if ascending else -x, axis=1, kind="stable")
+    ordered = np.take_along_axis(x, ranked, axis=1)
+    passed = ordered <= thr_arr if ascending else ordered >= thr_arr
+    return _step_up_rows(ranked, passed, literal)
+
+
+def _one_row(x: np.ndarray, thr_arr: np.ndarray, ascending: bool, literal: bool) -> frozenset[int]:
+    return frozenset(np.flatnonzero(_ranked_rows(x[None, :], thr_arr, ascending, literal)[0]).tolist())
 
 
 def bonferroni(p: Sequence[float], delta: float) -> SelectionResult:
@@ -119,27 +138,50 @@ def fixed_sequence(p: Sequence[float], order: Sequence[int], delta: float) -> Se
     return SelectionResult(frozenset(selected), "fixed_sequence", (delta,) * n)
 
 
-def _p_step_up(p: Sequence[float], thresholds, rule: str, literal: bool) -> SelectionResult:
-    thr, thr_arr = thresholds
-    x = _checked_array(p, _check_p, _p_in_domain)
-    # A stable sort of ascending p keeps tied p in ascending id order.
-    ranked = np.argsort(x, kind="stable")
-    return SelectionResult(_step_up(ranked, x[ranked] <= thr_arr, literal), rule, thr)
-
-
 def bh(p: Sequence[float], delta: float, literal: bool = False) -> SelectionResult:
     """Step-up over ascending p with per-rank threshold k * delta / N."""
-    return _p_step_up(p, _bh_thresholds(len(p), delta), "bh", literal)
+    thr, thr_arr = _bh_thresholds(len(p), delta)
+    x = _checked_array(p, _check_p, _p_in_domain)
+    return SelectionResult(_one_row(x, thr_arr, True, literal), "bh", thr)
 
 
 def by(p: Sequence[float], delta: float, literal: bool = False) -> SelectionResult:
     """bh with every threshold shrunk by the harmonic sum H_N."""
-    return _p_step_up(p, _by_thresholds(len(p), delta), "by", literal)
+    thr, thr_arr = _by_thresholds(len(p), delta)
+    x = _checked_array(p, _check_p, _p_in_domain)
+    return SelectionResult(_one_row(x, thr_arr, True, literal), "by", thr)
 
 
 def ebh(e: Sequence[float], delta: float, literal: bool = False) -> SelectionResult:
     """Step-up over descending e with per-rank threshold N / (k * delta)."""
     thr, thr_arr = _ebh_thresholds(len(e), delta)
     x = _checked_array(e, _check_e, _e_in_domain)
-    ranked = np.argsort(-x, kind="stable")
-    return SelectionResult(_step_up(ranked, x[ranked] >= thr_arr, literal), "ebh", thr)
+    return SelectionResult(_one_row(x, thr_arr, False, literal), "ebh", thr)
+
+
+def select_rows(
+    rule: SelectionRuleName,
+    values: np.ndarray,
+    delta: float,
+    literal: bool = False,
+    order: Sequence[int] | None = None,
+) -> np.ndarray:
+    """The (R, N) mask of each row's certified set under ``rule``.
+
+    ``values`` holds p-values, or e-values for EBH, one row per trial, in
+    their domains (the engine derives them from log wealth); ``order`` is
+    the fixed-sequence order, identity by default.
+    """
+    n = values.shape[1]
+    if rule is SelectionRuleName.BONFERRONI:
+        return values <= delta / n
+    if rule is SelectionRuleName.FIXED_SEQUENCE:
+        order = np.arange(n) if order is None else np.asarray(order)
+        prefix = np.logical_and.accumulate(values[:, order] <= delta, axis=1)
+        selected = np.empty(values.shape, dtype=bool)
+        selected[:, order] = prefix
+        return selected
+    if rule is SelectionRuleName.EBH:
+        return _ranked_rows(values, _ebh_thresholds(n, delta)[1], False, literal)
+    thresholds = _bh_thresholds if rule is SelectionRuleName.BH else _by_thresholds
+    return _ranked_rows(values, thresholds(n, delta)[1], True, literal)

@@ -3,47 +3,53 @@
 Sampling is inverse-CDF on keyed uniforms (one stream per (seed, trial,
 round, id, metric)), so trials replay identically no matter how they are
 scheduled.  ``shared_draw`` pushes one latent uniform per round through every
-id's inverse CDF, which makes a round's risks perfectly dependent.
+id's inverse CDF, which makes a round's risks perfectly dependent.  Each
+distribution family has one array sampler; ``SyntheticSpec.draw`` applies
+it to a whole round's ids, for the one-run sources and the block sources of
+the trial-batched engine alike.
 
 run_trials estimates the error-rate metrics over M independent trials:
 family-wise error as the fraction of trials whose final certified set touches
 the unreliable set, false-discovery both conditional on a nonempty selection
 and unconditional (empty set counts as zero), and true-positive rate as the
-mean certified fraction of the reliable set.  Reduction over trials is fixed
-by trial index, so parallel and sequential execution agree exactly.
+mean certified fraction of the reliable set.  Trials run in lock-step on the
+trial-batched engine (``orchestrator.run_block``), in contiguous blocks; each
+trial's outcome equals its own ``run_altt`` run bit for bit, and reduction
+over trials is fixed by trial index, so any block split and any worker
+count give the same bytes.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
 from scipy.special import betainc, betaincinv
 
-from .betting import ONS_STEP, BettingState, bet_cap, next_bet
-from .core import (
-    BettingSpec,
-    BettingStrategy,
-    CalibrationConfig,
-    Direction,
-    GroundTruth,
-    reliable_set,
-)
-from .eprocess import bet_bound, quantile_transform
+from .core import CalibrationConfig, GroundTruth, reliable_set
+from .eprocess import quantile_transform
 from .errors import InvalidConfig, NoReliableArm
-from .orchestrator import RunResult, run_altt
+from .orchestrator import RunResult, run_altt, run_block
 from .rng import (
     TAG_RISK,
     TAG_SHARED,
     mix64,
     mix64_from,
+    mix64_from_np,
+    mix64_np,
     unit_uniform,
     unit_uniform_from,
-    unit_uniform_np,
+    unit_uniform_from_np,
 )
+
+
+# Each family's ``sample(u, *params)`` is its inverse CDF over arrays, with
+# the dataclass fields as parameters; ``draw`` is the same map at one point.
 
 
 @dataclass(frozen=True)
@@ -54,8 +60,12 @@ class Bernoulli:
     def mean(self) -> float:
         return self.p
 
+    @staticmethod
+    def sample(u, p):
+        return np.where(u >= 1.0 - p, 1.0, 0.0)
+
     def draw(self, u: float) -> float:
-        return 1.0 if u >= 1.0 - self.p else 0.0
+        return float(self.sample(u, self.p))
 
     def cdf_at(self, x: float) -> float:
         if x < 0.0:
@@ -74,8 +84,12 @@ class Beta:
     def mean(self) -> float:
         return self.a / (self.a + self.b)
 
+    @staticmethod
+    def sample(u, a, b):
+        return betaincinv(a, b, u)
+
     def draw(self, u: float) -> float:
-        return float(betaincinv(self.a, self.b, u))
+        return float(self.sample(u, self.a, self.b))
 
     def cdf_at(self, x: float) -> float:
         if x <= 0.0:
@@ -93,14 +107,19 @@ class PointMass:
     def mean(self) -> float:
         return self.value
 
+    @staticmethod
+    def sample(u, value):
+        return np.broadcast_to(np.asarray(value, dtype=np.float64), np.shape(u))
+
     def draw(self, u: float) -> float:
-        return self.value
+        return float(self.sample(u, self.value))
 
     def cdf_at(self, x: float) -> float:
         return 1.0 if self.value <= x else 0.0
 
 
 Distribution = Union[Bernoulli, Beta, PointMass]
+_FAMILIES = (Bernoulli, Beta, PointMass)
 
 
 @dataclass(frozen=True)
@@ -126,8 +145,36 @@ class SyntheticSpec:
         thr = self.quantile_threshold
         return tuple(arm.cdf_at(thr) for arm in self.arms)
 
+    @cached_property
+    def _families(self) -> list:
+        """(sampler, member mask, parameter arrays) of each family present."""
+        out = []
+        for family in _FAMILIES:
+            members = np.array([type(arm) is family for arm in self.arms])
+            if members.any():
+                params = tuple(
+                    np.array([getattr(arm, f.name) if member else 0.0
+                              for arm, member in zip(self.arms, members)], dtype=np.float64)
+                    for f in fields(family)
+                )
+                out.append((family.sample, members, params))
+        return out
+
+    def draw(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The risk of each id in ``ids`` at its uniform in ``u``."""
+        raws = np.empty(len(ids), dtype=np.float64)
+        for sample, members, params in self._families:
+            on = members[ids]
+            raws[on] = sample(u[on], *(p[ids[on]] for p in params))
+        if self.quantile_threshold is None:
+            return raws
+        return quantile_transform(raws, self.quantile_threshold).astype(np.float64)
+
     def make_source(self, base_seed: int, trial: int) -> "SyntheticSource":
         return SyntheticSource(self, base_seed, trial)
+
+    def make_block(self, base_seed: int, trials: np.ndarray) -> "SyntheticBlock":
+        return SyntheticBlock(self, base_seed, trials)
 
 
 def sample_risk(
@@ -138,10 +185,7 @@ def sample_risk(
         u = unit_uniform(TAG_SHARED, base_seed, trial, round_index, 0)
     else:
         u = unit_uniform(TAG_RISK, base_seed, trial, round_index, id, 0)
-    raw = spec.arms[id].draw(u)
-    if spec.quantile_threshold is None:
-        return raw
-    return float(quantile_transform(raw, spec.quantile_threshold))
+    return float(spec.draw(np.array([id]), np.array([u]))[0])
 
 
 class SyntheticSource:
@@ -161,19 +205,35 @@ class SyntheticSource:
         self._prefix = mix64(tag, base_seed, trial)
 
     def query(self, round_index: int, ids: Sequence[int], token: str) -> list[float]:
-        spec = self.spec
-        arms = spec.arms
         k = self._metric
-        if spec.shared_draw:
-            u = unit_uniform_from(self._prefix, round_index, k)
-            raws = [arms[i].draw(u) for i in ids]
+        if self.spec.shared_draw:
+            us = [unit_uniform_from(self._prefix, round_index, k)] * len(ids)
         else:
             prefix = mix64_from(self._prefix, round_index)
-            raws = [arms[i].draw(unit_uniform_from(prefix, i, k)) for i in ids]
-        thr = spec.quantile_threshold
-        if thr is None:
-            return raws
-        return [float(quantile_transform(raw, thr)) for raw in raws]
+            us = [unit_uniform_from(prefix, i, k) for i in ids]
+        return self.spec.draw(np.asarray(ids, dtype=np.intp), np.asarray(us, dtype=np.float64)).tolist()
+
+
+class SyntheticBlock:
+    """The risks SyntheticSource draws, for a block of trials at once.
+
+    ``query(t, rows, ids)`` returns the round-t risk of id ids[j] in trial
+    trials[rows[j]], as an (P, 1) array.
+    """
+
+    def __init__(self, spec: SyntheticSpec, base_seed: int, trials: np.ndarray, metric: int = 0):
+        self.spec = spec
+        self._metric = metric
+        tag = TAG_SHARED if spec.shared_draw else TAG_RISK
+        self._prefix = mix64_np([tag, base_seed, np.asarray(trials, dtype=np.uint64)])
+
+    def query(self, round_index: int, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        key = mix64_from_np(self._prefix, round_index)
+        if self.spec.shared_draw:
+            u = unit_uniform_from_np(key, self._metric)[rows]
+        else:
+            u = unit_uniform_from_np(key[rows], ids, self._metric)
+        return self.spec.draw(ids, u)[:, None]
 
 
 @dataclass(frozen=True)
@@ -194,6 +254,9 @@ class CompositeSyntheticSpec:
     def make_source(self, base_seed: int, trial: int) -> "CompositeSyntheticSource":
         return CompositeSyntheticSource(self, base_seed, trial)
 
+    def make_block(self, base_seed: int, trials: np.ndarray) -> "CompositeSyntheticBlock":
+        return CompositeSyntheticBlock(self, base_seed, trials)
+
 
 class CompositeSyntheticSource:
     """One SyntheticSource per metric; each id gets the K-tuple of their draws."""
@@ -209,6 +272,16 @@ class CompositeSyntheticSource:
         return list(zip(*(s.query(round_index, ids, token) for s in self._sources)))
 
 
+class CompositeSyntheticBlock:
+    """One SyntheticBlock per metric; column k of a query holds metric k."""
+
+    def __init__(self, spec: CompositeSyntheticSpec, base_seed: int, trials: np.ndarray):
+        self._blocks = [SyntheticBlock(m, base_seed, trials, k) for k, m in enumerate(spec.metrics)]
+
+    def query(self, round_index: int, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        return np.hstack([b.query(round_index, rows, ids) for b in self._blocks])
+
+
 def derive_reliable(cfg: CalibrationConfig, spec) -> frozenset[int]:
     """Ground-truth reliable set implied by the spec's means and the config's
     requirement(s); composite candidates must conform on every metric."""
@@ -221,6 +294,10 @@ def derive_reliable(cfg: CalibrationConfig, spec) -> frozenset[int]:
             out &= reliable_set(GroundTruth(mspec.means()), alpha, direction)
         return out
     return reliable_set(GroundTruth(spec.means()), cfg.alpha, cfg.direction)
+
+
+# Trials per block; a block's curves hold 3 * BLOCK_TRIALS * t_max counts.
+BLOCK_TRIALS = 512
 
 
 @dataclass
@@ -344,6 +421,8 @@ class TrialAccumulator:
 
 
 def _one_trial(args) -> tuple[int, RunResult, np.ndarray, np.ndarray, np.ndarray]:
+    """One trial on the one-run engine: the reference ``_trial_block``'s rows
+    must equal, outcome and curves alike."""
     cfg, spec, base_seed, trial, reliable = args
     unreliable = frozenset(range(cfg.n_candidates)) - reliable
     rel_hits, unrel_hits, sizes = (np.zeros(cfg.t_max, dtype=np.int32) for _ in range(3))
@@ -355,6 +434,40 @@ def _one_trial(args) -> tuple[int, RunResult, np.ndarray, np.ndarray, np.ndarray
         result.selected, result.T, result.stop_reason, (), (), (), result.n_queries
     )
     return trial, slim, rel_hits, unrel_hits, sizes
+
+
+def _trial_block(args) -> tuple[list[RunResult], np.ndarray]:
+    """Trials start..stop-1 on the trial-batched engine: slim results and
+    their (3, M, t_max) curves of reliable hits, unreliable hits and set
+    sizes, each round as ``_make_hook`` records it."""
+    cfg, spec, base_seed, start, stop, reliable = args
+    trials = np.arange(start, stop)
+    in_rel = np.zeros(cfg.n_candidates, dtype=bool)
+    in_rel[list(reliable)] = True
+    # Counts are at most n_candidates, so the least unsigned type holding it
+    # holds them; the accumulator's float64 arithmetic on them is exact.
+    curves = np.zeros((3, len(trials), cfg.t_max), dtype=np.min_scalar_type(cfg.n_candidates))
+
+    def hook(t: int, live: np.ndarray, certified: np.ndarray) -> None:
+        sel = certified[live]
+        rel = (sel & in_rel).sum(axis=1)
+        size = sel.sum(axis=1)
+        curves[0, live, t - 1] = rel
+        curves[1, live, t - 1] = size - rel
+        curves[2, live, t - 1] = size
+
+    results = run_block(cfg, spec.make_block(base_seed, trials), trials, cfg.t_max, True, round_hook=hook)
+    # Drop the heavyweight fields before results cross a process boundary.
+    slim = [RunResult(r.selected, r.T, r.stop_reason, (), (), (), r.n_queries) for r in results]
+    return slim, curves
+
+
+def _blocks(M: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous near-equal trial ranges: one per worker, more when a
+    worker's share exceeds BLOCK_TRIALS."""
+    count = min(M, max(workers, -(-M // BLOCK_TRIALS)))
+    edges = [M * j // count for j in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def run_trials(
@@ -369,6 +482,9 @@ def run_trials(
 ) -> MetricsSummary:
     """M independent adaptive runs, scored against ground truth.
 
+    Trials run in lock-step in contiguous blocks (``_blocks``), spread over
+    ``workers`` processes; outcomes are added in trial order, so neither
+    the blocks nor the worker count changes a bit of the summary.
     ``reliable`` overrides the derived reliable set for instances where the
     requirement does not reduce to cfg.alpha on spec.means().
     """
@@ -382,91 +498,11 @@ def run_trials(
         raise NoReliableArm("no reliable candidate: TPR undefined")
 
     acc = TrialAccumulator(reliable, cfg.n_candidates, cfg.t_max)
-    tasks = [(cfg, spec, base_seed, trial, reliable) for trial in range(M)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for _, result, rel_hits, unrel_hits, sizes in pool.map(
-                _one_trial, tasks, chunksize=max(1, M // (workers * 4))
-            ):
-                acc.add(result, rel_hits, unrel_hits, sizes)
-    else:
-        for task in tasks:
-            _, result, rel_hits, unrel_hits, sizes = _one_trial(task)
-            acc.add(result, rel_hits, unrel_hits, sizes)
+    tasks = [(cfg, spec, base_seed, start, stop, reliable) for start, stop in _blocks(M, workers)]
+    parallel = workers > 1 and len(tasks) > 1
+    with ProcessPoolExecutor(min(workers, len(tasks))) if parallel else nullcontext() as pool:
+        blocks = pool.map(_trial_block, tasks) if pool else map(_trial_block, tasks)
+        for results, (rel_hits, unrel_hits, sizes) in blocks:
+            for j, result in enumerate(results):
+                acc.add(result, rel_hits[j], unrel_hits[j], sizes[j])
     return acc.summary(compute_tpr)
-
-
-# Vectorized single-arm Monte Carlo.  The acceptance suite first cross-checks
-# this lane trajectory-for-trajectory against run_altt/run_ltt on a handful of
-# trials, then uses it for the 10^4-trial sweeps that would take minutes
-# round-by-round.  Stream keys match SyntheticSource exactly: uniform for
-# (trial, round) is unit_uniform(TAG_RISK, seed, trial, round, 0, 0).
-
-
-def single_arm_mc(
-    mean: float,
-    alpha: float,
-    direction: Direction,
-    betting: BettingSpec,
-    n_rounds: int,
-    n_trials: int,
-    base_seed: int,
-    *,
-    keep_paths: bool = False,
-) -> dict[str, np.ndarray]:
-    """Bernoulli(mean) arm tested every round; returns log-wealth statistics.
-
-    Output arrays over trials: ``final_log_wealth``, ``max_log_wealth``;
-    with keep_paths, also ``log_wealth_paths`` of shape (trials, rounds).
-    """
-    bound = bet_bound(alpha, direction)
-    cap = bet_cap(betting, bound)
-    strategy = betting.strategy
-    trials = np.arange(n_trials, dtype=np.uint64)
-    log_w = np.zeros(n_trials)
-    max_log_w = np.zeros(n_trials)
-    sum_g = np.zeros(n_trials)
-    ssd = np.zeros(n_trials)
-    ons_mu = np.zeros(n_trials)
-    ons_a = np.ones(n_trials)
-    paths = np.zeros((n_trials, n_rounds)) if keep_paths else None
-    # UNIT and MAX bet a constant; the scalar rule gives it.
-    constant_mu = next_bet(betting, BettingState(), bound)
-
-    for t in range(1, n_rounds + 1):
-        u = unit_uniform_np([TAG_RISK, base_seed, trials, t, 0, 0])
-        risk = (u >= 1.0 - mean).astype(np.float64)
-        if direction is Direction.RISK_BELOW:
-            g = alpha - risk
-        else:
-            g = risk - alpha
-        if strategy in (BettingStrategy.UNIT, BettingStrategy.MAX):
-            mu = constant_mu
-        elif strategy is BettingStrategy.AGRAPA:
-            m_reg = (0.5 + sum_g) / t
-            v_reg = (0.25 + ssd) / t
-            mu = np.clip(m_reg / (v_reg + m_reg * m_reg), 0.0, cap)
-        else:  # ONS
-            mu = ons_mu.copy()
-
-        x = np.maximum(mu * g, -1.0)
-        log_w = log_w + np.log1p(x)
-        np.maximum(max_log_w, log_w, out=max_log_w)
-        if paths is not None:
-            paths[:, t - 1] = log_w
-
-        # observe(): same recursions as the scalar path.
-        mean_before = (0.5 + sum_g) / t
-        dev = g - mean_before
-        ssd = ssd + dev * dev
-        sum_g = sum_g + g
-        if strategy is BettingStrategy.ONS:
-            denom = 1.0 + mu * g
-            z = -g / denom
-            ons_a = ons_a + z * z
-            ons_mu = np.clip(ons_mu - ONS_STEP * z / ons_a, 0.0, cap)
-
-    out = {"final_log_wealth": log_w, "max_log_wealth": max_log_w}
-    if paths is not None:
-        out["log_wealth_paths"] = paths
-    return out

@@ -7,7 +7,18 @@ normal pytest output so the run ends with a per-criterion scoreboard.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+
+from ecalib.core import (
+    AcquisitionPolicy,
+    AcquisitionSpec,
+    CalibrationConfig,
+    Direction,
+    SelectionRuleName,
+)
+from ecalib.orchestrator import run_block
+from ecalib.simharness import Bernoulli, SyntheticSpec
 
 CRITERIA_LABELS = {
     1: "FWER control, Bonferroni + aGRAPA + eps-greedy",
@@ -23,6 +34,36 @@ CRITERIA_LABELS = {
 }
 
 _RESULTS: dict[int, tuple[bool, str]] = {}
+
+
+@pytest.fixture
+def single_arm():
+    """Trials of one Bernoulli(mean) arm tested in each of ``rounds`` rounds.
+
+    The runs are trials 0..trials-1 of an N=1 config on the trial-batched
+    engine, non-adaptive as ``run_ltt`` runs, so no run stops at its first
+    certification and each final p-value is 1 / the running max over every
+    round.  Returns (config, one RunResult per trial).
+    """
+
+    def run(mean, alpha, betting, rounds, trials, seed, record_rounds=False):
+        cfg = CalibrationConfig(
+            n_candidates=1,
+            alpha=alpha,
+            delta=0.1,
+            direction=Direction.RISK_BELOW,
+            selection_rule=SelectionRuleName.BONFERRONI,
+            acquisition=AcquisitionSpec(AcquisitionPolicy.FULL_BATCH),
+            betting=betting,
+            t_max=rounds,
+            d_stop=1,
+            seed=seed,
+        )
+        ids = np.arange(trials)
+        source = SyntheticSpec((Bernoulli(mean),)).make_block(seed, ids)
+        return cfg, run_block(cfg, source, ids, rounds, False, record_rounds=record_rounds)
+
+    return run
 
 
 @pytest.fixture

@@ -38,7 +38,6 @@ from ecalib.simharness import (
     SyntheticSpec,
     derive_reliable,
     run_trials,
-    single_arm_mc,
 )
 
 # ---------------------------------------------------------------------------
@@ -158,17 +157,16 @@ def test_criterion_04_deferred_selection_equivalence(criterion):
     assert ok
 
 
-def test_criterion_05_anytime_p_validity(criterion):
+def test_criterion_05_anytime_p_validity(criterion, single_arm):
     # True null: mean 0.3 > alpha 0.2 under RiskBelow; certifying at level x
-    # means the running-max wealth ever reached 1/x.
+    # means the running-max wealth ever reached 1/x, i.e. p <= x.
     trials = 10_000
-    out = single_arm_mc(
-        0.3, 0.2, Direction.RISK_BELOW, BettingSpec(BettingStrategy.ONS), 5000, trials, 13
-    )
+    _, runs = single_arm(0.3, 0.2, BettingSpec(BettingStrategy.ONS), 5000, trials, 13)
+    p = np.array([run.final_anytime_p[0] for run in runs])
     results = []
     ok = True
     for x in (0.05, 0.1, 0.25):
-        rate = float(np.mean(out["max_log_wealth"] >= math.log(1.0 / x)))
+        rate = float(np.mean(p <= x))
         bound = x + three_sigma(x, trials)
         results.append(f"x={x}: {rate:.4f}<={bound:.4f}")
         ok = ok and rate <= bound
@@ -265,12 +263,10 @@ def test_criterion_06_selection_oracle_equivalence(criterion):
     assert ok
 
 
-def test_criterion_07_boundary_supermartingale(criterion):
+def test_criterion_07_boundary_supermartingale(criterion, single_arm):
     trials = 10_000
-    out = single_arm_mc(
-        0.5, 0.5, Direction.RISK_BELOW, BettingSpec(BettingStrategy.MAX), 200, trials, 17
-    )
-    wealth = np.exp(out["final_log_wealth"])
+    _, runs = single_arm(0.5, 0.5, BettingSpec(BettingStrategy.MAX), 200, trials, 17)
+    wealth = np.array([run.final_wealth[0] for run in runs])
     mean = float(np.mean(wealth))
     bound = 1.0 + 3.0 * float(np.std(wealth, ddof=1)) / math.sqrt(trials)
     ok = mean <= bound

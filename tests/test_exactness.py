@@ -7,18 +7,29 @@
   logged round's set is checked against the rule applied from scratch.
 - Golden digests pin the bytes ``ecalib simulate`` writes for small fixed
   configs, so any drift in wealth bits, draws or selection fails here.
+- The trial-batched engine (``run_block``, under ``run_trials``) gives row m
+  exactly what ``run_altt`` gives trial m, in every round; its row-wise
+  acquisition, selection and wealth update equal the one-run functions;
+  ``run_trials`` is the same at any worker count and equals the scalar
+  reference ``_one_trial`` accumulated in trial order; and golden digests
+  pin ``ecalib validate`` output for the benchmark's Monte Carlo configs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecalib.acquisition import select_batch
+from ecalib.acquisition import select_batch, select_rows
 from ecalib.cli import main
 from ecalib.core import (
     AcquisitionPolicy,
@@ -28,9 +39,12 @@ from ecalib.core import (
     CalibrationConfig,
     Direction,
     ErrorMetric,
+    MetricSpec,
     SelectionRuleName,
 )
-from ecalib.orchestrator import run_altt
+from ecalib.eprocess import bet_bound, update, updates
+from ecalib.errors import BetOutOfBounds
+from ecalib.orchestrator import run_altt, run_block, run_ltt
 from ecalib.rng import (
     TAG_RISK,
     TAG_SHARED,
@@ -41,14 +55,21 @@ from ecalib.rng import (
     unit_uniform_from,
 )
 from ecalib.selection import SelectionResult, bh, bonferroni, by, ebh, fixed_sequence
+from ecalib.selection import select_rows as select_set_rows
 from ecalib.simharness import (
     Bernoulli,
     Beta,
     CompositeSyntheticSpec,
     PointMass,
     SyntheticSpec,
+    TrialAccumulator,
+    _one_trial,
+    derive_reliable,
+    run_trials,
     sample_risk,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # -- sorted-based references -------------------------------------------------
 
@@ -173,6 +194,14 @@ class TestSourcesDrawTheDocumentedKeys:
         for t in (1, 2, 50):
             ids = [0, 1, 3] if t % 2 else [1, 2]
             assert source.query(t, ids, "") == [sample_risk(spec, i, t, 17, 3) for i in ids]
+
+    def test_one_array_draw_equals_the_scalar_draws(self):
+        # One betaincinv call over a round's ids gives each id's scalar draw.
+        rng = np.random.default_rng(5)
+        arms = tuple(Beta(a, b) for a, b in rng.uniform(0.3, 9.0, size=(400, 2)).tolist())
+        u = rng.random(400)
+        got = SyntheticSpec(arms).draw(np.arange(400), u)
+        assert [x.hex() for x in got.tolist()] == [arm.draw(x).hex() for arm, x in zip(arms, u.tolist())]
 
     def test_composite_source_keys(self):
         m0 = SyntheticSpec((Beta(2.0, 3.0), Bernoulli(0.4)))
@@ -327,3 +356,282 @@ def test_simulate_writes_the_golden_bytes(tmp_path, name):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest() == rounds_sha
     assert hashlib.sha256((out / "final.json").read_bytes()).hexdigest() == final_sha
+
+
+# -- the trial-batched engine -------------------------------------------------
+
+
+def _hex(values):
+    return tuple(float(v).hex() for v in values)
+
+
+def _risk_key(risks):
+    return tuple(_hex(r) if isinstance(r, tuple) else float(r).hex() for r in risks)
+
+
+def assert_same_run(got, want):
+    """Equal outcomes and equal RoundRecords, floats compared by their bits."""
+    assert (got.T, got.stop_reason, got.n_queries, got.selected) == (
+        want.T, want.stop_reason, want.n_queries, want.selected)
+    assert _hex(got.final_wealth) == _hex(want.final_wealth)
+    assert _hex(got.final_anytime_p) == _hex(want.final_anytime_p)
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        assert (a.t, a.tested, a.selected) == (b.t, b.tested, b.selected), a.t
+        assert _risk_key(a.risks) == _risk_key(b.risks), a.t
+        assert _hex(a.wealth) == _hex(b.wealth), a.t
+        assert _hex(a.anytime_p) == _hex(b.anytime_p), a.t
+
+
+arms = st.one_of(
+    st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.5, 0.9, 1.0]).map(Bernoulli),
+    st.builds(Beta, st.sampled_from([0.5, 2.0]), st.sampled_from([0.5, 3.0, 8.0])),
+    st.sampled_from([0.0, 0.2, 0.6, 1.0]).map(PointMass),
+)
+levels = st.sampled_from([0.1, 0.3, 0.5, 0.8])
+
+
+@st.composite
+def engine_cases(draw, adaptive=True):
+    """A config, a synthetic spec (plain, shared draw, quantile or a K=2
+    composite) and a run of consecutive trial indices."""
+    n = draw(st.integers(1, 6))
+    spec_arms = st.lists(arms, min_size=n, max_size=n).map(tuple)
+    kind = draw(st.sampled_from(["plain", "shared", "quantile", "composite"]))
+    extra = ()
+    if kind == "composite":
+        second = SyntheticSpec(draw(spec_arms), shared_draw=draw(st.booleans()))
+        spec = CompositeSyntheticSpec((SyntheticSpec(draw(spec_arms)), second))
+        extra = (MetricSpec(draw(levels), draw(st.sampled_from(Direction))),)
+    else:
+        spec = SyntheticSpec(draw(spec_arms), shared_draw=kind == "shared",
+                             quantile_threshold=0.4 if kind == "quantile" else None)
+    policies = [p for p in AcquisitionPolicy if adaptive or p is not AcquisitionPolicy.EPS_GREEDY]
+    rule = draw(st.sampled_from(SelectionRuleName))
+    order = None
+    if rule is SelectionRuleName.FIXED_SEQUENCE and draw(st.booleans()):
+        order = tuple(draw(st.permutations(range(n))))
+    cfg = CalibrationConfig(
+        n_candidates=n,
+        alpha=draw(levels),
+        delta=draw(st.sampled_from([0.05, 0.2, 0.5, 0.9])),
+        direction=draw(st.sampled_from(Direction)),
+        selection_rule=rule,
+        acquisition=AcquisitionSpec(draw(st.sampled_from(policies)),
+                                    epsilon=draw(st.sampled_from([0.0, 0.3, 1.0])),
+                                    batch_size=draw(st.integers(1, n))),
+        betting=BettingSpec(draw(st.sampled_from(BettingStrategy))),
+        t_max=draw(st.integers(1, 40)),
+        d_stop=draw(st.integers(1, n)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        literal_set=draw(st.booleans()),
+        fixed_sequence_order=order,
+        extra_metrics=extra,
+    )
+    first = draw(st.integers(0, 10**6))
+    return cfg, spec, list(range(first, first + draw(st.integers(1, 5))))
+
+
+class TestBatchedEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(case=engine_cases())
+    def test_row_m_is_run_altt_of_trial_m(self, case):
+        cfg, spec, trials = case
+        rows = run_block(cfg, spec.make_block(cfg.seed, trials), trials, cfg.t_max, True,
+                         record_rounds=True)
+        for trial, got in zip(trials, rows):
+            assert_same_run(got, run_altt(cfg, spec.make_source(cfg.seed, trial), trial=trial))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=engine_cases(adaptive=False), data=st.data())
+    def test_row_m_is_run_ltt_of_trial_m(self, case, data):
+        cfg, spec, trials = case
+        horizon = data.draw(st.integers(0, cfg.t_max))
+        rows = run_block(cfg, spec.make_block(cfg.seed, trials), trials, horizon, False,
+                         record_rounds=True)
+        for trial, got in zip(trials, rows):
+            assert_same_run(got, run_ltt(cfg, spec.make_source(cfg.seed, trial), horizon, trial=trial))
+
+    def test_every_rule_policy_strategy_and_direction(self):
+        # The grid the property test samples, covered exhaustively on a
+        # small instance; the source kind cycles through all four.
+        arms4 = (Bernoulli(0.05), Beta(2.0, 8.0), PointMass(0.2), Bernoulli(0.6))
+        kinds = [
+            SyntheticSpec(arms4),
+            SyntheticSpec(arms4, shared_draw=True),
+            SyntheticSpec(arms4, quantile_threshold=0.3),
+            CompositeSyntheticSpec((SyntheticSpec(arms4), SyntheticSpec(arms4[::-1], shared_draw=True))),
+        ]
+        grid = itertools.product(SelectionRuleName, (False, True), AcquisitionPolicy, BettingStrategy, Direction)
+        trials = [0, 1, 2]
+        for j, (rule, literal, policy, strategy, direction) in enumerate(grid):
+            spec = kinds[j % 4]
+            cfg = small_config(
+                rule, 4, literal, t_max=12, d_stop=2, direction=direction, delta=0.5,
+                acquisition=AcquisitionSpec(policy, epsilon=0.3, batch_size=2),
+                betting=BettingSpec(strategy),
+                extra_metrics=(MetricSpec(0.4, direction),) if j % 4 == 3 else (),
+            )
+            rows = run_block(cfg, spec.make_block(cfg.seed, trials), trials, cfg.t_max, True,
+                             record_rounds=True)
+            for trial, got in zip(trials, rows):
+                assert_same_run(got, run_altt(cfg, spec.make_source(cfg.seed, trial), trial=trial))
+
+    def test_rows_stop_at_their_own_rounds(self):
+        cfg = small_config(SelectionRuleName.BH, SMALL_SPEC.n, d_stop=3)
+        trials = list(range(12))
+        rows = run_block(cfg, SMALL_SPEC.make_block(cfg.seed, trials), trials, cfg.t_max, True,
+                         record_rounds=True)
+        assert len({row.T for row in rows if row.T < cfg.t_max}) > 3
+        for trial, got in zip(trials, rows):
+            assert_same_run(got, run_altt(cfg, SMALL_SPEC.make_source(cfg.seed, trial), trial=trial))
+
+
+wealth_rows = st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([float("-inf"), -1.0, 0.0, 0.5, 3.0, float("inf")]) | st.floats(-5, 5),
+             min_size=n, max_size=n), min_size=1, max_size=5))
+
+
+value_atoms = [0.0, 0.01, 0.05, 0.5, 1.0, 3.0, float("inf")]
+value_rows = st.one_of(st.integers(20, 60), st.integers(1, 20)).flatmap(lambda n: st.lists(
+    st.one_of(st.lists(st.sampled_from(value_atoms), min_size=n, max_size=n),
+              st.lists(st.sampled_from(value_atoms) | st.floats(0.0, 5.0), min_size=n, max_size=n)),
+    min_size=1, max_size=4))
+
+
+class TestRowWiseLayers:
+    @settings(max_examples=250, deadline=None)
+    @given(w=wealth_rows, data=st.data())
+    def test_select_rows_is_select_batch_per_row(self, w, data):
+        # Uncertified ids bankrupt at -inf must stay in the pool.
+        wealths = np.array(w)
+        r, n = wealths.shape
+        certified = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                                min_size=r, max_size=r)))
+        spec = AcquisitionSpec(data.draw(st.sampled_from(AcquisitionPolicy)),
+                               epsilon=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+                               batch_size=data.draw(st.integers(1, n)))
+        t = data.draw(st.integers(1, 50))
+        prefixes = [mix64(TAG_RISK, j, 3) for j in range(r)]
+        got = select_rows(spec, wealths, certified, np.array(prefixes, dtype=np.uint64), t)
+        for j in range(r):
+            cert = frozenset(np.flatnonzero(certified[j]).tolist())
+            want = select_batch(spec, w[j], cert, MixStream.from_prefix(prefixes[j], t), t)
+            assert tuple(np.flatnonzero(got[j]).tolist()) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(v=value_rows, data=st.data(), literal=st.booleans())
+    def test_select_set_rows_is_the_rule_per_row(self, v, data, literal):
+        # Rows long enough to reach numpy's partitioning sorts, with ties.
+        n = len(v[0])
+        delta = data.draw(deltas)
+        pv = np.minimum(np.array(v) / 5.0, 1.0)
+        ev = np.array(v) * 10.0
+        order = tuple(data.draw(st.permutations(range(n))))
+        for rule, values, fn in (
+            (SelectionRuleName.BONFERRONI, pv, lambda x: bonferroni(x, delta)),
+            (SelectionRuleName.FIXED_SEQUENCE, pv, lambda x: fixed_sequence(x, order, delta)),
+            (SelectionRuleName.BH, pv, lambda x: bh(x, delta, literal)),
+            (SelectionRuleName.BY, pv, lambda x: by(x, delta, literal)),
+            (SelectionRuleName.EBH, ev, lambda x: ebh(x, delta, literal)),
+        ):
+            got = select_set_rows(rule, values, delta, literal, order)
+            for j in range(len(values)):
+                assert frozenset(np.flatnonzero(got[j]).tolist()) == fn(values[j].tolist()).selected
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_updates_is_update_per_element(self, data):
+        # g beyond the payoff range reaches the ruin branch x <= -1, and a
+        # log wealth of -inf must stay there.
+        bound = bet_bound(data.draw(levels), data.draw(st.sampled_from(Direction)))
+        size = data.draw(st.integers(1, 20))
+        lw = np.array(data.draw(st.lists(st.sampled_from([0.0, -math.inf, 2.5]) | st.floats(-50, 50),
+                                         min_size=size, max_size=size)))
+        g = np.array(data.draw(st.lists(st.floats(-3.0, 1.0), min_size=size, max_size=size)))
+        mu = np.array(data.draw(st.lists(st.floats(0.0, bound.mu_max, exclude_max=True),
+                                         min_size=size, max_size=size)))
+        got = updates(lw, g, mu, bound)
+        assert _hex(got) == _hex(update(a, b, c, bound) for a, b, c in zip(lw.tolist(), g.tolist(), mu.tolist()))
+        with pytest.raises(BetOutOfBounds):
+            updates(lw, g, np.where(np.arange(size) == size - 1, bound.mu_max, mu), bound)
+
+
+def reference_summary(cfg, spec, M, base_seed):
+    """run_trials' summary from the scalar engine, added in trial order."""
+    reliable = derive_reliable(cfg, spec)
+    acc = TrialAccumulator(reliable, cfg.n_candidates, cfg.t_max)
+    for trial in range(M):
+        _, result, rel_hits, unrel_hits, sizes = _one_trial((cfg, spec, base_seed, trial, reliable))
+        acc.add(result, rel_hits, unrel_hits, sizes)
+    return acc.summary(True)
+
+
+class TestRunTrials:
+    # M=7 splits unevenly at 2 and 3 workers; 9 workers exceed the trials.
+    def test_equal_to_the_scalar_reference_at_any_worker_count(self, monkeypatch):
+        cfg = small_config(SelectionRuleName.EBH, SMALL_SPEC.n, d_stop=5, t_max=150, delta=0.9)
+        want = reference_summary(cfg, SMALL_SPEC, 7, 5)
+        assert 0.0 < want.fdr_hat_unconditional
+        assert set(want.stop_reason_counts) == {"reached_d", "reached_t_max"}
+        for workers in (1, 2, 3, 9):
+            assert run_trials(cfg, SMALL_SPEC, M=7, base_seed=5, workers=workers) == want
+        monkeypatch.setattr("ecalib.simharness.BLOCK_TRIALS", 2)
+        assert run_trials(cfg, SMALL_SPEC, M=7, base_seed=5) == want
+
+    def test_fdp_sums_follow_trial_order(self):
+        # The fractional FDPs of this instance sum to different bits in
+        # numpy 2's pairwise order; run_trials adds them one trial at a time.
+        cfg = small_config(SelectionRuleName.BH, SMALL_SPEC.n, d_stop=5, t_max=150, delta=0.5)
+        got = run_trials(cfg, SMALL_SPEC, M=40, base_seed=3)
+        fdps = []
+        unreliable = frozenset(range(SMALL_SPEC.n)) - derive_reliable(cfg, SMALL_SPEC)
+        reliable = derive_reliable(cfg, SMALL_SPEC)
+        for trial in range(40):
+            result = _one_trial((cfg, SMALL_SPEC, 3, trial, reliable))[1]
+            if result.selected:
+                fdps.append(len(result.selected & unreliable) / len(result.selected))
+        in_order = 0.0
+        for x in fdps:
+            in_order += x
+        assert sum(x > 0.0 for x in fdps) > 1
+        assert got.fdr_hat_unconditional == in_order / 40
+        assert got == reference_summary(cfg, SMALL_SPEC, 40, 3)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    yield workloads
+    sys.modules.pop("workloads", None)
+
+
+# sha256 of final.json and summary.csv from ``ecalib validate`` on each
+# benchmark workload's Monte Carlo config, computed with the one-run engine.
+VALIDATE_GOLDEN = {
+    ("narrow", 7): ("b32ab7b4d2f0c0c649a98b27eb77eb530bedbd01b1af38072d35f1ba17bae545",
+                    "fc9d4e8832347324dc92ea822b1a234dcf9877bea7cfeeda2cf019277b15e72b"),
+    ("narrow", 8): ("c5e7c8361f4ae4e056a756614a28e9b9dc7b02f7d59df8b1955cde8c004825b3",
+                    "e0fbcb34dfa009b507d72fcaf817da0eee72e678acae9106ade077c7132750a7"),
+    ("wide", 7): ("92d27f9ee6fe92c421b2191f17a93d5acd3638cef248d9e4b368a529392a6ef8",
+                  "5b66339f0a3cfd5a2a326bdcc17b2d0aacc0cfaec8635604aab69855d485fa6e"),
+    ("wide", 8): ("940b46c3e98d9e1f85e0941d5ca37b84212bb5347d0efe02122c731b0f6d41b5",
+                  "909033417c6a04de3fd158d2a52fe9e6c069b8b5fa837831f1d3023e2064b1f0"),
+}
+VALIDATE_TRIALS = {"narrow": 12, "wide": 3}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name,seed", sorted(VALIDATE_GOLDEN))
+def test_validate_writes_the_golden_bytes(tmp_path, workloads, name, seed, workers):
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps(workloads.WORKLOADS[name](seed).mc_config), encoding="utf-8")
+    out = tmp_path / "val"
+    argv = ["validate", "--config", str(cfg_path), "--trials", str(VALIDATE_TRIALS[name]),
+            "--out", str(out), "--workers", str(workers)]
+    assert main(argv) == 0
+    final_sha, summary_sha = VALIDATE_GOLDEN[name, seed]
+    assert hashlib.sha256((out / "final.json").read_bytes()).hexdigest() == final_sha
+    assert hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest() == summary_sha

@@ -1,4 +1,4 @@
-"""Synthetic sources, trial scoring, and the vectorized single-arm lane."""
+"""Synthetic sources, trial scoring, and single-arm runs on the batched engine."""
 
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from ecalib.simharness import (
     derive_reliable,
     run_trials,
     sample_risk,
-    single_arm_mc,
 )
 
 
@@ -250,53 +249,38 @@ class TestMetricOrderings:
 
 
 class TestSingleArmLane:
-    """The vectorized lane must reproduce the engine trajectory exactly."""
+    """One arm on the trial-batched engine, as criteria 5 and 7 run it."""
 
     @pytest.mark.parametrize(
         "strategy",
         [BettingStrategy.UNIT, BettingStrategy.MAX, BettingStrategy.AGRAPA, BettingStrategy.ONS],
     )
-    def test_paths_match_the_scalar_engine(self, strategy):
+    def test_paths_match_the_scalar_engine(self, single_arm, strategy):
         mean, alpha, rounds, seed = 0.35, 0.5, 120, 41
-        betting = BettingSpec(strategy)
-        out = single_arm_mc(
-            mean, alpha, Direction.RISK_BELOW, betting, rounds, 3, seed, keep_paths=True
-        )
+        cfg, runs = single_arm(mean, alpha, BettingSpec(strategy), rounds, 3, seed, record_rounds=True)
         spec = SyntheticSpec((Bernoulli(mean),))
-        cfg = full_batch_config(1, alpha=alpha, delta=0.05, t_max=rounds, d_stop=1, betting=betting)
-        for trial in range(3):
+        for trial, run in enumerate(runs):
             result = run_ltt(cfg, spec.make_source(seed, trial), rounds, trial=trial)
-            for t, rec in enumerate(result.records, start=1):
-                lw = out["log_wealth_paths"][trial, t - 1]
-                w = rec.wealth[0]
-                if w == 0.0:
-                    assert lw < -700.0
-                else:
-                    assert math.isclose(math.log(w), lw, rel_tol=1e-9, abs_tol=1e-9)
+            assert len(run.records) == rounds
+            for got, want in zip(run.records, result.records):
+                assert got.risks == want.risks
+                assert got.wealth[0].hex() == want.wealth[0].hex()
+                assert got.anytime_p[0].hex() == want.anytime_p[0].hex()
+            assert run.selected == result.selected
 
-    def test_summary_arrays_are_consistent(self):
-        out = single_arm_mc(
-            0.4,
-            0.5,
-            Direction.RISK_BELOW,
-            BettingSpec(BettingStrategy.ONS),
-            200,
-            50,
-            7,
-            keep_paths=True,
-        )
-        paths = out["log_wealth_paths"]
-        assert paths.shape == (50, 200)
-        np.testing.assert_array_equal(out["final_log_wealth"], paths[:, -1])
-        np.testing.assert_array_equal(out["max_log_wealth"], paths.max(axis=1))
-        assert np.all(out["max_log_wealth"] >= 0.0)
+    def test_summary_arrays_are_consistent(self, single_arm):
+        _, runs = single_arm(0.4, 0.5, BettingSpec(BettingStrategy.ONS), 200, 50, 7, record_rounds=True)
+        for run in runs:
+            assert run.T == 200
+            assert run.final_wealth == run.records[-1].wealth
+            assert run.final_anytime_p[0] == min(r.anytime_p[0] for r in run.records)
+            best = max(1.0, max(r.wealth[0] for r in run.records))
+            assert math.isclose(run.final_anytime_p[0], 1.0 / best, rel_tol=1e-12)
 
-    def test_boundary_null_rarely_beats_the_wealth_bar(self):
+    def test_boundary_null_rarely_beats_the_wealth_bar(self, single_arm):
         # mean == alpha: the wealth process is a supermartingale, so
         # P(sup wealth >= 1/delta) <= delta.
         delta, trials = 0.1, 2000
-        out = single_arm_mc(
-            0.5, 0.5, Direction.RISK_BELOW, BettingSpec(BettingStrategy.ONS), 400, trials, 19
-        )
-        rate = float(np.mean(out["max_log_wealth"] >= math.log(1.0 / delta)))
+        _, runs = single_arm(0.5, 0.5, BettingSpec(BettingStrategy.ONS), 400, trials, 19)
+        rate = float(np.mean([run.final_anytime_p[0] <= delta for run in runs]))
         assert rate <= delta + 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
