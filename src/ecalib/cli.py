@@ -27,11 +27,13 @@ from .errors import EcalibError
 from .oracle import command_argv, oracle_client
 from .orchestrator import run_altt
 from .runio import (
+    SUMMARY_HEADER,
     SWEEP_AXES,
     OracleSpec,
     RunPlan,
     load_config,
     read_manifest,
+    read_summary_csv,
     realized_curves,
     replay_check,
     sweep_value,
@@ -76,8 +78,7 @@ def _check_workers(args) -> None:
 
 def _monte_carlo(cfg, source, args):
     """``--trials`` trials of cfg on ``--workers`` processes (validate, sweep)."""
-    compute_tpr = bool(derive_reliable(cfg, source))
-    return run_trials(cfg, source, M=args.trials, base_seed=cfg.seed, workers=args.workers, compute_tpr=compute_tpr)
+    return run_trials(cfg, source, M=args.trials, base_seed=cfg.seed, workers=args.workers)
 
 
 def _write_single_run(command: str, out: Path, plan: RunPlan, started: str, result, reliable) -> int:
@@ -186,18 +187,14 @@ def cmd_report(args) -> int:
     if not run_dirs:
         print("no runs found", file=sys.stderr)
         return 2
-    rows = []
-    for run in run_dirs:
-        with open(run / "summary.csv", newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                rows.append([run.name, row["t"], row["tpr"], row["fwer"], row["fdr"], row["mean_set_size"]])
+    rows = [[run.name, *row] for run in run_dirs for row in read_summary_csv(run)]
     try:
         sink = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     except OSError as exc:
         raise EcalibError(f"--out {args.out!r}: {exc.strerror}") from None
     try:
         w = csv.writer(sink)
-        w.writerow(["run", "t", "tpr", "fwer", "fdr", "mean_set_size"])
+        w.writerow(["run", *SUMMARY_HEADER])
         w.writerows(rows)
     finally:
         if args.out:

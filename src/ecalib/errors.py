@@ -27,10 +27,6 @@ class InvalidOrder(EcalibError):
     """A testing order is not a permutation of the candidate ids."""
 
 
-class NoReliableArm(EcalibError):
-    """Ground truth contains no reliable candidate, so TPR is undefined."""
-
-
 class SourceFailure(EcalibError):
     """A risk source returned a malformed or out-of-range batch."""
 

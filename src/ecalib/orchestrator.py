@@ -17,7 +17,8 @@ Selection rules are pure functions of the p-values (e-values for ebh), so
 the loop re-selects only in rounds where an input of the rule changed: a
 running maximum rose, or for ebh an e-value moved.  In every other round the
 certified set is the one the rule returned last.  Before the first round all
-p- and e-values are 1, where every rule selects nothing.
+p- and e-values are 1, where every rule selects nothing.  Both engines
+select with ``selection.select_rows``; ``_run`` passes its one row.
 
 run_block is the same engine for a block of M trials advancing in
 lock-step: its state is (M, N, K) arrays, one row per trial, and a row
@@ -32,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -106,23 +107,6 @@ def _exps(lw: np.ndarray) -> np.ndarray:
     return e
 
 
-def _make_selector(
-    cfg: CalibrationConfig, pvals: list[float], evals: list[float]
-) -> Callable[[], selection.SelectionResult]:
-    rule = cfg.selection_rule
-    delta = cfg.delta
-    if rule is SelectionRuleName.BONFERRONI:
-        return lambda: selection.bonferroni(pvals, delta)
-    if rule is SelectionRuleName.FIXED_SEQUENCE:
-        order = cfg.fixed_sequence_order or tuple(range(cfg.n_candidates))
-        return lambda: selection.fixed_sequence(pvals, order, delta)
-    if rule is SelectionRuleName.BH:
-        return lambda: selection.bh(pvals, delta, cfg.literal_set)
-    if rule is SelectionRuleName.BY:
-        return lambda: selection.by(pvals, delta, cfg.literal_set)
-    return lambda: selection.ebh(evals, delta, cfg.literal_set)
-
-
 def _run(
     cfg: CalibrationConfig,
     source: RiskSource,
@@ -149,8 +133,15 @@ def _run(
     pvals = [1.0] * n
     evals = [1.0] * n  # merged wealth, linear
 
-    select_fn = _make_selector(cfg, pvals, evals)
     on_evals = cfg.selection_rule is SelectionRuleName.EBH
+    rule_values = evals if on_evals else pvals
+
+    def select() -> frozenset[int]:
+        row = selection.select_rows(
+            cfg.selection_rule, np.array([rule_values]), cfg.delta, cfg.literal_set, cfg.fixed_sequence_order
+        )[0]
+        return frozenset(np.flatnonzero(row).tolist())
+
     acq_prefix = mix64(TAG_ACQ, seed, trial)
     token_prefix = mix64(TAG_TOKEN, seed, trial) if getattr(source, "reads_token", True) else None
     certified: frozenset[int] = frozenset()
@@ -206,7 +197,7 @@ def _run(
             evals[i] = e
         n_queries += len(batch)
         if adaptive and changed:
-            certified = select_fn().selected
+            certified = select()
         if record_rounds:
             records.append(
                 RoundRecord(t, batch, risks_row, tuple(evals), tuple(pvals), certified)
@@ -219,7 +210,7 @@ def _run(
             break
 
     if not adaptive:
-        certified = select_fn().selected
+        certified = select()
 
     return RunResult(
         selected=certified,

@@ -179,8 +179,3 @@ def randbelow_np(u64: np.ndarray, n: np.ndarray | int) -> np.ndarray:
 def unit_uniform_from_np(prefix: np.ndarray, *parts: np.ndarray | int) -> np.ndarray:
     """Vectorized unit_uniform_from over broadcastable prefixes and parts."""
     return uniform_np(stream_u64_np(mix64_from_np(prefix, *parts), 1))
-
-
-def unit_uniform_np(parts: list[np.ndarray | int]) -> np.ndarray:
-    """Vectorized unit_uniform over broadcastable key parts."""
-    return unit_uniform_from_np(np.uint64(0), *parts)

@@ -302,10 +302,11 @@ def parse_config(d: dict) -> RunPlan:
     if bad:
         raise InvalidConfig(bad)
 
-    if isinstance(source, (SyntheticSpec, CompositeSyntheticSpec)) and source.n != cfg.n_candidates:
-        bad.append("source arm count disagrees with n_candidates")
-    if isinstance(source, CompositeSyntheticSpec) and len(source.metrics) != 1 + len(cfg.extra_metrics):
-        bad.append("composite source metric count disagrees with config")
+    if isinstance(source, (SyntheticSpec, CompositeSyntheticSpec)):
+        if source.n != cfg.n_candidates:
+            bad.append("source arm count disagrees with n_candidates")
+        if len(source.metrics) != 1 + len(cfg.extra_metrics):
+            bad.append("source metric count disagrees with config")
     if isinstance(source, OracleSpec) and cfg.extra_metrics:
         bad.append("oracle sources support single-metric configs only")
     # The JSON states two settings that the config holds once.
@@ -384,6 +385,7 @@ def read_manifest(run_dir: Path) -> dict:
 
 
 ROUNDS_HEADER = ["trial", "t", "tested_ids", "risks", "wealths", "selected_ids"]
+SUMMARY_HEADER = ["t", "tpr", "fwer", "fdr", "mean_set_size"]
 
 
 def _risk_cell(risks_row, multi_metric: bool) -> str:
@@ -419,9 +421,31 @@ def write_summary_csv(
 ) -> None:
     with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["t", "tpr", "fwer", "fdr", "mean_set_size"])
+        w.writerow(SUMMARY_HEADER)
         for t in range(len(sizes)):
             w.writerow([t + 1, fmt17(tpr[t]), fmt17(fwer[t]), fmt17(fdr[t]), fmt17(sizes[t])])
+
+
+def read_summary_csv(run_dir: Path) -> list[list[str]]:
+    """The rows of run_dir/summary.csv below its header; EcalibError names
+    the file (and line) when it cannot be read as one."""
+    path = run_dir / "summary.csv"
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != SUMMARY_HEADER:
+                raise EcalibError(f"{path}: header {header} != {SUMMARY_HEADER}")
+            rows = []
+            for row in reader:
+                if len(row) != len(SUMMARY_HEADER):
+                    raise EcalibError(f"{path} line {reader.line_num}: {len(row)} fields, not {len(SUMMARY_HEADER)}")
+                rows.append(row)
+            return rows
+    except OSError as exc:
+        raise EcalibError(f"cannot read {path}: {exc.strerror}") from None
+    except (ValueError, csv.Error) as exc:
+        raise EcalibError(f"{path} is not a UTF-8 CSV file: {exc}") from None
 
 
 def realized_curves(result: RunResult, reliable: frozenset[int] | None):

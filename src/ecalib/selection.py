@@ -1,17 +1,18 @@
 """Certified-set selection rules.
 
 All rules are pure: given the current anytime-valid p-values (or e-values for
-ebh) they return the certified set plus the per-rank thresholds that produced
-it.  Step-up rules (bh, by, ebh) default to the standard closure (select every
-rank up to the largest passing rank k*); ``literal=True`` instead selects
-exactly the ranks whose own predicate passes, which can be non-contiguous.
-Ties in p or e are ranked by ascending id so results are deterministic: the
-step-up rules rank with a stable argsort, which orders ties exactly as
-sorting on (value, id) does, and compute each (N, delta)'s thresholds once.
+ebh) they return the certified set.  Step-up rules (bh, by, ebh) default to
+the standard closure (select every rank up to the largest passing rank k*);
+``literal=True`` instead selects exactly the ranks whose own predicate
+passes, which can be non-contiguous.  Ties in p or e are ranked by ascending
+id so results are deterministic: the step-up rules rank with a stable
+argsort, which orders ties exactly as sorting on (value, id) does, and
+compute each (N, delta)'s thresholds once.
 
-``select_rows`` applies a rule to every row of an (R, N) array at once, for
-the trial-batched engine; each row's mask marks exactly the set the rule
-returns for that row.  The step-up rules share one row-wise core.
+``select_rows`` is the one implementation of every rule: it applies a rule
+to each row of an (R, N) array at once, and both engines select through it.
+The named rules (``bonferroni``, ..., ``ebh``) check one row's values
+against the rule's domain and then select on that row.
 """
 
 from __future__ import annotations
@@ -29,37 +30,6 @@ from .errors import OutOfRange
 @dataclass(frozen=True)
 class SelectionResult:
     selected: frozenset[int]
-    rule: str
-    thresholds: tuple[float, ...]
-
-
-def _check_p(p: Sequence[float]) -> None:
-    for v in p:
-        # 0.0 is tolerated as extreme-evidence underflow of exp(-log max wealth).
-        if not 0.0 <= v <= 1.0:
-            raise OutOfRange(f"p-value {v!r} out of [0,1]")
-
-
-def _check_e(e: Sequence[float]) -> None:
-    for v in e:
-        if not v >= 0.0:
-            raise OutOfRange(f"e-value {v!r} not a nonnegative real")
-
-
-def _checked_array(values: Sequence[float], check, in_domain) -> np.ndarray:
-    """``values`` as float64, after the same range check ``check`` makes."""
-    x = np.array(values, dtype=np.float64)
-    if not in_domain(x).all():
-        check(values)  # raises on the first value out of domain
-    return x
-
-
-def _p_in_domain(x: np.ndarray) -> np.ndarray:
-    return (x >= 0.0) & (x <= 1.0)
-
-
-def _e_in_domain(x: np.ndarray) -> np.ndarray:
-    return x >= 0.0
 
 
 def _frozen(values) -> np.ndarray:
@@ -68,27 +38,23 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
-# Per-rank thresholds depend only on (n, delta); each rule computes them once
-# as the reported tuple plus a float64 copy for the vectorised compare.
+# Per-rank thresholds depend only on (n, delta); each rule computes them once.
 
 
 @lru_cache(maxsize=64)
-def _bh_thresholds(n: int, delta: float) -> tuple[tuple[float, ...], np.ndarray]:
-    thr = tuple((k + 1) * delta / n for k in range(n))
-    return thr, _frozen(thr)
+def _bh_thresholds(n: int, delta: float) -> np.ndarray:
+    return _frozen([(k + 1) * delta / n for k in range(n)])
 
 
 @lru_cache(maxsize=64)
-def _by_thresholds(n: int, delta: float) -> tuple[tuple[float, ...], np.ndarray]:
+def _by_thresholds(n: int, delta: float) -> np.ndarray:
     h_n = sum(1.0 / k for k in range(1, n + 1))
-    thr = tuple((k + 1) * delta / (n * h_n) for k in range(n))
-    return thr, _frozen(thr)
+    return _frozen([(k + 1) * delta / (n * h_n) for k in range(n)])
 
 
 @lru_cache(maxsize=64)
-def _ebh_thresholds(n: int, delta: float) -> tuple[tuple[float, ...], np.ndarray]:
-    thr = tuple(n / ((k + 1) * delta) for k in range(n))
-    return thr, _frozen(thr)
+def _ebh_thresholds(n: int, delta: float) -> np.ndarray:
+    return _frozen([n / ((k + 1) * delta) for k in range(n)])
 
 
 def _step_up_rows(ranked: np.ndarray, passed: np.ndarray, literal: bool) -> np.ndarray:
@@ -111,54 +77,6 @@ def _ranked_rows(x: np.ndarray, thr_arr: np.ndarray, ascending: bool, literal: b
     return _step_up_rows(ranked, passed, literal)
 
 
-def _one_row(x: np.ndarray, thr_arr: np.ndarray, ascending: bool, literal: bool) -> frozenset[int]:
-    return frozenset(np.flatnonzero(_ranked_rows(x[None, :], thr_arr, ascending, literal)[0]).tolist())
-
-
-def bonferroni(p: Sequence[float], delta: float) -> SelectionResult:
-    """Select {i: p_i <= delta / N}."""
-    _check_p(p)
-    n = len(p)
-    thr = delta / n
-    selected = frozenset(i for i, v in enumerate(p) if v <= thr)
-    return SelectionResult(selected, "bonferroni", (thr,) * n)
-
-
-def fixed_sequence(p: Sequence[float], order: Sequence[int], delta: float) -> SelectionResult:
-    """Select the longest prefix of ``order`` with every p <= delta."""
-    _check_p(p)
-    n = len(p)
-    check_order(tuple(order), n)
-    selected: list[int] = []
-    for i in order:
-        if p[i] <= delta:
-            selected.append(i)
-        else:
-            break
-    return SelectionResult(frozenset(selected), "fixed_sequence", (delta,) * n)
-
-
-def bh(p: Sequence[float], delta: float, literal: bool = False) -> SelectionResult:
-    """Step-up over ascending p with per-rank threshold k * delta / N."""
-    thr, thr_arr = _bh_thresholds(len(p), delta)
-    x = _checked_array(p, _check_p, _p_in_domain)
-    return SelectionResult(_one_row(x, thr_arr, True, literal), "bh", thr)
-
-
-def by(p: Sequence[float], delta: float, literal: bool = False) -> SelectionResult:
-    """bh with every threshold shrunk by the harmonic sum H_N."""
-    thr, thr_arr = _by_thresholds(len(p), delta)
-    x = _checked_array(p, _check_p, _p_in_domain)
-    return SelectionResult(_one_row(x, thr_arr, True, literal), "by", thr)
-
-
-def ebh(e: Sequence[float], delta: float, literal: bool = False) -> SelectionResult:
-    """Step-up over descending e with per-rank threshold N / (k * delta)."""
-    thr, thr_arr = _ebh_thresholds(len(e), delta)
-    x = _checked_array(e, _check_e, _e_in_domain)
-    return SelectionResult(_one_row(x, thr_arr, False, literal), "ebh", thr)
-
-
 def select_rows(
     rule: SelectionRuleName,
     values: np.ndarray,
@@ -169,7 +87,7 @@ def select_rows(
     """The (R, N) mask of each row's certified set under ``rule``.
 
     ``values`` holds p-values, or e-values for EBH, one row per trial, in
-    their domains (the engine derives them from log wealth); ``order`` is
+    their domains (the engines derive them from log wealth); ``order`` is
     the fixed-sequence order, identity by default.
     """
     n = values.shape[1]
@@ -182,6 +100,52 @@ def select_rows(
         selected[:, order] = prefix
         return selected
     if rule is SelectionRuleName.EBH:
-        return _ranked_rows(values, _ebh_thresholds(n, delta)[1], False, literal)
+        return _ranked_rows(values, _ebh_thresholds(n, delta), False, literal)
     thresholds = _bh_thresholds if rule is SelectionRuleName.BH else _by_thresholds
-    return _ranked_rows(values, thresholds(n, delta)[1], True, literal)
+    return _ranked_rows(values, thresholds(n, delta), True, literal)
+
+
+def _select_one(
+    rule: SelectionRuleName,
+    values: Sequence[float],
+    delta: float,
+    literal: bool = False,
+    order: Sequence[int] | None = None,
+) -> SelectionResult:
+    """``select_rows`` on the one row ``values``, once every value is in the
+    rule's domain; OutOfRange names the first that is not, as given."""
+    x = np.array(values, dtype=np.float64)
+    on_e = rule is SelectionRuleName.EBH
+    # 0.0 is a p-value: extreme-evidence underflow of exp(-log max wealth).
+    bad = ~(x >= 0.0) if on_e else ~((x >= 0.0) & (x <= 1.0))
+    if bad.any():
+        v = values[int(np.argmax(bad))]
+        raise OutOfRange(f"e-value {v!r} not a nonnegative real" if on_e else f"p-value {v!r} out of [0,1]")
+    if order is not None:
+        check_order(tuple(order), len(x))
+    return SelectionResult(frozenset(np.flatnonzero(select_rows(rule, x[None, :], delta, literal, order)[0]).tolist()))
+
+
+def bonferroni(p: Sequence[float], delta: float) -> SelectionResult:
+    """Select {i: p_i <= delta / N}."""
+    return _select_one(SelectionRuleName.BONFERRONI, p, delta)
+
+
+def fixed_sequence(p: Sequence[float], order: Sequence[int], delta: float) -> SelectionResult:
+    """Select the longest prefix of ``order`` with every p <= delta."""
+    return _select_one(SelectionRuleName.FIXED_SEQUENCE, p, delta, order=order)
+
+
+def bh(p: Sequence[float], delta: float, literal: bool = False) -> SelectionResult:
+    """Step-up over ascending p with per-rank threshold k * delta / N."""
+    return _select_one(SelectionRuleName.BH, p, delta, literal)
+
+
+def by(p: Sequence[float], delta: float, literal: bool = False) -> SelectionResult:
+    """bh with every threshold shrunk by the harmonic sum H_N."""
+    return _select_one(SelectionRuleName.BY, p, delta, literal)
+
+
+def ebh(e: Sequence[float], delta: float, literal: bool = False) -> SelectionResult:
+    """Step-up over descending e with per-rank threshold N / (k * delta)."""
+    return _select_one(SelectionRuleName.EBH, e, delta, literal)

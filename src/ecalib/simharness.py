@@ -22,6 +22,7 @@ count give the same bytes.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
@@ -33,7 +34,7 @@ from scipy.special import betainc, betaincinv
 
 from .core import CalibrationConfig, GroundTruth, reliable_set
 from .eprocess import quantile_transform
-from .errors import InvalidConfig, NoReliableArm
+from .errors import InvalidConfig
 from .orchestrator import RunResult, run_altt, run_block
 from .rng import (
     TAG_RISK,
@@ -170,11 +171,16 @@ class SyntheticSpec:
             return raws
         return quantile_transform(raws, self.quantile_threshold).astype(np.float64)
 
+    @property
+    def metrics(self) -> tuple["SyntheticSpec", ...]:
+        """The one metric this spec draws."""
+        return (self,)
+
     def make_source(self, base_seed: int, trial: int) -> "SyntheticSource":
-        return SyntheticSource(self, base_seed, trial)
+        return SyntheticSource(self.metrics, base_seed, trial)
 
     def make_block(self, base_seed: int, trials: np.ndarray) -> "SyntheticBlock":
-        return SyntheticBlock(self, base_seed, trials)
+        return SyntheticBlock(self.metrics, base_seed, trials)
 
 
 def sample_risk(
@@ -189,51 +195,57 @@ def sample_risk(
 
 
 class SyntheticSource:
-    """RiskSource over a SyntheticSpec, bound to one (base_seed, trial).
+    """RiskSource over K metric specs, bound to one (base_seed, trial).
 
-    Draws the same risks as ``sample_risk``: the (tag, seed, trial) key
-    prefix is hashed once here, so each draw folds only (round, id, metric).
-    ``metric`` is the index of this spec within a composite, 0 otherwise.
+    Metric k of id i in round t is drawn on the stream keyed by (tag, seed,
+    trial, t, i, k), or (tag, seed, trial, t, k) under a shared draw, so
+    metric 0 draws what ``sample_risk`` draws.  The (tag, seed, trial)
+    prefixes are hashed once here and each id is folded in scalar Python,
+    which keeps this source an independent reference for ``SyntheticBlock``.
+    A query returns one float per id for K = 1, one K-tuple otherwise.
     """
 
     reads_token = False
 
-    def __init__(self, spec: SyntheticSpec, base_seed: int, trial: int, metric: int = 0):
-        self.spec = spec
-        self._metric = metric
-        tag = TAG_SHARED if spec.shared_draw else TAG_RISK
-        self._prefix = mix64(tag, base_seed, trial)
+    def __init__(self, metrics: tuple[SyntheticSpec, ...], base_seed: int, trial: int):
+        self.metrics = metrics
+        self._prefixes = [mix64(TAG_SHARED if m.shared_draw else TAG_RISK, base_seed, trial) for m in metrics]
 
-    def query(self, round_index: int, ids: Sequence[int], token: str) -> list[float]:
-        k = self._metric
-        if self.spec.shared_draw:
-            us = [unit_uniform_from(self._prefix, round_index, k)] * len(ids)
-        else:
-            prefix = mix64_from(self._prefix, round_index)
-            us = [unit_uniform_from(prefix, i, k) for i in ids]
-        return self.spec.draw(np.asarray(ids, dtype=np.intp), np.asarray(us, dtype=np.float64)).tolist()
+    def query(self, round_index: int, ids: Sequence[int], token: str) -> list:
+        ids_arr = np.asarray(ids, dtype=np.intp)
+        draws = []
+        for k, (spec, prefix) in enumerate(zip(self.metrics, self._prefixes)):
+            if spec.shared_draw:
+                us = [unit_uniform_from(prefix, round_index, k)] * len(ids)
+            else:
+                prefix = mix64_from(prefix, round_index)
+                us = [unit_uniform_from(prefix, i, k) for i in ids]
+            draws.append(spec.draw(ids_arr, np.asarray(us, dtype=np.float64)).tolist())
+        return draws[0] if len(draws) == 1 else list(zip(*draws))
 
 
 class SyntheticBlock:
     """The risks SyntheticSource draws, for a block of trials at once.
 
-    ``query(t, rows, ids)`` returns the round-t risk of id ids[j] in trial
-    trials[rows[j]], as an (P, 1) array.
+    ``query(t, rows, ids)`` returns the round-t risks of id ids[j] in trial
+    trials[rows[j]] as row j of a (P, K) array, column k holding metric k.
     """
 
-    def __init__(self, spec: SyntheticSpec, base_seed: int, trials: np.ndarray, metric: int = 0):
-        self.spec = spec
-        self._metric = metric
-        tag = TAG_SHARED if spec.shared_draw else TAG_RISK
-        self._prefix = mix64_np([tag, base_seed, np.asarray(trials, dtype=np.uint64)])
+    def __init__(self, metrics: tuple[SyntheticSpec, ...], base_seed: int, trials: np.ndarray):
+        self.metrics = metrics
+        trials = np.asarray(trials, dtype=np.uint64)
+        self._prefixes = [mix64_np([TAG_SHARED if m.shared_draw else TAG_RISK, base_seed, trials]) for m in metrics]
 
     def query(self, round_index: int, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        key = mix64_from_np(self._prefix, round_index)
-        if self.spec.shared_draw:
-            u = unit_uniform_from_np(key, self._metric)[rows]
-        else:
-            u = unit_uniform_from_np(key[rows], ids, self._metric)
-        return self.spec.draw(ids, u)[:, None]
+        risks = np.empty((len(ids), len(self.metrics)))
+        for k, (spec, prefix) in enumerate(zip(self.metrics, self._prefixes)):
+            key = mix64_from_np(prefix, round_index)
+            if spec.shared_draw:
+                u = unit_uniform_from_np(key, k)[rows]
+            else:
+                u = unit_uniform_from_np(key[rows], ids, k)
+            risks[:, k] = spec.draw(ids, u)
+        return risks
 
 
 @dataclass(frozen=True)
@@ -251,49 +263,20 @@ class CompositeSyntheticSpec:
     def n(self) -> int:
         return self.metrics[0].n
 
-    def make_source(self, base_seed: int, trial: int) -> "CompositeSyntheticSource":
-        return CompositeSyntheticSource(self, base_seed, trial)
-
-    def make_block(self, base_seed: int, trials: np.ndarray) -> "CompositeSyntheticBlock":
-        return CompositeSyntheticBlock(self, base_seed, trials)
-
-
-class CompositeSyntheticSource:
-    """One SyntheticSource per metric; each id gets the K-tuple of their draws."""
-
-    reads_token = False
-
-    def __init__(self, spec: CompositeSyntheticSpec, base_seed: int, trial: int):
-        self._sources = [
-            SyntheticSource(m, base_seed, trial, k) for k, m in enumerate(spec.metrics)
-        ]
-
-    def query(self, round_index: int, ids: Sequence[int], token: str) -> list[tuple[float, ...]]:
-        return list(zip(*(s.query(round_index, ids, token) for s in self._sources)))
-
-
-class CompositeSyntheticBlock:
-    """One SyntheticBlock per metric; column k of a query holds metric k."""
-
-    def __init__(self, spec: CompositeSyntheticSpec, base_seed: int, trials: np.ndarray):
-        self._blocks = [SyntheticBlock(m, base_seed, trials, k) for k, m in enumerate(spec.metrics)]
-
-    def query(self, round_index: int, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        return np.hstack([b.query(round_index, rows, ids) for b in self._blocks])
+    make_source = SyntheticSpec.make_source
+    make_block = SyntheticSpec.make_block
 
 
 def derive_reliable(cfg: CalibrationConfig, spec) -> frozenset[int]:
     """Ground-truth reliable set implied by the spec's means and the config's
     requirement(s); composite candidates must conform on every metric."""
-    if isinstance(spec, CompositeSyntheticSpec):
-        reqs = [(cfg.alpha, cfg.direction)] + [(m.alpha, m.direction) for m in cfg.extra_metrics]
-        if len(reqs) != len(spec.metrics):
-            raise InvalidConfig(["composite spec metric count disagrees with config"])
-        out = frozenset(range(spec.n))
-        for (alpha, direction), mspec in zip(reqs, spec.metrics):
-            out &= reliable_set(GroundTruth(mspec.means()), alpha, direction)
-        return out
-    return reliable_set(GroundTruth(spec.means()), cfg.alpha, cfg.direction)
+    reqs = [(cfg.alpha, cfg.direction)] + [(m.alpha, m.direction) for m in cfg.extra_metrics]
+    if len(reqs) != len(spec.metrics):
+        raise InvalidConfig(["spec metric count disagrees with config"])
+    out = frozenset(range(spec.n))
+    for (alpha, direction), mspec in zip(reqs, spec.metrics):
+        out &= reliable_set(GroundTruth(mspec.means()), alpha, direction)
+    return out
 
 
 # Trials per block; a block's curves hold 3 * BLOCK_TRIALS * t_max counts.
@@ -382,12 +365,12 @@ class TrialAccumulator:
         self.sum_fdp_curve += fdp_curve
         self.sum_size += sizes
 
-    def summary(self, compute_tpr: bool) -> MetricsSummary:
+    def summary(self) -> MetricsSummary:
         m = self.m
         fwer = self.n_any_false / m
         fdr_u = self.sum_fdp / m
         fdr_c = self.sum_fdp / self.n_nonempty if self.n_nonempty else math.nan
-        if compute_tpr and self.reliable:
+        if self.reliable:
             tpr = self.sum_tp / m
             tpr_var = max(0.0, self.sum_tp_sq / m - tpr * tpr)
             tpr_margin = 3.0 * math.sqrt(tpr_var / m)
@@ -478,15 +461,15 @@ def run_trials(
     *,
     reliable: frozenset[int] | None = None,
     workers: int = 1,
-    compute_tpr: bool = True,
 ) -> MetricsSummary:
     """M independent adaptive runs, scored against ground truth.
 
     Trials run in lock-step in contiguous blocks (``_blocks``), spread over
-    ``workers`` processes; outcomes are added in trial order, so neither
-    the blocks nor the worker count changes a bit of the summary.
-    ``reliable`` overrides the derived reliable set for instances where the
-    requirement does not reduce to cfg.alpha on spec.means().
+    ``workers`` processes, at most one per CPU; outcomes are added in trial
+    order, so neither the blocks nor the worker count changes a bit of the
+    summary.  ``reliable`` overrides the derived reliable set for instances
+    where the requirement does not reduce to cfg.alpha on spec.means(); when
+    it is empty the TPR is NaN.
     """
     if M < 1:
         raise InvalidConfig(["M must be >= 1"])
@@ -494,15 +477,13 @@ def run_trials(
         raise InvalidConfig([f"workers must be >= 1, got {workers}"])
     if reliable is None:
         reliable = derive_reliable(cfg, spec)
-    if compute_tpr and not reliable:
-        raise NoReliableArm("no reliable candidate: TPR undefined")
 
     acc = TrialAccumulator(reliable, cfg.n_candidates, cfg.t_max)
     tasks = [(cfg, spec, base_seed, start, stop, reliable) for start, stop in _blocks(M, workers)]
-    parallel = workers > 1 and len(tasks) > 1
-    with ProcessPoolExecutor(min(workers, len(tasks))) if parallel else nullcontext() as pool:
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(processes) if processes > 1 else nullcontext() as pool:
         blocks = pool.map(_trial_block, tasks) if pool else map(_trial_block, tasks)
         for results, (rel_hits, unrel_hits, sizes) in blocks:
             for j, result in enumerate(results):
                 acc.add(result, rel_hits[j], unrel_hits[j], sizes[j])
-    return acc.summary(compute_tpr)
+    return acc.summary()

@@ -54,7 +54,7 @@ from ecalib.rng import (
     unit_uniform,
     unit_uniform_from,
 )
-from ecalib.selection import SelectionResult, bh, bonferroni, by, ebh, fixed_sequence
+from ecalib.selection import bh, bonferroni, by, ebh, fixed_sequence
 from ecalib.selection import select_rows as select_set_rows
 from ecalib.simharness import (
     Bernoulli,
@@ -90,8 +90,7 @@ def ref_bh(p, delta, literal):
     n = len(p)
     ranked = sorted(range(n), key=lambda i: (p[i], i))
     thresholds = tuple((k + 1) * delta / n for k in range(n))
-    sel = ref_step_up(ranked, p, thresholds, lambda v, t: v <= t, literal)
-    return SelectionResult(sel, "bh", thresholds)
+    return ref_step_up(ranked, p, thresholds, lambda v, t: v <= t, literal)
 
 
 def ref_by(p, delta, literal):
@@ -99,16 +98,22 @@ def ref_by(p, delta, literal):
     h_n = sum(1.0 / k for k in range(1, n + 1))
     ranked = sorted(range(n), key=lambda i: (p[i], i))
     thresholds = tuple((k + 1) * delta / (n * h_n) for k in range(n))
-    sel = ref_step_up(ranked, p, thresholds, lambda v, t: v <= t, literal)
-    return SelectionResult(sel, "by", thresholds)
+    return ref_step_up(ranked, p, thresholds, lambda v, t: v <= t, literal)
 
 
 def ref_ebh(e, delta, literal):
     n = len(e)
     ranked = sorted(range(n), key=lambda i: (-e[i], i))
     thresholds = tuple(n / ((k + 1) * delta) for k in range(n))
-    sel = ref_step_up(ranked, e, thresholds, lambda v, t: v >= t, literal)
-    return SelectionResult(sel, "ebh", thresholds)
+    return ref_step_up(ranked, e, thresholds, lambda v, t: v >= t, literal)
+
+
+def ref_bonferroni(p, delta):
+    return frozenset(i for i, v in enumerate(p) if v <= delta / len(p))
+
+
+def ref_fixed_sequence(p, order, delta):
+    return frozenset(itertools.takewhile(lambda i: p[i] <= delta, order))
 
 
 def ref_top_k(wealths, certified, k):
@@ -138,17 +143,17 @@ class TestRankingMatchesSortedReference:
     @settings(max_examples=300, deadline=None)
     @given(p=p_values, delta=deltas, literal=st.booleans())
     def test_bh(self, p, delta, literal):
-        assert bh(p, delta, literal) == ref_bh(p, delta, literal)
+        assert bh(p, delta, literal).selected == ref_bh(p, delta, literal)
 
     @settings(max_examples=300, deadline=None)
     @given(p=p_values, delta=deltas, literal=st.booleans())
     def test_by(self, p, delta, literal):
-        assert by(p, delta, literal) == ref_by(p, delta, literal)
+        assert by(p, delta, literal).selected == ref_by(p, delta, literal)
 
     @settings(max_examples=300, deadline=None)
     @given(e=e_values, delta=deltas, literal=st.booleans())
     def test_ebh(self, e, delta, literal):
-        assert ebh(e, delta, literal) == ref_ebh(e, delta, literal)
+        assert ebh(e, delta, literal).selected == ref_ebh(e, delta, literal)
 
     @settings(max_examples=300, deadline=None)
     @given(w=log_wealths, data=st.data())
@@ -216,6 +221,24 @@ class TestSourcesDrawTheDocumentedKeys:
                 for i in (0, 1)
             ]
             assert source.query(t, [0, 1], "") == expected
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_one_metric_composite_draws_its_spec(self, shared):
+        # K = 1 is K = 1 whichever spec kind states it: the source answers
+        # floats, the block a (P, 1) array, and a run is the plain spec's run.
+        spec = SyntheticSpec((Bernoulli(0.3), Beta(2.0, 3.0), PointMass(0.25)), shared_draw=shared)
+        composite = CompositeSyntheticSpec((spec,))
+        trials = [3, 4]
+        rows, ids = np.array([0, 1, 1]), np.array([0, 1, 2])
+        for t in (1, 4):
+            assert composite.make_source(5, 1).query(t, [0, 2], "") == spec.make_source(5, 1).query(t, [0, 2], "")
+            got = composite.make_block(5, trials).query(t, rows, ids)
+            assert got.shape == (3, 1)
+            want = [spec.make_source(5, trials[r]).query(t, [i], "")[0] for r, i in zip(rows.tolist(), ids.tolist())]
+            assert _hex(got[:, 0]) == _hex(want)
+        cfg = small_config(SelectionRuleName.BH, 3, t_max=20)
+        assert_same_run(run_altt(cfg, composite.make_source(5, 1), trial=1),
+                        run_altt(cfg, spec.make_source(5, 1), trial=1))
 
 
 def small_config(rule, n, literal=False, **kw) -> CalibrationConfig:
@@ -521,23 +544,23 @@ class TestRowWiseLayers:
 
     @settings(max_examples=200, deadline=None)
     @given(v=value_rows, data=st.data(), literal=st.booleans())
-    def test_select_set_rows_is_the_rule_per_row(self, v, data, literal):
+    def test_select_set_rows_is_the_reference_rule_per_row(self, v, data, literal):
         # Rows long enough to reach numpy's partitioning sorts, with ties.
         n = len(v[0])
         delta = data.draw(deltas)
         pv = np.minimum(np.array(v) / 5.0, 1.0)
         ev = np.array(v) * 10.0
         order = tuple(data.draw(st.permutations(range(n))))
-        for rule, values, fn in (
-            (SelectionRuleName.BONFERRONI, pv, lambda x: bonferroni(x, delta)),
-            (SelectionRuleName.FIXED_SEQUENCE, pv, lambda x: fixed_sequence(x, order, delta)),
-            (SelectionRuleName.BH, pv, lambda x: bh(x, delta, literal)),
-            (SelectionRuleName.BY, pv, lambda x: by(x, delta, literal)),
-            (SelectionRuleName.EBH, ev, lambda x: ebh(x, delta, literal)),
+        for rule, values, ref in (
+            (SelectionRuleName.BONFERRONI, pv, lambda x: ref_bonferroni(x, delta)),
+            (SelectionRuleName.FIXED_SEQUENCE, pv, lambda x: ref_fixed_sequence(x, order, delta)),
+            (SelectionRuleName.BH, pv, lambda x: ref_bh(x, delta, literal)),
+            (SelectionRuleName.BY, pv, lambda x: ref_by(x, delta, literal)),
+            (SelectionRuleName.EBH, ev, lambda x: ref_ebh(x, delta, literal)),
         ):
             got = select_set_rows(rule, values, delta, literal, order)
             for j in range(len(values)):
-                assert frozenset(np.flatnonzero(got[j]).tolist()) == fn(values[j].tolist()).selected
+                assert frozenset(np.flatnonzero(got[j]).tolist()) == ref(values[j].tolist())
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -564,7 +587,7 @@ def reference_summary(cfg, spec, M, base_seed):
     for trial in range(M):
         _, result, rel_hits, unrel_hits, sizes = _one_trial((cfg, spec, base_seed, trial, reliable))
         acc.add(result, rel_hits, unrel_hits, sizes)
-    return acc.summary(True)
+    return acc.summary()
 
 
 class TestRunTrials:

@@ -19,7 +19,7 @@ from ecalib.rng import (
     mix64,
     mix64_np,
     unit_uniform,
-    unit_uniform_np,
+    unit_uniform_from_np,
 )
 
 # SplitMix64 reference outputs for seed 0: the first values of the recurrence
@@ -121,9 +121,9 @@ class TestNumpyMirror:
         assert vec.dtype == np.uint64
         assert [int(v) for v in vec] == scalar
 
-    def test_unit_uniform_np_matches_scalar(self):
+    def test_unit_uniform_from_np_matches_scalar(self):
         idx = np.arange(50, dtype=np.uint64)
-        vec = unit_uniform_np([0xACC1, 5, idx, 10, 0, 0])
+        vec = unit_uniform_from_np(np.uint64(0), 0xACC1, 5, idx, 10, 0, 0)
         scalar = [unit_uniform(0xACC1, 5, int(i), 10, 0, 0) for i in range(50)]
         np.testing.assert_array_equal(vec, np.asarray(scalar))
 

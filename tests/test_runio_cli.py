@@ -180,6 +180,16 @@ class TestConfigErrors:
         with pytest.raises(InvalidConfig, match="arm count"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("composite", [False, True])
+    def test_metric_count_must_match(self, composite):
+        # A plain synthetic source draws one metric, a composite one per spec.
+        doc = base_config_doc()
+        doc["extra_metrics"] = [{"alpha": 0.5, "direction": "risk_below"}]
+        if composite:
+            doc["source"] = {"kind": "composite", "metrics": [doc["source"]] * 3}
+        with pytest.raises(InvalidConfig, match="source metric count disagrees with config"):
+            parse_config(doc)
+
     def test_oracle_rejects_extra_metrics(self):
         doc = base_config_doc()
         doc["acquisition"] = {"policy": "uniform_all", "batch_size": 1}
@@ -710,6 +720,28 @@ class TestUserSuppliedPaths:
         assert main(["report", "--in", str(run), "--out", out]) == 1
         [line] = error_lines(caplog)
         assert line.startswith(f"ERROR ecalib: --out {out!r}")
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda p: p.write_text("round,tpr\n1,0.5\n", encoding="utf-8"), "{p}: header ['round', 'tpr'] != "),
+            (lambda p: p.write_bytes(b"t,tpr,fwer,fdr,mean_set_size\n1,\xff,0,0,0\n"), "{p} is not a UTF-8 CSV file"),
+            (lambda p: (p.unlink(), p.mkdir()), "cannot read {p}: "),
+            (lambda p: p.write_text("t,tpr,fwer,fdr,mean_set_size\n1,0,0,0,0\n2,0\n", encoding="utf-8"),
+             "{p} line 3: 2 fields, not 5"),
+        ],
+        ids=["wrong_header", "not_utf8", "directory", "short_row"],
+    )
+    def test_report_on_an_unreadable_summary(self, tmp_path, caplog, damage, message):
+        run = tmp_path / "run"
+        assert main(["simulate", "--config", write_doc(tmp_path, base_config_doc()), "--out", str(run)]) == 0
+        damage(run / "summary.csv")
+        caplog.clear()
+        out = tmp_path / "report.csv"
+        assert main(["report", "--in", str(run), "--out", str(out)]) == 1
+        [line] = error_lines(caplog)
+        assert line.startswith("ERROR ecalib: " + message.format(p=run / "summary.csv"))
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "damage, message",

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from ecalib.selection import bh, bonferroni, by, ebh, fixed_sequence
-from ecalib.errors import OutOfRange
+from ecalib.errors import InvalidOrder, OutOfRange
 
 
 def oracle_bonferroni(p, delta):
@@ -147,14 +147,6 @@ class TestStructure:
             assert bh(p, 0.05).selected <= bh(p, 0.2).selected
             assert bonferroni(p, 0.05).selected <= bonferroni(p, 0.2).selected
 
-    def test_thresholds_reported(self):
-        res = bh([0.01, 0.5], 0.1)
-        assert res.thresholds == (0.05, 0.1)
-        res = bonferroni([0.01, 0.5], 0.1)
-        assert res.thresholds == (0.05, 0.05)
-        res = ebh([100.0, 1.0], 0.1)
-        assert res.thresholds == (20.0, 10.0)
-
     def test_literal_step_up_can_skip_ranks(self):
         # delta=0.3, n=3: rank thresholds (0.1, 0.2, 0.3).  Sorted p:
         # 0.05 passes rank 1, 0.25 fails rank 2, 0.29 passes rank 3, so the
@@ -184,3 +176,38 @@ class TestDomains:
 
     def test_zero_p_tolerated(self):
         assert bonferroni([0.0], 0.1).selected == frozenset({0})
+
+    @pytest.mark.parametrize("rule", [bonferroni, bh, by, lambda p, d: fixed_sequence(p, [1, 0, 2], d)])
+    @pytest.mark.parametrize(
+        "values, bad",
+        [([0.5, 1.5, -1.0], "1.5"), ([0.2, float("nan"), 0.5], "nan"), ([0.1, 2, 0.5], "2"),
+         ([-0.0, -1e-300, 0.5], "-1e-300")],
+        ids=["first_bad", "nan", "int", "tiny_negative"],
+    )
+    def test_p_error_names_the_first_bad_value_as_given(self, rule, values, bad):
+        with pytest.raises(OutOfRange, match=rf"^p-value {bad} out of \[0,1\]$"):
+            rule(values, 0.1)
+
+    @pytest.mark.parametrize(
+        "values, bad",
+        [([3.0, -2.0, -1.0], "-2.0"), ([float("nan"), 1.0], "nan"), ([1.0, -3], "-3"), ([float("-inf")], "-inf")],
+        ids=["first_bad", "nan", "int", "minus_inf"],
+    )
+    def test_e_error_names_the_first_bad_value_as_given(self, values, bad):
+        with pytest.raises(OutOfRange, match=rf"^e-value {bad} not a nonnegative real$"):
+            ebh(values, 0.1)
+
+    def test_p_and_e_domains_differ(self):
+        # An e-value above 1 is evidence; a p-value above 1 is not a p-value.
+        assert ebh([25.0, 1.0], 0.1).selected == frozenset({0})
+        with pytest.raises(OutOfRange, match="p-value 25.0"):
+            bh([25.0, 1.0], 0.1)
+        # A p-value of 0 is extreme evidence, an e-value of 0 is none.
+        assert bh([0.0, 1.0], 0.1).selected == frozenset({0})
+        assert ebh([0.0, 1.0], 0.1).selected == frozenset()
+
+    def test_fixed_sequence_order_checked_after_the_values(self):
+        with pytest.raises(InvalidOrder):
+            fixed_sequence([0.1, 0.2], [0, 0], 0.1)
+        with pytest.raises(OutOfRange):
+            fixed_sequence([0.1, 1.2], [0, 0], 0.1)

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from ecalib import simharness
 from ecalib.core import (
     AcquisitionPolicy,
     AcquisitionSpec,
@@ -18,7 +19,7 @@ from ecalib.core import (
     MetricSpec,
     SelectionRuleName,
 )
-from ecalib.errors import InvalidConfig, NoReliableArm
+from ecalib.errors import InvalidConfig
 from ecalib.orchestrator import run_ltt
 from ecalib.simharness import (
     Bernoulli,
@@ -197,13 +198,12 @@ class TestScoringBookkeeping:
         with pytest.raises(InvalidConfig):
             run_trials(cfg, spec, M=0)
 
-    def test_no_reliable_arm_needs_explicit_opt_out(self):
+    def test_no_reliable_arm_gives_a_nan_tpr(self):
         spec = SyntheticSpec((Bernoulli(0.9), Bernoulli(0.8)))
         cfg = full_batch_config(2, alpha=0.2, delta=0.1, t_max=20, d_stop=2)
-        with pytest.raises(NoReliableArm):
-            run_trials(cfg, spec, M=2)
-        summ = run_trials(cfg, spec, M=2, compute_tpr=False)
+        summ = run_trials(cfg, spec, M=2)
         assert math.isnan(summ.tpr_hat)
+        assert math.isnan(summ.margins["tpr"])
         assert summ.fwer_hat == 0.0
 
 
@@ -239,6 +239,33 @@ class TestMetricOrderings:
         serial = run_trials(cfg, spec, M=6, base_seed=11, workers=1)
         parallel = run_trials(cfg, spec, M=6, base_seed=11, workers=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("cpus", [3, None])
+    def test_pool_has_at_most_one_process_per_cpu(self, monkeypatch, cpus):
+        # A stand-in pool records its size and maps in process, so no
+        # process starts however many workers are asked for.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        spec = SyntheticSpec(tuple(Bernoulli(p) for p in (0.1, 0.3, 0.7)))
+        cfg = full_batch_config(3, alpha=0.4, delta=0.1, t_max=20, d_stop=3)
+        serial = run_trials(cfg, spec, M=40, base_seed=2)
+        monkeypatch.setattr(simharness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(simharness.os, "cpu_count", lambda: cpus)
+        assert run_trials(cfg, spec, M=40, base_seed=2, workers=1000) == serial
+        assert sizes == ([3] if cpus else [])
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):
