@@ -18,7 +18,8 @@ from typing import AbstractSet, Sequence
 import numpy as np
 
 from .core import AcquisitionPolicy, AcquisitionSpec
-from .rng import MixStream, mix64_from_np, randbelow_np, stream_u64_np, uniform_np
+from .rng import MixStream
+from .rng_np import mix64_from_np, randbelow_np, stream_u64_np, uniform_np
 
 
 def select_batch(

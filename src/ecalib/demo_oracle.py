@@ -23,9 +23,37 @@ def _emit(doc: dict) -> None:
     sys.stdout.flush()
 
 
+def _means(text: str) -> list[float]:
+    """The --means argument: comma-separated numbers in [0, 1]."""
+    try:
+        means = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}") from None
+    if not all(0.0 <= m <= 1.0 for m in means):
+        raise argparse.ArgumentTypeError(f"means must lie in [0, 1]: {text!r}")
+    return means
+
+
+def _request_error(msg, n: int) -> str | None:
+    """Why ``msg`` is not a test request for ids in range(n), or None."""
+    if not isinstance(msg, dict):
+        return f"not a JSON object: {msg!r}"
+    if msg.get("type") != "test":
+        return f"unexpected message type {msg.get('type')!r}"
+    t = msg.get("round")
+    if type(t) is not int:
+        return f"round must be an integer: {t!r}"
+    ids = msg.get("ids")
+    if type(ids) is not list or not all(type(i) is int and 0 <= i < n for i in ids):
+        return f"ids must be a list of integers in range({n}): {ids!r}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--means", required=True, help="comma-separated means, one per candidate")
+    parser.add_argument(
+        "--means", type=_means, required=True, help="comma-separated means in [0, 1], one per candidate"
+    )
     parser.add_argument("--dist", choices=["bernoulli", "point"], default="bernoulli")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -35,7 +63,7 @@ def main(argv=None) -> int:
         help="violate the protocol on round 2",
     )
     args = parser.parse_args(argv)
-    means = [float(x) for x in args.means.split(",")]
+    means = args.means
 
     hello = sys.stdin.readline()
     if not hello:
@@ -45,7 +73,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError:
         _emit({"type": "error", "message": "hello was not JSON"})
         return 1
-    if msg.get("type") != "hello":
+    if not isinstance(msg, dict) or msg.get("type") != "hello":
         _emit({"type": "error", "message": "expected hello"})
         return 1
     if msg.get("n_candidates") != len(means):
@@ -59,11 +87,12 @@ def main(argv=None) -> int:
         except json.JSONDecodeError:
             _emit({"type": "error", "message": f"bad request: {line!r}"})
             return 1
-        if msg.get("type") != "test":
-            _emit({"type": "error", "message": f"unexpected message type {msg.get('type')!r}"})
+        problem = _request_error(msg, len(means))
+        if problem is not None:
+            _emit({"type": "error", "message": f"bad request: {problem}"})
             return 1
-        t = int(msg["round"])
-        ids = list(msg["ids"])
+        t = msg["round"]
+        ids = msg["ids"]
         if args.misbehave != "none" and t == 2:
             if args.misbehave == "short":
                 _emit({"type": "risks", "round": t, "values": []})

@@ -47,7 +47,8 @@ from .core import (
 )
 from .eprocess import bet_bound, each, payoff, payoffs, update, updates
 from .errors import InvalidConfig, SourceFailure
-from .rng import TAG_ACQ, TAG_TOKEN, MixStream, mix64, mix64_from, mix64_np
+from .rng import TAG_ACQ, TAG_TOKEN, MixStream, mix64, mix64_from
+from .rng_np import mix64_np
 
 # exp() overflows past ~709.78; report such wealths as inf.
 _EXP_MAX = 709.0

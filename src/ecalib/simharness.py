@@ -30,27 +30,19 @@ from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 from .core import CalibrationConfig, GroundTruth, reliable_set
 from .eprocess import quantile_transform
 from .errors import InvalidConfig
 from .orchestrator import RunResult, run_altt, run_block
-from .rng import (
-    TAG_RISK,
-    TAG_SHARED,
-    mix64,
-    mix64_from,
-    mix64_from_np,
-    mix64_np,
-    unit_uniform,
-    unit_uniform_from,
-    unit_uniform_from_np,
-)
+from .rng import TAG_RISK, TAG_SHARED, mix64, mix64_from, unit_uniform, unit_uniform_from
+from .rng_np import mix64_from_np, mix64_np, unit_uniform_from_np
 
 
 # Each family's ``sample(u, *params)`` is its inverse CDF over arrays, with
 # the dataclass fields as parameters; ``draw`` is the same map at one point.
+# Beta imports scipy.special where it calls it, so a run without a Beta arm
+# never loads scipy.
 
 
 @dataclass(frozen=True)
@@ -87,6 +79,8 @@ class Beta:
 
     @staticmethod
     def sample(u, a, b):
+        from scipy.special import betaincinv
+
         return betaincinv(a, b, u)
 
     def draw(self, u: float) -> float:
@@ -97,6 +91,8 @@ class Beta:
             return 0.0
         if x >= 1.0:
             return 1.0
+        from scipy.special import betainc
+
         return float(betainc(self.a, self.b, x))
 
 
@@ -481,6 +477,10 @@ def run_trials(
     acc = TrialAccumulator(reliable, cfg.n_candidates, cfg.t_max)
     tasks = [(cfg, spec, base_seed, start, stop, reliable) for start, stop in _blocks(M, workers)]
     processes = min(workers, len(tasks), os.cpu_count() or 1)
+    if processes > 1 and any(type(arm) is Beta for metric in spec.metrics for arm in metric.arms):
+        # Beta draws need scipy.special: forked workers inherit one import
+        # here instead of each importing it.
+        import scipy.special  # noqa: F401
     with ProcessPoolExecutor(processes) if processes > 1 else nullcontext() as pool:
         blocks = pool.map(_trial_block, tasks) if pool else map(_trial_block, tasks)
         for results, (rel_hits, unrel_hits, sizes) in blocks:

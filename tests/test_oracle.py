@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import io
 import json
 import subprocess
 import sys
@@ -11,7 +12,10 @@ import warnings
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ecalib import demo_oracle
 from ecalib.cli import main
 from ecalib.core import (
     AcquisitionPolicy,
@@ -140,6 +144,12 @@ class TestAbortPaths:
         with pytest.raises(OracleError, match="candidate count mismatch"):
             oracle_client(demo_argv("0.1,0.2,0.3"), oracle_config(2))
 
+    def test_out_of_range_id_is_reported_by_the_oracle(self):
+        with oracle_client(demo_argv("0.5,0.5"), oracle_config(2)) as source:
+            with pytest.raises(OracleError, match="oracle reported") as info:
+                source.query(1, [5], "00" * 8)
+        assert type(info.value) is OracleError
+
     def test_immediate_exit_at_hello(self):
         argv = [sys.executable, "-c", "import sys; sys.exit(0)"]
         with pytest.raises(OracleProcessExit):
@@ -234,3 +244,112 @@ class TestCalibrateCommand:
         out = tmp_path / "run"
         override = f"{sys.executable} -m ecalib.demo_oracle --means 0.0 --dist point"
         assert main(["calibrate", "--config", str(cfg_path), "--oracle", override, "--out", str(out)]) == 0
+
+
+# The demo oracle's wire protocol, driven in process on generated stdin.
+MEANS = (0.2, 0.5, 0.9)
+N = len(MEANS)
+
+HELLO = {"type": "hello", "n_candidates": N, "alpha": 0.5, "direction": "risk_below"}
+rounds = st.integers(min_value=-(2**70), max_value=2**70)
+valid_requests = st.fixed_dictionaries(
+    {"type": st.just("test"), "round": rounds, "ids": st.lists(st.integers(0, N - 1), max_size=6)},
+    optional={"token": st.text(max_size=16)},
+)
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+# Any JSON value but an object.
+non_objects = st.recursive(json_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+not_an_id = st.one_of(
+    st.integers(max_value=-1), st.integers(min_value=N), st.booleans(), st.floats(), st.text(max_size=3), st.none()
+)
+not_a_round = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none(), st.lists(rounds, max_size=2))
+
+
+def _without(key):
+    return lambda request: {k: v for k, v in request.items() if k != key}
+
+
+@st.composite
+def with_a_bad_id(draw, request):
+    ids = list(request["ids"])
+    ids.insert(draw(st.integers(0, len(ids))), draw(not_an_id))
+    return {**request, "ids": ids}
+
+
+bad_requests = st.one_of(
+    valid_requests.flatmap(with_a_bad_id),
+    valid_requests.map(_without("round")),
+    valid_requests.map(_without("ids")),
+    st.tuples(valid_requests, not_a_round).map(lambda pair: {**pair[0], "round": pair[1]}),
+    st.tuples(valid_requests, json_scalars).map(lambda pair: {**pair[0], "ids": pair[1]}),
+    st.tuples(valid_requests, json_scalars.filter(lambda kind: kind != "test")).map(
+        lambda pair: {**pair[0], "type": pair[1]}
+    ),
+)
+
+
+def _is_object(line: str) -> bool:
+    try:
+        return isinstance(json.loads(line), dict)
+    except ValueError:
+        return False
+
+
+junk = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n\r"), max_size=30).filter(
+    lambda line: not _is_object(line)
+)
+# (line, request): the request of a valid line, None for a line to refuse.
+lines = st.one_of(
+    valid_requests.map(lambda request: (json.dumps(request), request)),
+    bad_requests.map(lambda request: (json.dumps(request), None)),
+    non_objects.map(lambda value: (json.dumps(value), None)),
+    junk.map(lambda line: (line, None)),
+)
+hellos = st.one_of(
+    st.just((json.dumps(HELLO), HELLO)),
+    non_objects.map(lambda value: (json.dumps(value), None)),
+    junk.map(lambda line: (line, None)),
+)
+
+
+class TestDemoOracleProtocol:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hello=hellos,
+        body=st.lists(lines, max_size=8),
+        seed=st.integers(0, 2**64 - 1),
+        dist=st.sampled_from(["bernoulli", "point"]),
+    )
+    def test_answers_valid_requests_and_refuses_the_rest(self, hello, body, seed, dist):
+        stdin = "".join(line + "\n" for line, _ in [hello, *body])
+        stdout = io.StringIO()
+        argv = ["--means", ",".join(map(str, MEANS)), "--seed", str(seed), "--dist", dist]
+        with mock.patch.object(sys, "stdin", io.StringIO(stdin)), mock.patch.object(sys, "stdout", stdout):
+            rc = demo_oracle.main(argv)
+        out = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert all(isinstance(doc, dict) and doc.get("type") in ("hello", "risks", "error") for doc in out)
+
+        expected = []
+        if hello[1] is None:
+            expected.append("error")
+        else:
+            expected.append({"type": "hello", "stateless": True})
+            for _, request in body:
+                if request is None:
+                    expected.append("error")
+                    break
+                t = request["round"]
+                if dist == "point":
+                    values = [MEANS[i] for i in request["ids"]]
+                else:
+                    values = [1.0 if unit_uniform(seed, t, i) >= 1.0 - MEANS[i] else 0.0 for i in request["ids"]]
+                expected.append({"type": "risks", "round": t, "values": values})
+        assert rc == (1 if expected[-1] == "error" else 0)
+        assert [doc["type"] if doc.get("type") == "error" else doc for doc in out] == expected
+
+    @pytest.mark.parametrize("means", ["0.1,x", "", "0.1,1.5", "nan"])
+    def test_bad_means_are_a_usage_error(self, means, capsys):
+        with pytest.raises(SystemExit) as info:
+            demo_oracle.main(["--means", means])
+        assert info.value.code == 2
+        assert "--means" in capsys.readouterr().err

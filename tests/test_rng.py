@@ -10,17 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ecalib.rng import (
-    GOLDEN,
-    MASK64,
-    MIXER_ID,
-    MixStream,
-    _scramble,
-    mix64,
-    mix64_np,
-    unit_uniform,
-    unit_uniform_from_np,
-)
+from ecalib.rng import GOLDEN, MASK64, MIXER_ID, MixStream, _scramble, mix64, unit_uniform
+from ecalib.rng_np import mix64_np, unit_uniform_from_np
 
 # SplitMix64 reference outputs for seed 0: the first values of the recurrence
 # state += GOLDEN; out = scramble(state).  Widely published test vector.
