@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import itertools
 import logging
 import math
@@ -31,6 +32,7 @@ from .runio import (
     SWEEP_AXES,
     OracleSpec,
     RunPlan,
+    config_to_dict,
     load_config,
     read_manifest,
     read_summary_csv,
@@ -210,16 +212,12 @@ def cmd_sweep(args) -> int:
         raise EcalibError("config has no sweep block")
     out = _prepare_out(args.out)
     started = utc_now()
-    base = plan.cfg
-    defaults = {
-        "strategy": base.betting.strategy.value,
-        "alpha": base.alpha,
-        "delta": base.delta,
-        "epsilon": base.acquisition.epsilon,
-    }
+    # An axis the sweep leaves out keeps the value of its field in the config.
+    echo = config_to_dict(plan)
+    defaults = {axis: functools.reduce(dict.get, path.split("."), echo) for axis, path in SWEEP_AXES.items()}
     rows = []
     for cell in itertools.product(*(plan.sweep.get(axis, [defaults[axis]]) for axis in SWEEP_AXES)):
-        cfg = base
+        cfg = plan.cfg
         for axis, value in zip(SWEEP_AXES, cell):
             cfg = sweep_value(cfg, axis, value)
         summary = _monte_carlo(cfg, plan.source, args)

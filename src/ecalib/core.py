@@ -109,6 +109,12 @@ class CalibrationConfig:
     def error_metric(self) -> ErrorMetric:
         return ErrorMetric.FWER if self.selection_rule in FWER_RULES else ErrorMetric.FDR
 
+    @property
+    def requirements(self) -> tuple[tuple[float, Direction], ...]:
+        """The K (alpha, direction) requirements a certified candidate meets:
+        the config's own, then one per extra metric."""
+        return ((self.alpha, self.direction), *((m.alpha, m.direction) for m in self.extra_metrics))
+
 
 def validate_config(cfg: CalibrationConfig) -> CalibrationConfig:
     """Check every config invariant; raise InvalidConfig listing all failures."""

@@ -11,18 +11,22 @@ one record per line.
 
 Requests and answers alternate strictly; every answer must echo the round it
 replies to, carry exactly one value in [0, 1] per requested id, and arrive
-within the timeout.  Any deviation aborts with a typed error carrying the
-offending record; values are never clamped, since silently repairing an
-out-of-range risk would void the statistical guarantee.
+within the timeout of its request, writing the request included.  Any
+deviation aborts with a typed error carrying the offending record; values are
+never clamped, since silently repairing an out-of-range risk would void the
+statistical guarantee.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import queue
+import selectors
 import shlex
 import subprocess
 import threading
+import time
 from typing import Sequence
 
 from .core import CalibrationConfig
@@ -71,6 +75,9 @@ class OracleClient:
             )
         except OSError as exc:
             raise OracleError(f"cannot start oracle {command!r}: {exc.strerror}") from None
+        # Requests are written without blocking, so that a child that stops
+        # reading cannot hold a write past the timeout.
+        os.set_blocking(self._proc.stdin.fileno(), False)
         self._lines: queue.Queue = queue.Queue()
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
@@ -97,19 +104,37 @@ class OracleClient:
             self._lines.put(line)
         self._lines.put(_EOF)
 
+    def _send(self, data: bytes, deadline: float) -> bool:
+        """Write data to the child's stdin; False if the pipe stays full
+        until deadline."""
+        fd = self._proc.stdin.fileno()
+        while data:
+            try:
+                data = data[os.write(fd, data):]
+            except BlockingIOError:
+                with selectors.DefaultSelector() as pipe:
+                    pipe.register(fd, selectors.EVENT_WRITE)
+                    if not pipe.select(max(0.0, deadline - time.monotonic())):
+                        return False
+        return True
+
     def _request(self, msg: dict) -> dict:
+        """The answer to msg, which must arrive within the timeout of the
+        request; a child that overruns it is killed, since a late answer
+        could be taken for the answer to the next request."""
+        deadline = time.monotonic() + self.timeout
         try:
-            assert self._proc.stdin is not None
-            self._proc.stdin.write(json.dumps(msg) + "\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError, ValueError) as exc:
+            sent = self._send((json.dumps(msg) + "\n").encode(), deadline)
+        except (OSError, ValueError) as exc:
             raise OracleProcessExit(f"oracle closed its stdin pipe: {exc}") from None
+        if not sent:
+            self._shutdown(kill=True)
+            raise OracleTimeout(f"oracle read no {msg['type']} request within {self.timeout}s")
         try:
-            line = self._lines.get(timeout=self.timeout)
+            line = self._lines.get(timeout=max(0.0, deadline - time.monotonic()))
         except queue.Empty:
-            raise OracleTimeout(
-                f"no answer within {self.timeout}s to request {json.dumps(msg)}"
-            ) from None
+            self._shutdown(kill=True)
+            raise OracleTimeout(f"no answer within {self.timeout}s to request {json.dumps(msg)}") from None
         if line is _EOF:
             raise OracleProcessExit(f"oracle exited while answering {json.dumps(msg)}")
         try:

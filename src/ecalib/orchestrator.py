@@ -121,7 +121,7 @@ def _run(
     and the run stops at d_stop; without it the rule runs once at the end."""
     validate_config(cfg)
     n = cfg.n_candidates
-    metrics = [(cfg.alpha, cfg.direction)] + [(m.alpha, m.direction) for m in cfg.extra_metrics]
+    metrics = cfg.requirements
     n_metrics = len(metrics)
     bounds = [bet_bound(a, d) for a, d in metrics]
     bspec = cfg.betting
@@ -245,7 +245,7 @@ def run_block(
     """
     validate_config(cfg)
     m, n = len(trials), cfg.n_candidates
-    metrics = [(cfg.alpha, cfg.direction)] + [(x.alpha, x.direction) for x in cfg.extra_metrics]
+    metrics = cfg.requirements
     n_metrics = len(metrics)
     bounds = [bet_bound(a, d) for a, d in metrics]
     bspec = cfg.betting

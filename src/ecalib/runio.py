@@ -20,35 +20,19 @@ import csv
 import dataclasses
 import datetime
 import enum
+import functools
 import json
 import math
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 from . import __version__
-from .core import (
-    AcquisitionSpec,
-    BettingSpec,
-    BettingStrategy,
-    CalibrationConfig,
-    Direction,
-    ErrorMetric,
-    MetricSpec,
-    SelectionRuleName,
-    validate_config,
-)
+from .core import AcquisitionSpec, CalibrationConfig, ErrorMetric, validate_config
 from .errors import EcalibError, InvalidConfig, OracleError
 from .oracle import DEFAULT_TIMEOUT, command_argv
 from .orchestrator import RunResult, run_altt
 from .rng import MIXER_ID
-from .simharness import (
-    Bernoulli,
-    Beta,
-    CompositeSyntheticSpec,
-    Distribution,
-    PointMass,
-    SyntheticSpec,
-)
+from .simharness import Bernoulli, Beta, CompositeSyntheticSpec, PointMass, SyntheticSpec
 
 
 class ReplayMismatch(EcalibError):
@@ -61,10 +45,13 @@ class OracleSpec:
     timeout: float = DEFAULT_TIMEOUT
 
 
+Source = Union[SyntheticSpec, CompositeSyntheticSpec, OracleSpec]
+
+
 @dataclasses.dataclass(frozen=True)
 class RunPlan:
     cfg: CalibrationConfig
-    source: SyntheticSpec | CompositeSyntheticSpec | OracleSpec
+    source: Source
     sweep: dict[str, list]
 
 
@@ -72,161 +59,202 @@ def fmt17(x: float) -> str:
     return "%.17g" % x
 
 
-def _synth_to_dict(s: SyntheticSpec) -> dict:
-    out = {
-        "kind": "synthetic",
-        "arms": [_dist_to_dict(a) for a in s.arms],
-        "shared_draw": s.shared_draw,
-    }
-    if s.quantile_threshold is not None:
-        out["quantile_threshold"] = s.quantile_threshold
-    return out
-
-
-def source_to_dict(source) -> dict:
-    if isinstance(source, SyntheticSpec):
-        return _synth_to_dict(source)
-    if isinstance(source, CompositeSyntheticSpec):
-        return {"kind": "composite", "metrics": [_synth_to_dict(m) for m in source.metrics]}
-    return {"kind": "oracle", **_spec_to_dict(source)}
-
-
-def _spec_to_dict(spec) -> dict:
-    """A spec dataclass as JSON: its fields in order, enum members by value."""
-    out = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
-    return {key: v.value if isinstance(v, enum.Enum) else v for key, v in out.items()}
-
-
-def config_to_dict(plan: RunPlan) -> dict:
-    cfg = plan.cfg
-    out = {
-        "n_candidates": cfg.n_candidates,
-        "alpha": cfg.alpha,
-        "delta": cfg.delta,
-        "direction": cfg.direction.value,
-        "error_metric": cfg.error_metric.value,
-        "selection_rule": cfg.selection_rule.value,
-        "literal_set": cfg.literal_set,
-        "acquisition": _spec_to_dict(cfg.acquisition),
-        "betting": _spec_to_dict(cfg.betting),
-        "t_max": cfg.t_max,
-        "d_stop": cfg.d_stop,
-        "batch_size": cfg.acquisition.batch_size,
-        "seed": cfg.seed,
-        "source": source_to_dict(plan.source),
-    }
-    if cfg.fixed_sequence_order is not None:
-        out["fixed_sequence_order"] = list(cfg.fixed_sequence_order)
-    if cfg.extra_metrics:
-        out["extra_metrics"] = [_spec_to_dict(m) for m in cfg.extra_metrics]
-    if plan.sweep:
-        out["sweep"] = plan.sweep
-    return out
-
-
-_REQUIRED = object()
-_JSON_TYPE = {bool: "boolean", int: "integer", float: "number", str: "string", dict: "object", list: "list"}
-
-# Sweep axes in grid order: the cells of cmd_sweep are their product.
-SWEEP_AXES = ("strategy", "alpha", "delta", "epsilon")
-
-# Each distribution's parameters, their domain, and how a violation reads.
-_UNIT = (lambda v: 0.0 <= v <= 1.0, "out of [0,1]")
-_DISTS = {
-    "bernoulli": (Bernoulli, ("p",), *_UNIT),
-    "beta": (Beta, ("a", "b"), lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
-    "point": (PointMass, ("value",), *_UNIT),
+# A config document is the config dataclasses written out: each JSON object
+# holds the fields of its class.  Written by hand are only the tags of its
+# unions (each tag key, what its value names, and the class of each value),
+# the domains of fields, and the checks across fields.
+_TAGS = {
+    "kind": ("source kind", {"synthetic": SyntheticSpec, "composite": CompositeSyntheticSpec, "oracle": OracleSpec}),
+    "dist": ("distribution", {"bernoulli": Bernoulli, "beta": Beta, "point": PointMass}),
 }
-_DIST_NAMES = {entry[0]: name for name, entry in _DISTS.items()}
+_TAG_OF = {cls: (key, tag) for key, (_, classes) in _TAGS.items() for tag, cls in classes.items()}
+
+
+@dataclasses.dataclass(frozen=True)
+class _Document:
+    """The keys of a config document besides the config's fields; two restate
+    settings: the rule implies the metric, batch_size is acquisition's default."""
+
+    error_metric: ErrorMetric
+    source: Source
+    batch_size: int = AcquisitionSpec.batch_size
+    sweep: dict | None = None
+
+
+def _splits(command: str) -> bool:
+    try:
+        return bool(command_argv(command))
+    except OracleError:
+        return False
+
+
+# The domain of a field, by its class and the type of its value, and how a
+# value outside it reads.
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "out of [0,1]")
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0")
+_DOMAINS = {
+    (Bernoulli, float): _UNIT,
+    (PointMass, float): _UNIT,
+    (Beta, float): _POSITIVE,
+    (SyntheticSpec, float): _UNIT,
+    (OracleSpec, float): _POSITIVE,
+    (OracleSpec, str): (_splits, "must split, shell-style, into at least one word"),
+}
 
 # The two rule/metric mismatches, named by the metric the config states.
 _METRIC_RULES = {ErrorMetric.FWER: "bonferroni or fixed_sequence", ErrorMetric.FDR: "bh, by, or ebh"}
 
+# Sweep axes in grid order, each with the path of the config field it sets:
+# the cells of cmd_sweep are their product.
+SWEEP_AXES = {"strategy": "betting.strategy", "alpha": "alpha", "delta": "delta", "epsilon": "acquisition.epsilon"}
 
-def _dist_to_dict(d: Distribution) -> dict:
-    name = _DIST_NAMES[type(d)]
-    return {"dist": name, **{key: getattr(d, key) for key in _DISTS[name][1]}}
+_REQUIRED, _OBJECT = object(), object()
+_JSON_TYPE = {bool: "boolean", int: "integer", float: "number", str: "string", dict: "object", list: "list"}
 
 
-def _check(value, kind, name: str, bad: list[str]):
-    """value as ``kind`` if it has the matching JSON type, else None with a
-    violation in bad.  An enum takes one of its string values; an integer is
-    a valid float (returned as one); a boolean is only a boolean."""
+@functools.cache
+def _schema(cls) -> dict:
+    """name -> (reader, default) of each field of dataclass cls, in order:
+    the _reader of its annotated type, and its default, else _OBJECT for a
+    spec (a missing key reads as {}, so that the spec's own defaults apply)
+    and _REQUIRED for any other type."""
+    kinds = get_type_hints(cls)
+    return {
+        f.name: (_reader(kinds[f.name]), f.default if f.default is not dataclasses.MISSING
+                 else _OBJECT if dataclasses.is_dataclass(kinds[f.name]) else _REQUIRED)
+        for f in dataclasses.fields(cls)
+    }
+
+
+@functools.cache
+def _reader(kind):
+    """The function ``read(value, name, bad, defaults)`` that returns value
+    as ``kind`` if it has the matching JSON shape, else None with a violation
+    in bad.  An enum takes one of its values, a spec its object, a tuple a
+    list, an optional also null, and a tagged union the object of the member
+    its tag names."""
+    args = get_args(kind)
+    if kind in _JSON_TYPE:
+        return functools.partial(_check, kind)
+    if dataclasses.is_dataclass(kind):
+        return functools.partial(_spec_from_dict, kind)
     if isinstance(kind, enum.EnumMeta):
-        return _enum_value(kind, value, name, bad)
-    json_types = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, json_types):
+        def read(value, name, bad, defaults):
+            try:
+                return kind(value)
+            except ValueError:
+                bad.append(f"{name} must be one of: {', '.join(e.value for e in kind)}")
+    elif get_origin(kind) is tuple:
+        item = _reader(args[0])
+
+        def read(value, name, bad, defaults):
+            if _check(list, value, name, bad) is not None:
+                return tuple(item(v, f"{name}[{j}]", bad, defaults) for j, v in enumerate(value))
+    elif type(None) in args:
+        inner = _reader(Union[tuple(a for a in args if a is not type(None))])
+
+        def read(value, name, bad, defaults):
+            return None if value is None else inner(value, name, bad, defaults)
+    else:
+        key = _TAG_OF[args[0]][0]
+        noun, classes = _TAGS[key]
+
+        def read(value, name, bad, defaults):
+            if not isinstance(value, dict):
+                return _check(dict, value, name, bad)
+            tag = value.get(key)
+            if not isinstance(tag, str) or classes.get(tag) not in args:
+                bad.append(f"unknown {noun} {tag!r} at {name}")
+                return None
+            return _spec_from_dict(classes[tag], value, name, bad, defaults)
+    return read
+
+
+def _check(kind, value, name: str, bad: list[str], defaults=None):
+    """value if it has the JSON type kind, else None with a violation in bad.
+    An integer is a valid float (returned as one), a boolean only a boolean."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
         bad.append(f"{name} must be a JSON {_JSON_TYPE[kind]}, got {value!r}")
         return None
     return float(value) if kind is float else value
 
 
-def _field(d: dict, key: str, kind, bad: list[str], default=_REQUIRED, name: str | None = None):
-    """d[key] checked by _check; a missing key yields the default or, for a
-    required field, a violation.  Fields that default to None may be null."""
-    if key not in d and default is _REQUIRED:
-        bad.append(f"missing config field {name or key!r}")
-    if key not in d or (d[key] is None and default is None):
-        return None if default is _REQUIRED else default
-    return _check(d[key], kind, name or key, bad)
-
-
-def _spec_from_dict(cls, d: dict, name: str, bad: list[str], **defaults):
-    """cls from its JSON block, each field checked by _field against its
-    annotated type; a missing field takes the dataclass default, or the one
-    given in defaults."""
-    kinds = get_type_hints(cls)
-    return cls(**{
-        f.name: _field(d, f.name, kinds[f.name], bad,
-                       defaults.get(f.name, _REQUIRED if f.default is dataclasses.MISSING else f.default),
-                       f"{name}.{f.name}")
-        for f in dataclasses.fields(cls)
-    })
-
-
-def _enum_value(enum_cls, raw, field: str, bad: list[str]):
+def _spec_from_dict(cls, d, name: str, bad: list[str], defaults: dict):
+    """cls from its JSON object, each field read by its type's reader and
+    checked against its domain; a missing field takes its default, from
+    defaults[cls] first.  None, with the violations in bad, unless every
+    field is valid and cls accepts them."""
+    if not isinstance(d, dict):
+        return _check(dict, d, name, bad)
+    n_bad = len(bad)
+    prefix = f"{name}." if name else ""
+    given = defaults.get(cls, {})
+    values = {}
+    for key, (read, default) in _schema(cls).items():
+        path = prefix + key
+        default = given.get(key, default)
+        if key in d or default is _OBJECT:
+            v = read(d.get(key, {}), path, bad, defaults)
+        elif default is _REQUIRED:
+            bad.append(f"missing config field {path!r}")
+            v = None
+        else:
+            v = default
+        domain = _DOMAINS.get((cls, type(v)))
+        if domain is not None and not domain[0](v):
+            bad.append(f"{path} {v!r} {domain[1]}")
+        values[key] = v
+    if len(bad) > n_bad:
+        return None
     try:
-        return enum_cls(raw)
-    except ValueError:
-        bad.append(f"{field} must be one of: {', '.join(e.value for e in enum_cls)}")
+        return cls(**values)
+    except InvalidConfig as exc:
+        bad += exc.violations
         return None
 
 
-def _dist_from_dict(d, name: str, bad: list[str]) -> Distribution | None:
-    """One arm; a parameter outside its distribution's domain is refused here."""
-    if _check(d, dict, name, bad) is None:
-        return None
-    if d.get("dist") not in _DISTS:
-        bad.append(f"unknown distribution {d.get('dist')!r} at {name}")
-        return None
-    cls, params, in_domain, domain = _DISTS[d["dist"]]
-    values = [_field(d, key, float, bad, name=f"{name}.{key}") for key in params]
-    for key, v in zip(params, values):
-        if v is not None and not in_domain(v):
-            bad.append(f"{name}.{key} {v!r} {domain}")
-    return cls(*values)
+def _to_json(value):
+    """value as JSON: a spec as its tag, if it has one, and every field in
+    order (None as null); an enum member by value; a tuple as a list."""
+    if dataclasses.is_dataclass(value):
+        tag = _TAG_OF.get(type(value))
+        out = {tag[0]: tag[1]} if tag else {}
+        out.update((key, _to_json(getattr(value, key))) for key in _schema(type(value)))
+        return out
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
 
 
-def _synth_from_dict(d, name: str, bad: list[str]) -> SyntheticSpec | None:
-    if _check(d, dict, name, bad) is None:
-        return None
-    arms = _field(d, "arms", list, bad, [], f"{name}.arms") or []
-    return SyntheticSpec(
-        arms=tuple(_dist_from_dict(a, f"{name}.arms[{j}]", bad) for j, a in enumerate(arms)),
-        shared_draw=_field(d, "shared_draw", bool, bad, SyntheticSpec.shared_draw, f"{name}.shared_draw"),
-        quantile_threshold=_field(
-            d, "quantile_threshold", float, bad, SyntheticSpec.quantile_threshold, f"{name}.quantile_threshold"
-        ),
-    )
+def config_to_dict(plan: RunPlan) -> dict:
+    """The config document that parse_config reads back to plan."""
+    doc = _Document(plan.cfg.error_metric, plan.source, plan.cfg.acquisition.batch_size, plan.sweep or None)
+    return {**_to_json(plan.cfg), **_to_json(doc)}
 
 
-def sweep_value(cfg: CalibrationConfig, axis: str, value) -> CalibrationConfig:
-    """cfg with one sweep axis set to value."""
-    if axis == "strategy":
-        return dataclasses.replace(cfg, betting=dataclasses.replace(cfg.betting, strategy=BettingStrategy(value)))
-    if axis == "epsilon":
-        return dataclasses.replace(cfg, acquisition=dataclasses.replace(cfg.acquisition, epsilon=float(value)))
-    return dataclasses.replace(cfg, **{axis: float(value)})
+def _replace_path(spec, path: list[str], value, name: str, bad: list[str]):
+    """spec with the field at path set to value, read by the field's reader."""
+    key, *rest = path
+    read = _schema(type(spec))[key][0]
+    new = _replace_path(getattr(spec, key), rest, value, name, bad) if rest else read(value, name, bad, {})
+    return dataclasses.replace(spec, **{key: new})
+
+
+def sweep_value(cfg: CalibrationConfig, axis: str, value, name: str | None = None) -> CalibrationConfig:
+    """cfg with the field that a sweep axis names set to value; InvalidConfig,
+    calling value ``name``, unless value has the JSON type of that field and
+    the config stays valid."""
+    name = name or f"sweep.{axis}"
+    bad: list[str] = []
+    cfg = _replace_path(cfg, SWEEP_AXES[axis].split("."), value, name, bad)
+    if bad:
+        raise InvalidConfig(bad)
+    try:
+        return validate_config(cfg)
+    except InvalidConfig as exc:
+        raise InvalidConfig([f"{name} {value!r}: {m}" for m in exc.violations]) from None
 
 
 def parse_config(d: dict) -> RunPlan:
@@ -234,66 +262,17 @@ def parse_config(d: dict) -> RunPlan:
 
     Flags must be JSON booleans, counts and the seed JSON integers, rates
     JSON numbers.  Each InvalidConfig lists every violation of its stage:
-    types, then the source and validate_config, then the sweep values (each
-    put into the config), so that no sweep cell fails after others have run.
+    types and domains, then the checks across fields and validate_config,
+    then the sweep values (each put into the config), so that no sweep cell
+    fails after others have run.
     """
     if not isinstance(d, dict):
         raise InvalidConfig(["config must be a JSON object"])
     bad: list[str] = []
-    batch_size = _field(d, "batch_size", int, bad, AcquisitionSpec.batch_size)
-    metric = _field(d, "error_metric", ErrorMetric, bad)
-    acq_d = _field(d, "acquisition", dict, bad, {}) or {}
-    bet_d = _field(d, "betting", dict, bad, {}) or {}
-    order = _field(d, "fixed_sequence_order", list, bad, None)
-    extra = tuple(
-        _spec_from_dict(MetricSpec, m, f"extra_metrics[{j}]", bad)
-        for j, m in enumerate(_field(d, "extra_metrics", list, bad, []) or [])
-        if _check(m, dict, f"extra_metrics[{j}]", bad) is not None
-    )
-    cfg = CalibrationConfig(
-        n_candidates=_field(d, "n_candidates", int, bad),
-        alpha=_field(d, "alpha", float, bad),
-        delta=_field(d, "delta", float, bad),
-        direction=_field(d, "direction", Direction, bad),
-        selection_rule=_field(d, "selection_rule", SelectionRuleName, bad),
-        acquisition=_spec_from_dict(AcquisitionSpec, acq_d, "acquisition", bad, batch_size=batch_size),
-        betting=_spec_from_dict(BettingSpec, bet_d, "betting", bad),
-        t_max=_field(d, "t_max", int, bad),
-        d_stop=_field(d, "d_stop", int, bad),
-        seed=_field(d, "seed", int, bad),
-        literal_set=_field(d, "literal_set", bool, bad, CalibrationConfig.literal_set),
-        fixed_sequence_order=None if order is None else tuple(
-            _check(i, int, f"fixed_sequence_order[{j}]", bad) for j, i in enumerate(order)
-        ),
-        extra_metrics=extra,
-    )
-
-    src_d = d.get("source")
-    if not isinstance(src_d, dict):
-        raise InvalidConfig(bad + ["config needs a source block"])
-    kind = src_d.get("kind")
-    if kind == "synthetic":
-        source = _synth_from_dict(src_d, "source", bad)
-    elif kind == "composite":
-        metrics = _field(src_d, "metrics", list, bad, [], "source.metrics") or []
-        metrics = [_synth_from_dict(m, f"source.metrics[{k}]", bad) for k, m in enumerate(metrics)]
-        try:
-            source = CompositeSyntheticSpec(tuple(m for m in metrics if m is not None))
-        except InvalidConfig as exc:
-            bad += exc.violations
-    elif kind == "oracle":
-        source = _spec_from_dict(OracleSpec, src_d, "source", bad)
-        if source.command is not None:
-            try:
-                command_argv(source.command, "source.command")
-            except OracleError as exc:
-                bad.append(str(exc))
-        if source.timeout is not None and not (math.isfinite(source.timeout) and source.timeout > 0.0):
-            bad.append("source.timeout must be finite and > 0")
-    else:
-        bad.append(f"unknown source kind {kind!r}")
-
-    sweep = _field(d, "sweep", dict, bad, {}) or {}
+    doc = _spec_from_dict(_Document, d, "", bad, {})
+    batch = {AcquisitionSpec: {"batch_size": doc.batch_size}} if doc else {}
+    cfg = _spec_from_dict(CalibrationConfig, d, "", bad, batch)
+    sweep = (doc.sweep if doc else None) or {}
     if not set(sweep) <= set(SWEEP_AXES):
         bad.append(f"sweep axes must be a subset of {sorted(SWEEP_AXES)}")
     for axis, values in sweep.items():
@@ -302,17 +281,17 @@ def parse_config(d: dict) -> RunPlan:
     if bad:
         raise InvalidConfig(bad)
 
-    if isinstance(source, (SyntheticSpec, CompositeSyntheticSpec)):
-        if source.n != cfg.n_candidates:
+    if isinstance(doc.source, OracleSpec):
+        if cfg.extra_metrics:
+            bad.append("oracle sources support single-metric configs only")
+    else:
+        if doc.source.n != cfg.n_candidates:
             bad.append("source arm count disagrees with n_candidates")
-        if len(source.metrics) != 1 + len(cfg.extra_metrics):
+        if len(doc.source.metrics) != len(cfg.requirements):
             bad.append("source metric count disagrees with config")
-    if isinstance(source, OracleSpec) and cfg.extra_metrics:
-        bad.append("oracle sources support single-metric configs only")
-    # The JSON states two settings that the config holds once.
-    if metric is not None and cfg.selection_rule is not None and metric is not cfg.error_metric:
-        bad.append(f"rule/metric mismatch: {metric.name} requires {_METRIC_RULES[metric]}")
-    if batch_size is not None and cfg.acquisition.batch_size != batch_size:
+    if doc.error_metric is not cfg.error_metric:
+        bad.append(f"rule/metric mismatch: {doc.error_metric.name} requires {_METRIC_RULES[doc.error_metric]}")
+    if cfg.acquisition.batch_size != doc.batch_size:
         bad.append("acquisition.batch_size disagrees with config batch_size")
     try:
         validate_config(cfg)
@@ -322,15 +301,13 @@ def parse_config(d: dict) -> RunPlan:
         raise InvalidConfig(bad)
     for axis, values in sweep.items():
         for j, v in enumerate(values):
-            name = f"sweep.{axis}[{j}]"
-            if _check(v, BettingStrategy if axis == "strategy" else float, name, bad) is not None:
-                try:
-                    validate_config(sweep_value(cfg, axis, v))
-                except InvalidConfig as exc:
-                    bad += [f"{name} {v!r}: {m}" for m in exc.violations]
+            try:
+                sweep_value(cfg, axis, v, f"sweep.{axis}[{j}]")
+            except InvalidConfig as exc:
+                bad += exc.violations
     if bad:
         raise InvalidConfig(bad)
-    return RunPlan(cfg=cfg, source=source, sweep=dict(sweep))
+    return RunPlan(cfg=cfg, source=doc.source, sweep=dict(sweep))
 
 
 def _read_json(path: Path, error):
@@ -488,9 +465,7 @@ class ReplaySource:
         if row is None:
             raise ReplayMismatch(f"round {round_index} was not logged")
         if list(ids) != row["tested"]:
-            raise ReplayMismatch(
-                f"round {round_index}: engine asked for {list(ids)}, log has {row['tested']}"
-            )
+            raise ReplayMismatch(f"round {round_index}: engine asked for {list(ids)}, log has {row['tested']}")
         return row["risks"]
 
 
@@ -507,9 +482,7 @@ def _parse_rounds_csv(run_dir: Path, multi_metric: bool) -> dict[int, dict[int, 
             for row in reader:
                 t = int(row["t"])
                 tested = [int(x) for x in row["tested_ids"].split(";")] if row["tested_ids"] else []
-                selected = (
-                    [int(x) for x in row["selected_ids"].split(";")] if row["selected_ids"] else []
-                )
+                selected = [int(x) for x in row["selected_ids"].split(";")] if row["selected_ids"] else []
                 cells = row["risks"].split(";")
                 risks = [tuple(map(float, c.split("|"))) for c in cells] if multi_metric else list(map(float, cells))
                 trials.setdefault(int(row["trial"]), {})[t] = {
@@ -540,9 +513,7 @@ def replay_check(run_dir: str | Path) -> int:
         source = ReplaySource(rows)
         result = run_altt(plan.cfg, source, trial=trial, record_rounds=True)
         if len(result.records) != len(rows):
-            raise ReplayMismatch(
-                f"trial {trial}: replay produced {len(result.records)} rounds, log has {len(rows)}"
-            )
+            raise ReplayMismatch(f"trial {trial}: replay produced {len(result.records)} rounds, log has {len(rows)}")
         for rec in result.records:
             row = rows[rec.t]
             got_wealths = [fmt17(rec.wealth[i]) for i in rec.tested]

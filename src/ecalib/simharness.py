@@ -266,11 +266,10 @@ class CompositeSyntheticSpec:
 def derive_reliable(cfg: CalibrationConfig, spec) -> frozenset[int]:
     """Ground-truth reliable set implied by the spec's means and the config's
     requirement(s); composite candidates must conform on every metric."""
-    reqs = [(cfg.alpha, cfg.direction)] + [(m.alpha, m.direction) for m in cfg.extra_metrics]
-    if len(reqs) != len(spec.metrics):
+    if len(cfg.requirements) != len(spec.metrics):
         raise InvalidConfig(["spec metric count disagrees with config"])
     out = frozenset(range(spec.n))
-    for (alpha, direction), mspec in zip(reqs, spec.metrics):
+    for (alpha, direction), mspec in zip(cfg.requirements, spec.metrics):
         out &= reliable_set(GroundTruth(mspec.means()), alpha, direction)
     return out
 

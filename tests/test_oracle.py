@@ -8,6 +8,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 import warnings
 from unittest import mock
 
@@ -139,6 +140,18 @@ class TestAbortPaths:
     def test_timeout(self):
         with pytest.raises(OracleTimeout, match="no answer within"):
             self.run_to_failure("silent", timeout=0.5)
+
+    def test_child_that_stops_reading_times_out_and_is_reaped(self):
+        # The child answers hello and then reads nothing: a request larger
+        # than the pipe's buffer can never be written in full.
+        script = "import sys, time; sys.stdin.readline(); print('{\"type\": \"hello\"}', flush=True); time.sleep(10)"
+        client = oracle_client([sys.executable, "-c", script], oracle_config(2), timeout=1.0)
+        started = time.monotonic()
+        with pytest.raises(OracleTimeout, match=r"read no test request within 1\.0s"):
+            client.query(1, list(range(30_000)), "00" * 8)
+        assert time.monotonic() - started < 3.0
+        assert client._proc.poll() is not None
+        client.close()
 
     def test_candidate_count_mismatch_refused_at_hello(self):
         with pytest.raises(OracleError, match="candidate count mismatch"):

@@ -8,7 +8,9 @@ import json
 import math
 import random
 import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,66 @@ class TestConfigRoundTrip:
         assert plan.source == OracleSpec("mytool --serve", 12.5)
         assert plan.sweep == {"delta": [0.05, 0.1]}
         assert plan == parse_config(config_to_dict(plan))
+
+
+unit_floats = st.floats(0.0, 1.0)
+open_unit_floats = st.floats(0.001, 0.999)
+arms = st.one_of(
+    st.builds(Bernoulli, unit_floats),
+    st.builds(Beta, st.floats(0.01, 50.0), st.floats(0.01, 50.0)),
+    st.builds(PointMass, unit_floats),
+)
+
+
+@st.composite
+def plans(draw) -> RunPlan:
+    """Valid plans over every field, source kind and sweep axis."""
+    n = draw(st.integers(1, 5))
+    extra = draw(st.lists(st.builds(MetricSpec, open_unit_floats, st.sampled_from(Direction)), max_size=2))
+    rule = draw(st.sampled_from(SelectionRuleName))
+    order = draw(st.permutations(range(n))) if rule is SelectionRuleName.FIXED_SEQUENCE else None
+    cfg = CalibrationConfig(
+        n_candidates=n,
+        alpha=draw(open_unit_floats),
+        delta=draw(open_unit_floats),
+        direction=draw(st.sampled_from(Direction)),
+        selection_rule=rule,
+        acquisition=AcquisitionSpec(draw(st.sampled_from(AcquisitionPolicy)), draw(unit_floats), draw(st.integers(1, n))),
+        betting=BettingSpec(draw(st.sampled_from(BettingStrategy)), draw(st.floats(0.01, 1.0)), draw(open_unit_floats)),
+        t_max=draw(st.integers(1, 10**6)),
+        d_stop=draw(st.integers(1, n)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        literal_set=draw(st.booleans()),
+        fixed_sequence_order=None if order is None else tuple(order),
+        extra_metrics=tuple(extra),
+    )
+    synthetic = st.builds(
+        SyntheticSpec, st.lists(arms, min_size=n, max_size=n).map(tuple), st.booleans(), st.none() | unit_floats
+    )
+    if extra:
+        source = CompositeSyntheticSpec(tuple(draw(synthetic) for _ in range(1 + len(extra))))
+    else:
+        source = draw(st.one_of(synthetic, st.builds(OracleSpec, st.sampled_from(["tool", "tool --serve 'a b'"]),
+                                                     st.floats(0.001, 1e6))))
+    sweep = draw(st.dictionaries(st.sampled_from(["alpha", "delta", "epsilon"]),
+                                 st.lists(open_unit_floats, min_size=1, max_size=3), max_size=2))
+    if draw(st.booleans()):
+        sweep["strategy"] = draw(st.lists(st.sampled_from([s.value for s in BettingStrategy]), min_size=1))
+    return RunPlan(validate_config(cfg), source, sweep)
+
+
+class TestPlanRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(plan=plans())
+    def test_echo_parses_back_to_the_plan(self, plan):
+        doc = json.loads(json.dumps(config_to_dict(plan)))
+        assert parse_config(doc) == plan
+
+    def test_echo_writes_every_field(self):
+        doc = config_to_dict(parse_config(base_config_doc()))
+        assert doc["fixed_sequence_order"] is None and doc["extra_metrics"] == [] and doc["sweep"] is None
+        assert doc["source"]["quantile_threshold"] is None
+        assert set(doc["betting"]) == {"strategy", "clip_fraction", "max_bet_epsilon"}
 
 
 class TestConfigErrors:
@@ -364,6 +426,101 @@ class TestStrictScalarTypes:
         assert parse_config(json.loads(json.dumps(config_to_dict(plan)))) == plan
 
 
+def composite_doc(metrics) -> dict:
+    doc = base_config_doc()
+    doc["extra_metrics"] = [{"alpha": 0.5, "direction": "risk_below"}]
+    doc["source"] = {"kind": "composite", "metrics": metrics}
+    if metrics is None:
+        del doc["source"]["metrics"]
+    return doc
+
+
+def oracle_doc(**source) -> dict:
+    doc = base_config_doc()
+    doc["acquisition"] = {"policy": "uniform_all", "batch_size": 1}
+    doc["source"] = {"kind": "oracle", "command": "tool", **source}
+    return doc
+
+
+def changed(path: tuple, value) -> dict:
+    return set_path(base_config_doc(), path, value)
+
+
+def removed(*path) -> dict:
+    doc = base_config_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return doc
+
+
+THREE_ARMS = {"kind": "synthetic", "arms": [{"dist": "bernoulli", "p": 0.5}] * 3}
+
+MALFORMED = {
+    "composite_metric_not_an_object": (composite_doc([5]), "source.metrics[0] must be a JSON object, got 5"),
+    "composite_metrics_missing": (composite_doc(None), "missing config field 'source.metrics'"),
+    "composite_metrics_a_string": (composite_doc("ab"), "source.metrics must be a JSON list, got 'ab'"),
+    "composite_metrics_empty": (composite_doc([]), "composite metrics must be nonempty and equally sized"),
+    "composite_sizes_differ": (composite_doc([THREE_ARMS, {"kind": "synthetic", "arms": THREE_ARMS["arms"][:2]}]),
+                               "composite metrics must be nonempty and equally sized"),
+    "composite_metric_arm_bad": (composite_doc([THREE_ARMS, {"kind": "synthetic", "arms": [{"dist": "point"}] * 3}]),
+                                 "missing config field 'source.metrics[1].arms[0].value'"),
+    "quantile_threshold_nan": (changed(("source", "quantile_threshold"), math.nan),
+                               "source.quantile_threshold nan out of [0,1]"),
+    "quantile_threshold_above_one": (changed(("source", "quantile_threshold"), 1.5),
+                                     "source.quantile_threshold 1.5 out of [0,1]"),
+    "quantile_threshold_negative": (changed(("source", "quantile_threshold"), -0.1),
+                                    "source.quantile_threshold -0.1 out of [0,1]"),
+    "quantile_threshold_a_string": (changed(("source", "quantile_threshold"), "0.3"),
+                                    "source.quantile_threshold must be a JSON number, got '0.3'"),
+    "source_missing": (removed("source"), "missing config field 'source'"),
+    "source_not_an_object": (changed(("source",), [1]), "source must be a JSON object, got [1]"),
+    "source_kind_missing": (removed("source", "kind"), "unknown source kind None at source"),
+    "source_kind_a_list": (changed(("source", "kind"), ["oracle"]), "unknown source kind ['oracle'] at source"),
+    "arms_missing": (removed("source", "arms"), "missing config field 'source.arms'"),
+    "arms_an_object": (changed(("source", "arms"), {}), "source.arms must be a JSON list, got {}"),
+    "arm_not_an_object": (changed(("source", "arms", 0), 0.5), "source.arms[0] must be a JSON object, got 0.5"),
+    "dist_a_list": (changed(("source", "arms", 0, "dist"), ["beta"]),
+                    "unknown distribution ['beta'] at source.arms[0]"),
+    "shared_draw_null": (changed(("source", "shared_draw"), None), "source.shared_draw must be a JSON boolean, got None"),
+    "acquisition_a_string": (changed(("acquisition",), "eps_greedy"), "acquisition must be a JSON object"),
+    "policy_unknown": (changed(("acquisition", "policy"), "greedy"), "acquisition.policy must be one of:"),
+    "direction_a_list": (changed(("direction",), ["risk_below"]), "direction must be one of: risk_below, reward_above"),
+    "extra_metric_not_an_object": (changed(("extra_metrics",), [5]), "extra_metrics[0] must be a JSON object, got 5"),
+    "extra_metrics_an_object": (changed(("extra_metrics",), {}), "extra_metrics must be a JSON list, got {}"),
+    "extra_metric_direction_missing": (changed(("extra_metrics",), [{"alpha": 0.5}]),
+                                       "missing config field 'extra_metrics[0].direction'"),
+    "order_a_string": (changed(("fixed_sequence_order",), "012"), "fixed_sequence_order must be a JSON list, got '012'"),
+    "top_level_batch_size_a_string": (changed(("batch_size",), "1"), "batch_size must be a JSON integer, got '1'"),
+    "error_metric_null": (changed(("error_metric",), None), "error_metric must be one of: fwer, fdr"),
+    "sweep_a_list": (changed(("sweep",), ["alpha"]), "sweep must be a JSON object, got ['alpha']"),
+    "oracle_command_a_number": (oracle_doc(command=5), "source.command must be a JSON string, got 5"),
+    "oracle_command_blank": (oracle_doc(command=" "), "source.command ' ' must split, shell-style, into at least one word"),
+    "oracle_timeout_zero": (oracle_doc(timeout=0), "source.timeout 0.0 must be finite and > 0"),
+    "oracle_timeout_nan": (oracle_doc(timeout=math.nan), "source.timeout nan must be finite and > 0"),
+    "oracle_timeout_a_string": (oracle_doc(timeout="5"), "source.timeout must be a JSON number, got '5'"),
+}
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize("doc, message", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_refused_with_the_violation_named(self, doc, message):
+        with pytest.raises(InvalidConfig) as exc:
+            parse_config(doc)
+        assert any(v.startswith(message) for v in exc.value.violations), exc.value.violations
+
+    def test_validate_refuses_a_nan_quantile_threshold(self, tmp_path, caplog):
+        # The indicator 1[raw <= nan] is always 0 while means() reports the
+        # CDF at nan, so a run would report a false failure, not a config error.
+        doc = changed(("source", "quantile_threshold"), math.nan)
+        out = tmp_path / "val"
+        assert main(["validate", "--config", write_doc(tmp_path, doc), "--trials", "2", "--out", str(out)]) == 1
+        [line] = error_lines(caplog)
+        assert line == "ERROR ecalib: source.quantile_threshold nan out of [0,1]"
+        assert not out.exists()
+
+
 class TestDistributionParameters:
     @pytest.mark.parametrize(
         "arm, field",
@@ -494,6 +651,35 @@ class TestSimulateAndReplay:
         (out / "rounds.csv").write_text("trial,t,tested_ids,risks,wealths,selected_ids\n")
         with pytest.raises(ReplayMismatch):
             replay_check(out)
+
+
+RUNS = Path(__file__).resolve().parent / "data" / "runs"
+
+
+class TestEarlierRunDirectories:
+    """Run directories written by ecalib 0.1.0 before the config echo wrote
+    every field: a single-metric simulate, a K=2 composite with a
+    fixed_sequence_order, and a calibrate against demo_oracle."""
+
+    @pytest.mark.parametrize("name, rounds", [("simulate", 40), ("composite", 60), ("calibrate", 30)])
+    def test_replay_reproduces_them(self, name, rounds):
+        assert replay_check(RUNS / name) == rounds
+
+    @pytest.mark.parametrize("name", ["simulate", "composite", "calibrate"])
+    def test_rerun_gives_the_same_bytes_and_plan(self, tmp_path, name):
+        old = read_manifest(RUNS / name)
+        plan = parse_config(old["config"])
+        out = tmp_path / name
+        argv = ["--config", write_doc(tmp_path, old["config"]), "--out", str(out)]
+        if isinstance(plan.source, OracleSpec):
+            # The logged command names the interpreter as python3.
+            argv = ["calibrate", *argv, "--oracle", shlex.join([sys.executable, *shlex.split(plan.source.command)[1:]])]
+        else:
+            argv = ["simulate", *argv]
+        assert main(argv) == 0
+        for artifact in ("rounds.csv", "summary.csv", "final.json"):
+            assert (out / artifact).read_bytes() == (RUNS / name / artifact).read_bytes()
+        assert parse_config(read_manifest(out)["config"]) == plan
 
 
 class TestValidateReportSweep:
