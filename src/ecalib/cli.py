@@ -170,9 +170,11 @@ def cmd_calibrate(args) -> int:
     timeout = args.timeout if args.timeout is not None else plan.source.timeout
     if not (math.isfinite(timeout) and timeout > 0.0):
         raise EcalibError(f"--timeout must be finite and > 0, got {args.timeout}")
+    # The client starts from the plan, so the manifest records what ran.
+    plan = dataclasses.replace(plan, source=OracleSpec(command, timeout))
     out = _prepare_out(args.out)
     started = utc_now()
-    with oracle_client(command, plan.cfg, timeout) as source:
+    with oracle_client(plan.source.command, plan.cfg, plan.source.timeout) as source:
         result = run_altt(plan.cfg, source, trial=0, record_rounds=True)
     return _write_single_run("calibrate", out, plan, started, result, None)
 

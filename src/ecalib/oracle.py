@@ -10,22 +10,21 @@ one record per line.
 - either direction  {"type": "error", "message": "..."}   aborts the run
 
 Requests and answers alternate strictly; every answer must echo the round it
-replies to, carry exactly one value in [0, 1] per requested id, and arrive
-within the timeout of its request, writing the request included.  Any
-deviation aborts with a typed error carrying the offending record; values are
-never clamped, since silently repairing an out-of-range risk would void the
-statistical guarantee.
+replies to as a JSON integer, carry exactly one value in [0, 1] per requested
+id, and end its line within the timeout of its request, writing the request
+included.  Any deviation aborts with a typed error carrying the offending
+record; values are never clamped, since silently repairing an out-of-range
+risk would void the statistical guarantee.  The client runs in the calling
+thread: one selector waits on both pipes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import queue
 import selectors
 import shlex
 import subprocess
-import threading
 import time
 from typing import Sequence
 
@@ -38,8 +37,6 @@ from .errors import (
     OracleProcessExit,
     OracleTimeout,
 )
-
-_EOF = object()
 
 # Seconds to wait for each answer unless the config or caller says otherwise.
 DEFAULT_TIMEOUT = 60.0
@@ -66,21 +63,17 @@ class OracleClient:
         argv = command_argv(command)
         self.timeout = timeout
         try:
-            self._proc = subprocess.Popen(
-                argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-            )
+            self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
         except OSError as exc:
             raise OracleError(f"cannot start oracle {command!r}: {exc.strerror}") from None
         # Requests are written without blocking, so that a child that stops
-        # reading cannot hold a write past the timeout.
+        # reading cannot hold a write past the timeout.  One selector waits on
+        # stdout, and on stdin while a request is only partly written.
         os.set_blocking(self._proc.stdin.fileno(), False)
-        self._lines: queue.Queue = queue.Queue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
+        self._pipes = selectors.DefaultSelector()
+        self._pipes.register(self._proc.stdout, selectors.EVENT_READ)
+        # What the child wrote after the last line that was taken as an answer.
+        self._unread = b""
         try:
             hello = self._request(
                 {
@@ -97,49 +90,54 @@ class OracleClient:
             self._shutdown(kill=True)
             raise
 
-    def _pump(self) -> None:
-        out = self._proc.stdout
-        assert out is not None
-        for line in out:
-            self._lines.put(line)
-        self._lines.put(_EOF)
+    def _write(self, data: bytes) -> bytes:
+        """What is left of data after one non-blocking write to the child."""
+        try:
+            return data[self._proc.stdin.write(data) or 0 :]
+        except OSError as exc:
+            raise OracleProcessExit(f"oracle closed its stdin pipe: {exc}") from None
 
-    def _send(self, data: bytes, deadline: float) -> bool:
-        """Write data to the child's stdin; False if the pipe stays full
-        until deadline."""
-        fd = self._proc.stdin.fileno()
-        while data:
-            try:
-                data = data[os.write(fd, data):]
-            except BlockingIOError:
-                with selectors.DefaultSelector() as pipe:
-                    pipe.register(fd, selectors.EVENT_WRITE)
-                    if not pipe.select(max(0.0, deadline - time.monotonic())):
-                        return False
-        return True
+    def _exchange(self, msg: dict) -> bytes:
+        """The next line the child writes, once msg is written to it.  Both
+        must happen within the timeout of the request.  A child that overruns
+        it is killed, since a late answer could be taken for the answer to the
+        next request; so is one that closes a pipe, as it can answer no more."""
+        deadline = time.monotonic() + self.timeout
+        stdin = self._proc.stdin
+        if stdin.closed:
+            raise OracleProcessExit("the oracle client is closed")
+        try:
+            pending = self._write((json.dumps(msg) + "\n").encode())
+            if pending:
+                self._pipes.register(stdin, selectors.EVENT_WRITE)
+            while pending or b"\n" not in self._unread:
+                ready = self._pipes.select(max(0.0, deadline - time.monotonic()))
+                if not ready and pending:
+                    raise OracleTimeout(f"oracle read no {msg['type']} request within {self.timeout}s")
+                if not ready:
+                    raise OracleTimeout(f"no answer within {self.timeout}s to request {json.dumps(msg)}")
+                for key, _ in ready:
+                    if key.fileobj is stdin:
+                        pending = self._write(pending)
+                        if not pending:
+                            self._pipes.unregister(stdin)
+                    elif chunk := self._proc.stdout.read(4096):
+                        self._unread += chunk
+                    else:
+                        wrote = f"; it wrote {self._unread!r}" if self._unread else ""
+                        raise OracleProcessExit(f"oracle exited while answering {json.dumps(msg)}{wrote}")
+        except OracleError:
+            self._shutdown(kill=True)
+            raise
+        line, _, self._unread = self._unread.partition(b"\n")
+        return line
 
     def _request(self, msg: dict) -> dict:
-        """The answer to msg, which must arrive within the timeout of the
-        request; a child that overruns it is killed, since a late answer
-        could be taken for the answer to the next request."""
-        deadline = time.monotonic() + self.timeout
+        """The answer to msg, a protocol message other than an error."""
+        line = self._exchange(msg)
         try:
-            sent = self._send((json.dumps(msg) + "\n").encode(), deadline)
-        except (OSError, ValueError) as exc:
-            raise OracleProcessExit(f"oracle closed its stdin pipe: {exc}") from None
-        if not sent:
-            self._shutdown(kill=True)
-            raise OracleTimeout(f"oracle read no {msg['type']} request within {self.timeout}s")
-        try:
-            line = self._lines.get(timeout=max(0.0, deadline - time.monotonic()))
-        except queue.Empty:
-            self._shutdown(kill=True)
-            raise OracleTimeout(f"no answer within {self.timeout}s to request {json.dumps(msg)}") from None
-        if line is _EOF:
-            raise OracleProcessExit(f"oracle exited while answering {json.dumps(msg)}")
-        try:
-            reply = json.loads(line)
-        except json.JSONDecodeError:
+            reply = json.loads(line.decode())
+        except ValueError:
             raise OracleMalformed(f"not a JSON record: {line!r}") from None
         if not isinstance(reply, dict) or "type" not in reply:
             raise OracleMalformed(f"not a protocol message: {line!r}")
@@ -153,7 +151,7 @@ class OracleClient:
         )
         if reply.get("type") != "risks":
             raise OracleMalformed(f"expected risks, got: {reply!r}")
-        if reply.get("round") != round_index:
+        if type(reply.get("round")) is not int or reply["round"] != round_index:
             raise OracleMalformed(
                 f"answer for round {reply.get('round')!r} to a round-{round_index} request"
             )
@@ -172,11 +170,7 @@ class OracleClient:
 
     def _shutdown(self, kill: bool) -> None:
         proc = self._proc
-        if proc.stdin is not None:
-            try:
-                proc.stdin.close()
-            except OSError:
-                pass
+        proc.stdin.close()
         if kill:
             proc.kill()
         try:
@@ -184,11 +178,8 @@ class OracleClient:
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
-        # With the child gone the reader meets EOF; stdout is closed only
-        # after the reader has let go of it.
-        self._reader.join(timeout=2.0)
-        if not self._reader.is_alive() and proc.stdout is not None:
-            proc.stdout.close()
+        proc.stdout.close()
+        self._pipes.close()
 
     def close(self) -> None:
         self._shutdown(kill=False)

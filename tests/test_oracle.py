@@ -6,8 +6,11 @@ import dataclasses
 import gc
 import io
 import json
+import os
+import re
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from unittest import mock
@@ -39,11 +42,18 @@ from ecalib.errors import (
 from ecalib.oracle import oracle_client
 from ecalib.orchestrator import run_altt
 from ecalib.rng import unit_uniform
-from ecalib.runio import replay_check
+from ecalib.runio import OracleSpec, parse_config, replay_check
 
 
 def demo_argv(means: str, *extra: str) -> list[str]:
     return [sys.executable, "-m", "ecalib.demo_oracle", "--means", means, *extra]
+
+
+def after_hello(script: str) -> list[str]:
+    """The argv of a child that acknowledges hello and then runs script, with
+    os and sys imported; os.write(1, ...) writes unbuffered bytes."""
+    hello = "import os, sys; sys.stdin.readline(); os.write(1, b'{\"type\": \"hello\"}\\n'); "
+    return [sys.executable, "-c", hello + script]
 
 
 def oracle_config(n, **overrides) -> CalibrationConfig:
@@ -153,6 +163,38 @@ class TestAbortPaths:
         assert client._proc.poll() is not None
         client.close()
 
+    def test_non_utf8_answer_is_malformed_at_once(self):
+        client = oracle_client(after_hello("sys.stdin.readline(); os.write(1, b'\\xff\\xfe\\n'); sys.stdin.read()"),
+                               oracle_config(2), timeout=5.0)
+        with client:
+            started = time.monotonic()
+            with pytest.raises(OracleMalformed, match="not a JSON record"):
+                client.query(1, [0, 1], "00" * 8)
+            assert time.monotonic() - started < 1.0
+
+    @pytest.mark.parametrize("echo", ["true", "1.0"])
+    def test_round_echo_must_be_a_json_integer(self, echo):
+        answer = f'{{"type": "risks", "round": {echo}, "values": [0.5, 0.5]}}\\n'
+        with oracle_client(after_hello(f"sys.stdin.readline(); os.write(1, b'{answer}'); sys.stdin.read()"),
+                           oracle_config(2)) as client:
+            with pytest.raises(OracleMalformed, match=f"answer for round {re.escape(echo.title())} to a round-1"):
+                client.query(1, [0, 1], "00" * 8)
+
+    def test_a_second_answer_in_one_write_is_refused_as_the_next(self):
+        answer = '{"type": "risks", "round": 1, "values": [0.5, 0.5]}\\n'
+        script = f"sys.stdin.readline(); os.write(1, b'{answer}' * 2); sys.stdin.read()"
+        with oracle_client(after_hello(script), oracle_config(2)) as client:
+            assert client.query(1, [0, 1], "00" * 8) == [0.5, 0.5]
+            with pytest.raises(OracleMalformed, match="answer for round 1 to a round-2 request"):
+                client.query(2, [0, 1], "00" * 8)
+
+    def test_exit_in_the_middle_of_an_answer(self):
+        script = "sys.stdin.readline(); os.write(1, b'{\"type\": \"risks\", \"rou')"
+        client = oracle_client(after_hello(script), oracle_config(2))
+        with pytest.raises(OracleProcessExit, match=re.escape("""it wrote b'{"type": "risks", "rou'""")):
+            client.query(1, [0, 1], "00" * 8)
+        assert client._proc.returncode is not None and client._proc.stdout.closed
+
     def test_candidate_count_mismatch_refused_at_hello(self):
         with pytest.raises(OracleError, match="candidate count mismatch"):
             oracle_client(demo_argv("0.1,0.2,0.3"), oracle_config(2))
@@ -188,6 +230,28 @@ class TestShutdown:
             del client, proc
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reopens the oracle's stdout through /proc")
+    def test_close_does_not_wait_for_a_helper_holding_stdout(self):
+        client = oracle_client(demo_argv("0.5,0.5"), oracle_config(2))
+        # A helper that holds the oracle's stdout open after the oracle exits.
+        with open(f"/proc/{client._proc.pid}/fd/1", "wb") as stdout:
+            helper = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"], stdout=stdout)
+        try:
+            started = time.monotonic()
+            client.close()
+            assert time.monotonic() - started < 1.0
+            assert client._proc.stdout.closed
+        finally:
+            helper.kill()
+            helper.wait()
+
+    def test_an_open_client_runs_no_thread(self):
+        threads = threading.active_count()
+        with oracle_client(demo_argv("0.5,0.5"), oracle_config(2)) as client:
+            assert threading.active_count() == threads
+            client.query(1, [0, 1], "00" * 8)
+            assert threading.active_count() == threads
 
     def test_failed_handshake_leaves_no_child_running(self):
         started = []
@@ -256,7 +320,11 @@ class TestCalibrateCommand:
         cfg_path.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "run"
         override = f"{sys.executable} -m ecalib.demo_oracle --means 0.0 --dist point"
-        assert main(["calibrate", "--config", str(cfg_path), "--oracle", override, "--out", str(out)]) == 0
+        argv = ["calibrate", "--config", str(cfg_path), "--oracle", override, "--timeout", "7.5", "--out", str(out)]
+        assert main(argv) == 0
+        # the manifest records the oracle that ran
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert parse_config(manifest["config"]).source == OracleSpec(override, 7.5)
 
 
 # The demo oracle's wire protocol, driven in process on generated stdin.

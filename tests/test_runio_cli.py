@@ -672,8 +672,11 @@ class TestEarlierRunDirectories:
         out = tmp_path / name
         argv = ["--config", write_doc(tmp_path, old["config"]), "--out", str(out)]
         if isinstance(plan.source, OracleSpec):
-            # The logged command names the interpreter as python3.
-            argv = ["calibrate", *argv, "--oracle", shlex.join([sys.executable, *shlex.split(plan.source.command)[1:]])]
+            # The logged command names the interpreter as python3; the new
+            # manifest records the command that ran.
+            command = shlex.join([sys.executable, *shlex.split(plan.source.command)[1:]])
+            argv = ["calibrate", *argv, "--oracle", command]
+            plan = dataclasses.replace(plan, source=dataclasses.replace(plan.source, command=command))
         else:
             argv = ["simulate", *argv]
         assert main(argv) == 0
