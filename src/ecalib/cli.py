@@ -36,16 +36,15 @@ from .runio import (
     load_config,
     read_manifest,
     read_summary_csv,
-    realized_curves,
     replay_check,
     sweep_value,
     utc_now,
     write_final_json,
     write_manifest,
-    write_rounds_csv,
+    write_run,
     write_summary_csv,
 )
-from .simharness import derive_reliable, run_trials
+from .simharness import run_trials
 
 logger = logging.getLogger("ecalib")
 
@@ -83,20 +82,10 @@ def _monte_carlo(cfg, source, args):
     return run_trials(cfg, source, M=args.trials, base_seed=cfg.seed, workers=args.workers)
 
 
-def _write_single_run(command: str, out: Path, plan: RunPlan, started: str, result, reliable) -> int:
+def _write_single_run(command: str, out: Path, plan: RunPlan, started: str, result) -> int:
     """The run directory of one logged run (simulate, calibrate)."""
     write_manifest(out, plan, started=started, finished=utc_now(), stop_reason=result.stop_reason.value)
-    write_rounds_csv(out, [(0, result)], bool(plan.cfg.extra_metrics))
-    write_summary_csv(out, *realized_curves(result, reliable))
-    write_final_json(
-        out,
-        {
-            "selected": sorted(result.selected),
-            "stop_reason": result.stop_reason.value,
-            "T": result.T,
-            "n_queries": result.n_queries,
-        },
-    )
+    write_run(out, plan, result)
     logger.info(
         "%s: stopped at t=%d (%s), selected %s", command, result.T, result.stop_reason.value, sorted(result.selected)
     )
@@ -110,7 +99,7 @@ def cmd_simulate(args) -> int:
     started = utc_now()
     source = plan.source.make_source(plan.cfg.seed, 0)
     result = run_altt(plan.cfg, source, trial=0, record_rounds=True)
-    return _write_single_run("simulate", out, plan, started, result, derive_reliable(plan.cfg, plan.source))
+    return _write_single_run("simulate", out, plan, started, result)
 
 
 def cmd_validate(args) -> int:
@@ -176,18 +165,13 @@ def cmd_calibrate(args) -> int:
     started = utc_now()
     with oracle_client(plan.source.command, plan.cfg, plan.source.timeout) as source:
         result = run_altt(plan.cfg, source, trial=0, record_rounds=True)
-    return _write_single_run("calibrate", out, plan, started, result, None)
+    return _write_single_run("calibrate", out, plan, started, result)
 
 
 def cmd_report(args) -> int:
     root = Path(args.input)
-    run_dirs = []
-    if (root / "summary.csv").exists():
-        run_dirs.append(root)
-    else:
-        for child in sorted(root.glob("*")):
-            if (child / "summary.csv").exists():
-                run_dirs.append(child)
+    candidates = [root] if (root / "summary.csv").exists() else sorted(root.glob("*"))
+    run_dirs = [run for run in candidates if (run / "summary.csv").exists()]
     if not run_dirs:
         print("no runs found", file=sys.stderr)
         return 2

@@ -157,19 +157,22 @@ def _run(
         )
         token = "" if token_prefix is None else f"{mix64_from(token_prefix, t):016x}"
         values = source.query(t, batch, token)
-        if len(values) != len(batch):
-            raise SourceFailure(
-                f"round {t}: source returned {len(values)} values for {len(batch)} ids"
-            )
-        if n_metrics == 1:
-            risks_row = tuple(float(v) for v in values)
-            rows = [(r,) for r in risks_row]
-        else:
-            rows = [tuple(float(x) for x in v) for v in values]
-            for row in rows:
-                if len(row) != n_metrics:
-                    raise SourceFailure(f"round {t}: expected {n_metrics} metrics per id")
-            risks_row = tuple(rows)
+        try:
+            if len(values) != len(batch):
+                raise SourceFailure(
+                    f"round {t}: source returned {len(values)} values for {len(batch)} ids"
+                )
+            if n_metrics == 1:
+                risks_row = tuple(float(v) for v in values)
+                rows = [(r,) for r in risks_row]
+            else:
+                rows = [tuple(float(x) for x in v) for v in values]
+                for row in rows:
+                    if len(row) != n_metrics:
+                        raise SourceFailure(f"round {t}: expected {n_metrics} metrics per id")
+                risks_row = tuple(rows)
+        except (TypeError, ValueError) as exc:
+            raise SourceFailure(f"round {t}: malformed answer: {exc}") from None
         changed = False
         for pos, i in enumerate(batch):
             row = rows[pos]
@@ -284,7 +287,11 @@ def run_block(
         # identity and a slice spares the gathers.
         every = len(ids) == m * n
         pairs = slice(None) if every else rows * n + ids
-        risks = np.asarray(source.query(t, rows, ids), dtype=np.float64)
+        answer = source.query(t, rows, ids)
+        try:
+            risks = np.asarray(answer, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise SourceFailure(f"round {t}: malformed answer: {exc}") from None
         if risks.shape != (len(ids), n_metrics):
             raise SourceFailure(f"round {t}: expected {n_metrics} metrics per id")
         if not (risks.min(initial=0.0) >= 0.0 and risks.max(initial=1.0) <= 1.0):

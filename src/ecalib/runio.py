@@ -5,7 +5,7 @@ A run directory holds:
 - ``manifest.json``: config echo, tool version, rng mixer id, base seed,
   timestamps, and (single runs) the stop reason.  The config echo re-parses
   to the exact config that ran.
-- ``rounds.csv``: one row per recorded round with columns
+- ``rounds.csv``: one row per round of the run, trial 0, with columns
   trial, t, tested_ids, risks, wealths, selected_ids.  Multi-valued cells are
   semicolon-joined (metric values within one id joined by '|'); floats carry
   17 significant digits so replay comparisons are exact at printed precision.
@@ -21,8 +21,10 @@ import dataclasses
 import datetime
 import enum
 import functools
+import itertools
 import json
 import math
+import tempfile
 from pathlib import Path
 from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
@@ -30,9 +32,9 @@ from . import __version__
 from .core import AcquisitionSpec, CalibrationConfig, ErrorMetric, validate_config
 from .errors import EcalibError, InvalidConfig, OracleError
 from .oracle import DEFAULT_TIMEOUT, command_argv
-from .orchestrator import RunResult, run_altt
+from .orchestrator import RoundRecord, RunResult, run_altt
 from .rng import MIXER_ID
-from .simharness import Bernoulli, Beta, CompositeSyntheticSpec, PointMass, SyntheticSpec
+from .simharness import Bernoulli, Beta, CompositeSyntheticSpec, PointMass, SyntheticSpec, derive_reliable
 
 
 class ReplayMismatch(EcalibError):
@@ -183,14 +185,18 @@ def _spec_from_dict(cls, d, name: str, bad: list[str], defaults: dict):
     """cls from its JSON object, each field read by its type's reader and
     checked against its domain; a missing field takes its default, from
     defaults[cls] first.  None, with the violations in bad, unless every
-    field is valid and cls accepts them."""
+    key is a field or the tag of cls, and every field is valid and cls
+    accepts them."""
     if not isinstance(d, dict):
         return _check(dict, d, name, bad)
     n_bad = len(bad)
     prefix = f"{name}." if name else ""
+    schema = _schema(cls)
+    tag = _TAG_OF.get(cls, (None,))[0]
+    bad += [f"unknown config field {prefix + key!r}" for key in d if key not in schema and key != tag]
     given = defaults.get(cls, {})
     values = {}
-    for key, (read, default) in _schema(cls).items():
+    for key, (read, default) in schema.items():
         path = prefix + key
         default = given.get(key, default)
         if key in d or default is _OBJECT:
@@ -269,9 +275,10 @@ def parse_config(d: dict) -> RunPlan:
     if not isinstance(d, dict):
         raise InvalidConfig(["config must be a JSON object"])
     bad: list[str] = []
-    doc = _spec_from_dict(_Document, d, "", bad, {})
+    own = _schema(_Document)
+    doc = _spec_from_dict(_Document, {k: v for k, v in d.items() if k in own}, "", bad, {})
     batch = {AcquisitionSpec: {"batch_size": doc.batch_size}} if doc else {}
-    cfg = _spec_from_dict(CalibrationConfig, d, "", bad, batch)
+    cfg = _spec_from_dict(CalibrationConfig, {k: v for k, v in d.items() if k not in own}, "", bad, batch)
     sweep = (doc.sweep if doc else None) or {}
     if not set(sweep) <= set(SWEEP_AXES):
         bad.append(f"sweep axes must be a subset of {sorted(SWEEP_AXES)}")
@@ -365,28 +372,29 @@ ROUNDS_HEADER = ["trial", "t", "tested_ids", "risks", "wealths", "selected_ids"]
 SUMMARY_HEADER = ["t", "tpr", "fwer", "fdr", "mean_set_size"]
 
 
+def _ids(ids) -> str:
+    return ";".join(map(str, ids))
+
+
 def _risk_cell(risks_row, multi_metric: bool) -> str:
     if multi_metric:
         return ";".join("|".join(fmt17(x) for x in row) for row in risks_row)
     return ";".join(fmt17(r) for r in risks_row)
 
 
-def write_rounds_csv(out_dir: Path, results: Sequence[tuple[int, RunResult]], multi_metric: bool) -> None:
+def _outcome_cells(rec: RoundRecord) -> list[str]:
+    """The wealths and selected_ids cells of rec's row in rounds.csv."""
+    return [";".join([fmt17(rec.wealth[i]) for i in rec.tested]), _ids(sorted(rec.selected))]
+
+
+def write_rounds_csv(out_dir: Path, result: RunResult, multi_metric: bool) -> None:
+    # No cell holds anything but digits, '.', 'e', '+', '-', 'inf', ';' and
+    # '|', so csv.writer quotes none, and replay splits each line on ','.
     with open(out_dir / "rounds.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(ROUNDS_HEADER)
-        for trial, result in results:
-            for rec in result.records:
-                w.writerow(
-                    [
-                        trial,
-                        rec.t,
-                        ";".join(str(i) for i in rec.tested),
-                        _risk_cell(rec.risks, multi_metric),
-                        ";".join(fmt17(rec.wealth[i]) for i in rec.tested),
-                        ";".join(str(i) for i in sorted(rec.selected)),
-                    ]
-                )
+        for rec in result.records:
+            w.writerow([0, rec.t, _ids(rec.tested), _risk_cell(rec.risks, multi_metric), *_outcome_cells(rec)])
 
 
 def write_summary_csv(
@@ -403,26 +411,28 @@ def write_summary_csv(
             w.writerow([t + 1, fmt17(tpr[t]), fmt17(fwer[t]), fmt17(fdr[t]), fmt17(sizes[t])])
 
 
+def _read_rows(path: Path, header: list[str], error) -> list[list[str]]:
+    """The rows below the header of a CSV file as the writers here write it:
+    UTF-8 text, one line per row, each split on ','.  error names the file,
+    and the line of a row without a cell per header column."""
+    try:
+        rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise error(f"{path} is not a UTF-8 CSV file: {exc}") from None
+    if rows[:1] != [header]:
+        raise error(f"{path}: header {rows[0] if rows else None} != {header}")
+    for n, row in enumerate(rows[1:], 2):
+        if len(row) != len(header):
+            raise error(f"{path} line {n}: {len(row)} fields, not {len(header)}")
+    return rows[1:]
+
+
 def read_summary_csv(run_dir: Path) -> list[list[str]]:
     """The rows of run_dir/summary.csv below its header; EcalibError names
     the file (and line) when it cannot be read as one."""
-    path = run_dir / "summary.csv"
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != SUMMARY_HEADER:
-                raise EcalibError(f"{path}: header {header} != {SUMMARY_HEADER}")
-            rows = []
-            for row in reader:
-                if len(row) != len(SUMMARY_HEADER):
-                    raise EcalibError(f"{path} line {reader.line_num}: {len(row)} fields, not {len(SUMMARY_HEADER)}")
-                rows.append(row)
-            return rows
-    except OSError as exc:
-        raise EcalibError(f"cannot read {path}: {exc.strerror}") from None
-    except (ValueError, csv.Error) as exc:
-        raise EcalibError(f"{path} is not a UTF-8 CSV file: {exc}") from None
+    return _read_rows(run_dir / "summary.csv", SUMMARY_HEADER, EcalibError)
 
 
 def realized_curves(result: RunResult, reliable: frozenset[int] | None):
@@ -451,79 +461,81 @@ def write_final_json(out_dir: Path, doc: dict) -> None:
     (out_dir / "final.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
+def write_run(out_dir: Path, plan: RunPlan, result: RunResult, *, rounds: bool = True) -> None:
+    """rounds.csv (if rounds), summary.csv and final.json of one logged run;
+    the summary's ground truth is unknown for an oracle source."""
+    if rounds:
+        write_rounds_csv(out_dir, result, bool(plan.cfg.extra_metrics))
+    reliable = None if isinstance(plan.source, OracleSpec) else derive_reliable(plan.cfg, plan.source)
+    write_summary_csv(out_dir, *realized_curves(result, reliable))
+    write_final_json(out_dir, {"selected": sorted(result.selected), "stop_reason": result.stop_reason.value,
+                               "T": result.T, "n_queries": result.n_queries})
+
+
+def _same_bytes(logged: Path, replayed: Path) -> None:
+    """ReplayMismatch naming the first line where the two files differ."""
+    try:
+        old = logged.read_bytes().splitlines(keepends=True)
+    except OSError as exc:
+        raise ReplayMismatch(f"cannot read {logged}: {exc.strerror}") from None
+    new = replayed.read_bytes().splitlines(keepends=True)
+    for n, (a, b) in enumerate(itertools.zip_longest(old, new, fillvalue=b""), 1):
+        if a != b:
+            raise ReplayMismatch(f"{logged} line {n}: {a!r} != replayed {b!r}")
+
+
 class ReplaySource:
     """Serves the risks logged in rounds.csv back to the engine, verifying
     that the engine asks for exactly the logged ids in each round."""
 
     reads_token = False
 
-    def __init__(self, rows: dict[int, dict]):
-        self.rows = rows
+    def __init__(self, path: Path, rows: list[list[str]], multi_metric: bool):
+        self.path, self.rows, self.multi_metric = path, rows, multi_metric
 
     def query(self, round_index: int, ids: Sequence[int], token: str):
-        row = self.rows.get(round_index)
-        if row is None:
-            raise ReplayMismatch(f"round {round_index} was not logged")
-        if list(ids) != row["tested"]:
-            raise ReplayMismatch(f"round {round_index}: engine asked for {list(ids)}, log has {row['tested']}")
-        return row["risks"]
+        if round_index > len(self.rows):
+            raise ReplayMismatch(f"{self.path}: round {round_index} was not logged")
+        cells = self.rows[round_index - 1]
+        where = f"{self.path} line {round_index + 1}"
+        if _ids(ids) != cells[2]:
+            raise ReplayMismatch(f"{where}: engine asked for ids {_ids(ids)}, log has {cells[2]}")
+        try:
+            if self.multi_metric:
+                return [tuple(map(float, risks.split("|"))) for risks in cells[3].split(";")]
+            return [float(risk) for risk in cells[3].split(";")]
+        except ValueError as exc:
+            raise ReplayMismatch(f"{where}: {exc}") from None
 
 
-def _parse_rounds_csv(run_dir: Path, multi_metric: bool) -> dict[int, dict[int, dict]]:
-    """rounds.csv -> {trial: {t: {tested, risks, wealth_strs, selected}}};
-    ReplayMismatch names the file (and line) of any unreadable part."""
+def _parse_rounds_csv(run_dir: Path) -> list[list[str]]:
+    """The six cells of each row of run_dir/rounds.csv; row t - 1 is round t
+    of trial 0.  ReplayMismatch names the file, and the line of a bad row."""
     path = run_dir / "rounds.csv"
-    trials: dict[int, dict[int, dict]] = {}
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh, restval="")
-            if reader.fieldnames != ROUNDS_HEADER:
-                raise ReplayMismatch(f"{path}: header {reader.fieldnames} != {ROUNDS_HEADER}")
-            for row in reader:
-                t = int(row["t"])
-                tested = [int(x) for x in row["tested_ids"].split(";")] if row["tested_ids"] else []
-                selected = [int(x) for x in row["selected_ids"].split(";")] if row["selected_ids"] else []
-                cells = row["risks"].split(";")
-                risks = [tuple(map(float, c.split("|"))) for c in cells] if multi_metric else list(map(float, cells))
-                trials.setdefault(int(row["trial"]), {})[t] = {
-                    "tested": tested,
-                    "risks": risks,
-                    "wealth_strs": row["wealths"].split(";") if row["wealths"] else [],
-                    "selected": selected,
-                }
-    except OSError as exc:
-        raise ReplayMismatch(f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise ReplayMismatch(f"{path} line {reader.line_num}: {exc}") from None
-    return trials
+    rows = _read_rows(path, ROUNDS_HEADER, ReplayMismatch)
+    for t, row in enumerate(rows, 1):
+        if row[:2] != ["0", str(t)]:
+            raise ReplayMismatch(f"{path} line {t + 1}: trial and t {row[:2]}, not ['0', '{t}']")
+    return rows
 
 
 def replay_check(run_dir: str | Path) -> int:
-    """Re-run the engine from the logged risks and compare wealths and
-    selections at printed precision.  Returns the number of rounds checked;
-    raises ReplayMismatch on the first disagreement."""
+    """Re-run trial 0 from the logged risks: each round's wealths and
+    selected_ids cells must equal the log's, and the re-written summary.csv
+    and final.json the run directory's bytes.  Returns the number of rounds;
+    ReplayMismatch names the first difference.  Writes nothing to run_dir."""
     run_dir = Path(run_dir)
-    manifest = read_manifest(run_dir)
-    plan = parse_config(manifest["config"])
-    trials = _parse_rounds_csv(run_dir, bool(plan.cfg.extra_metrics))
-    if not trials:
-        raise ReplayMismatch("rounds.csv holds no rounds")
-    checked = 0
-    for trial, rows in sorted(trials.items()):
-        source = ReplaySource(rows)
-        result = run_altt(plan.cfg, source, trial=trial, record_rounds=True)
-        if len(result.records) != len(rows):
-            raise ReplayMismatch(f"trial {trial}: replay produced {len(result.records)} rounds, log has {len(rows)}")
-        for rec in result.records:
-            row = rows[rec.t]
-            got_wealths = [fmt17(rec.wealth[i]) for i in rec.tested]
-            if got_wealths != row["wealth_strs"]:
-                raise ReplayMismatch(
-                    f"trial {trial} round {rec.t}: wealths {got_wealths} != logged {row['wealth_strs']}"
-                )
-            if sorted(rec.selected) != row["selected"]:
-                raise ReplayMismatch(
-                    f"trial {trial} round {rec.t}: selected {sorted(rec.selected)} != logged {row['selected']}"
-                )
-            checked += 1
-    return checked
+    plan = parse_config(read_manifest(run_dir)["config"])
+    path, rows = run_dir / "rounds.csv", _parse_rounds_csv(run_dir)
+    result = run_altt(plan.cfg, ReplaySource(path, rows, bool(plan.cfg.extra_metrics)), trial=0, record_rounds=True)
+    if len(result.records) != len(rows):
+        raise ReplayMismatch(f"{path}: replay produced {len(result.records)} rounds, log has {len(rows)}")
+    for rec, row in zip(result.records, rows):
+        for name, got, logged in zip(ROUNDS_HEADER[4:], _outcome_cells(rec), row[4:]):
+            if got != logged:
+                raise ReplayMismatch(f"{path} line {rec.t + 1}: {name} {got} != logged {logged}")
+    with tempfile.TemporaryDirectory() as tmp:
+        write_run(Path(tmp), plan, result, rounds=False)
+        for name in ("summary.csv", "final.json"):
+            _same_bytes(run_dir / name, Path(tmp) / name)
+    return len(rows)

@@ -120,6 +120,22 @@ class TestHappyPath:
         with oracle_client(command, cfg) as source:
             assert source.query(1, [0], "00" * 8) == [0.0]
 
+    def test_a_request_larger_than_a_pipe_buffer_is_answered(self):
+        # 20,000 ids make a request of about 140 KB; a Linux pipe holds 64 KB,
+        # so the request goes out in several writes while the child reads.
+        n = 20_000
+        answer = (
+            "line = json.loads(sys.stdin.readline()); "
+            "os.write(1, json.dumps({'type': 'risks', 'round': line['round'], "
+            "'values': [0.5] * len(line['ids'])}).encode() + b'\\n'); sys.stdin.readline()"
+        )
+        writes = []
+        with oracle_client(after_hello("import json; " + answer), oracle_config(n)) as source:
+            write = source._write
+            with mock.patch.object(source, "_write", side_effect=lambda data: writes.append(len(data)) or write(data)):
+                assert source.query(1, range(n), "00" * 8) == [0.5] * n
+        assert len(writes) > 1 and writes[0] > 64 * 1024
+
 
 class TestAbortPaths:
     def run_to_failure(self, mode, timeout=60.0):

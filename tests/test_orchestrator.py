@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -17,7 +18,7 @@ from ecalib.core import (
     SelectionRuleName,
 )
 from ecalib.errors import InvalidConfig, SourceFailure
-from ecalib.orchestrator import StopReason, run_altt, run_ltt
+from ecalib.orchestrator import StopReason, run_altt, run_block, run_ltt
 from ecalib.rng import TAG_TOKEN, mix64
 from ecalib.simharness import Bernoulli, Beta, CompositeSyntheticSpec, PointMass, SyntheticSpec
 
@@ -286,6 +287,52 @@ class TestSourceValidation:
     def test_out_of_range_risk_rejected(self):
         with pytest.raises(SourceFailure):
             run_altt(config_n1(), ConstantSource([1.5]))
+
+
+TWO_METRICS = (MetricSpec(alpha=0.5, direction=Direction.RISK_BELOW),)
+
+# Answers to the first round of a 3-candidate full-batch run, one per engine:
+# (extra metrics, the answer of a one-run source, that of a block source,
+# whose rows are the (id, metric) risks of each tested pair).
+MALFORMED_ANSWERS = {
+    "none_among_risks": ((), [0.1, None, 0.2], [[0.1], [None], [0.2]]),
+    "nested_risk": ((), [0.1, 0.2, [0.3]], [[0.1], [0.2], [[0.3]]]),
+    "a_number": ((), 5, 5),
+    "strings": ((), ["x", "y", "z"], [["x"], ["y"], ["z"]]),
+    "too_few": ((), [0.1, 0.2], [[0.1], [0.2]]),
+    "out_of_range": ((), [0.1, 1.5, 0.2], [[0.1], [1.5], [0.2]]),
+    "nan": ((), [0.1, math.nan, 0.2], [[0.1], [math.nan], [0.2]]),
+    "other_engine_shape": ((), [(0.1,), (0.2,), (0.3,)], [0.1, 0.2, 0.3]),
+    "floats_for_two_metrics": (TWO_METRICS, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3]),
+    "one_tuples_for_two_metrics": (TWO_METRICS, [(0.1,), (0.2,), (0.3,)], [[0.1], [0.2], [0.3]]),
+    "ragged_for_two_metrics": (TWO_METRICS, [(0.1, 0.2), (0.3,), (0.4, 0.5)], [[0.1, 0.2], [0.3], [0.4, 0.5]]),
+}
+
+
+class TestMalformedAnswers:
+    """Whatever a source answers, a malformed answer is SourceFailure
+    naming the round, on both engines."""
+
+    def config(self, extra):
+        return config_n1(n_candidates=3, d_stop=3, extra_metrics=extra)
+
+    @pytest.mark.parametrize("extra, answer, _", MALFORMED_ANSWERS.values(), ids=MALFORMED_ANSWERS.keys())
+    def test_one_run_engine(self, extra, answer, _):
+        class Source:
+            def query(self, round_index, ids, token):
+                return answer
+
+        with pytest.raises(SourceFailure, match="^round 1: "):
+            run_altt(self.config(extra), Source())
+
+    @pytest.mark.parametrize("extra, _, answer", MALFORMED_ANSWERS.values(), ids=MALFORMED_ANSWERS.keys())
+    def test_block_engine(self, extra, _, answer):
+        class Block:
+            def query(self, round_index, rows, ids):
+                return answer
+
+        with pytest.raises(SourceFailure, match="^round 1: "):
+            run_block(self.config(extra), Block(), [0], 10, True)
 
 
 class TestRoundHook:

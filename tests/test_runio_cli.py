@@ -9,6 +9,7 @@ import math
 import random
 import re
 import shlex
+import shutil
 import sys
 from pathlib import Path
 
@@ -500,6 +501,18 @@ MALFORMED = {
     "oracle_timeout_zero": (oracle_doc(timeout=0), "source.timeout 0.0 must be finite and > 0"),
     "oracle_timeout_nan": (oracle_doc(timeout=math.nan), "source.timeout nan must be finite and > 0"),
     "oracle_timeout_a_string": (oracle_doc(timeout="5"), "source.timeout must be a JSON number, got '5'"),
+    "unknown_top_level_field": (changed(("literal_sett",), True), "unknown config field 'literal_sett'"),
+    "unknown_spec_field": (changed(("betting", "clip_fracton"), 0.5), "unknown config field 'betting.clip_fracton'"),
+    "unknown_acquisition_field": (changed(("acquisition", "epsilonn"), 0.9),
+                                  "unknown config field 'acquisition.epsilonn'"),
+    "unknown_source_field": (changed(("source", "shared_drw"), True), "unknown config field 'source.shared_drw'"),
+    "unknown_arm_field": (changed(("source", "arms", 1, "mean"), 0.3), "unknown config field 'source.arms[1].mean'"),
+    "unknown_extra_metric_field": (changed(("extra_metrics",), [{"alpha": 0.5, "direction": "risk_below", "alpah": 0.4}]),
+                                   "unknown config field 'extra_metrics[0].alpah'"),
+    "unknown_composite_metric_field": (composite_doc([{**THREE_ARMS, "shared": True}, THREE_ARMS]),
+                                       "unknown config field 'source.metrics[0].shared'"),
+    "unknown_oracle_field": (oracle_doc(timout=5), "unknown config field 'source.timout'"),
+    "tag_of_another_union": (changed(("source", "dist"), "point"), "unknown config field 'source.dist'"),
 }
 
 
@@ -644,6 +657,39 @@ class TestSimulateAndReplay:
             replay_check(out)
         assert main(["replay", "--in", str(out)]) == 1
 
+    def test_replay_reads_cells_past_the_csv_field_limit(self, tmp_path):
+        n = 7000
+        doc = base_config_doc()
+        doc.update(n_candidates=n, d_stop=n, t_max=2)
+        doc["acquisition"] = {"policy": "full_batch", "batch_size": 1}
+        doc["source"] = {"kind": "synthetic", "arms": [{"dist": "beta", "a": 2, "b": 9}] * n}
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+        risks = (out / "rounds.csv").read_text(encoding="utf-8").splitlines()[1].split(",")[3]
+        assert len(risks) > csv.field_size_limit()
+        assert replay_check(out) == 2
+
+    def test_overflowing_and_ruined_wealths_replay(self, tmp_path):
+        # Under max bets a risk of 0 at alpha 0.5 about doubles the wealth
+        # each round, past the largest double after ~1,024 rounds, and a risk
+        # of 1 leaves a millionth of it.
+        doc = base_config_doc()
+        doc.update(n_candidates=2, alpha=0.5, d_stop=2, t_max=1100, betting={"strategy": "max"})
+        doc["acquisition"] = {"policy": "full_batch", "batch_size": 1}
+        doc["source"] = {"kind": "synthetic", "arms": [{"dist": "point", "value": 0.0}, {"dist": "point", "value": 1.0}]}
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+        last = (out / "rounds.csv").read_text(encoding="utf-8").splitlines()[-1]
+        assert last.split(",")[4] == "inf;0"
+        assert replay_check(out) == 1100
+
+    def test_replay_writes_nothing_into_the_run_directory(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", write_doc(tmp_path, base_config_doc()), "--out", str(out)]) == 0
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+        assert replay_check(out) > 0
+        assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()} == before
+
     def test_empty_log_is_rejected(self, tmp_path):
         cfg_path = write_doc(tmp_path, base_config_doc())
         out = tmp_path / "run"
@@ -683,6 +729,35 @@ class TestEarlierRunDirectories:
         for artifact in ("rounds.csv", "summary.csv", "final.json"):
             assert (out / artifact).read_bytes() == (RUNS / name / artifact).read_bytes()
         assert parse_config(read_manifest(out)["config"]) == plan
+
+
+    @pytest.mark.parametrize("name", ["simulate", "calibrate"])
+    @pytest.mark.parametrize(
+        "tamper, artifact",
+        [
+            (lambda d: edit_final(d, selected=[0, 1, 2, 3]), "final.json"),
+            (lambda d: edit_final(d, T=7), "final.json"),
+            (lambda d: edit_final(d, stop_reason="reached_d"), "final.json"),
+            (lambda d: edit_lines(d / "summary.csv", 4, lambda cells: [*cells[:4], fmt17(float(cells[4]) + 1)]),
+             "summary.csv"),
+        ],
+        ids=["selected", "T", "stop_reason", "summary_row"],
+    )
+    def test_a_tampered_certificate_is_refused(self, tmp_path, caplog, name, tamper, artifact):
+        run = tmp_path / name
+        shutil.copytree(RUNS / name, run)
+        assert main(["replay", "--in", str(run)]) == 0
+        tamper(run)
+        caplog.clear()
+        assert main(["replay", "--in", str(run)]) == 1
+        [line] = error_lines(caplog)
+        assert line.startswith(f"ERROR ecalib: {run / artifact} line ")
+
+
+def edit_final(run_dir, **changes) -> None:
+    path = run_dir / "final.json"
+    doc = {**json.loads(path.read_text(encoding="utf-8")), **changes}
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 class TestValidateReportSweep:
@@ -786,6 +861,12 @@ class TestValidateReportSweep:
         path = tmp_path / "bad.json"
         path.write_text("{oops", encoding="utf-8")
         assert main(["validate", "--config", str(path), "--trials", "2", "--out", str(tmp_path / "v")]) == 1
+
+    def test_calibrate_refuses_a_synthetic_source(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        assert main(["calibrate", "--config", write_doc(tmp_path, base_config_doc()), "--out", str(out)]) == 1
+        assert error_lines(caplog) == ["ERROR ecalib: calibrate needs an oracle source"]
+        assert not out.exists()
 
     def test_synthetic_commands_reject_oracle_sources(self, tmp_path):
         doc = base_config_doc()
@@ -941,13 +1022,24 @@ class TestUserSuppliedPaths:
             (lambda d: (d / "manifest.json").write_text('{"tool": "ecalib"}'), "{d}/manifest.json holds no config"),
             (lambda d: (d / "rounds.csv").unlink(), "cannot read {d}/rounds.csv"),
             (lambda d: edit_rounds(d, 0, 1, "round"), "{d}/rounds.csv: header"),
-            (lambda d: edit_rounds(d, 3, 1, "x"), "{d}/rounds.csv line 4: invalid literal for int()"),
-            (lambda d: edit_rounds(d, 2, 2, "0;z"), "{d}/rounds.csv line 3: invalid literal for int()"),
-            (lambda d: edit_rounds(d, 5, 5, "1;q"), "{d}/rounds.csv line 6: invalid literal for int()"),
+            (lambda d: edit_rounds(d, 3, 1, "x"), "{d}/rounds.csv line 4: trial and t ['0', 'x'], not ['0', '3']"),
+            (lambda d: edit_rounds(d, 2, 2, "0;z"), "{d}/rounds.csv line 3: engine asked for ids"),
+            (lambda d: edit_rounds(d, 5, 5, "1;q"), "{d}/rounds.csv line 6: selected_ids"),
             (lambda d: edit_rounds(d, 2, 3, "0.5x"), "{d}/rounds.csv line 3: could not convert string to float"),
+            (lambda d: (d / "rounds.csv").write_bytes(b"\xff"), "{d}/rounds.csv is not a UTF-8 CSV file"),
+            (lambda d: edit_lines(d / "rounds.csv", 2, lambda cells: cells[:5]), "{d}/rounds.csv line 3: 5 fields, not 6"),
+            (lambda d: edit_rounds(d, 2, 0, "1"), "{d}/rounds.csv line 3: trial and t ['1', '2']"),
+            (lambda d: edit_lines(d / "rounds.csv", -1, lambda cells: None), "{d}/rounds.csv: round "),
+            (lambda d: edit_lines(d / "rounds.csv", -1, lambda cells: [cells, [cells[0], str(int(cells[1]) + 1), *cells[2:]]]),
+             "{d}/rounds.csv: replay produced "),
+            (lambda d: edit_lines(d / "rounds.csv", 1, lambda cells: [f'"{c}"' for c in cells]),
+             "{d}/rounds.csv line 2: trial and t ['\"0\"', '\"1\"']"),
+            (lambda d: (d / "final.json").unlink(), "cannot read {d}/final.json"),
         ],
         ids=["no_manifest", "manifest_not_json", "manifest_not_utf8", "manifest_without_config",
-             "no_rounds", "wrong_header", "bad_round", "bad_tested_id", "bad_selected_id", "bad_risk"],
+             "no_rounds", "wrong_header", "bad_round", "bad_tested_id", "bad_selected_id", "bad_risk",
+             "rounds_not_utf8", "short_row", "other_trial", "missing_round", "extra_round", "quoted_cells",
+             "no_final"],
     )
     def test_unreadable_run_directory(self, tmp_path, caplog, damage, message):
         run = tmp_path / "run"
@@ -963,10 +1055,16 @@ class TestUserSuppliedPaths:
         assert line.startswith("ERROR ecalib: " + message.format(d=run))
 
 
+def edit_lines(path, n: int, change) -> None:
+    """Replace the cells of line n (0-based) of a CSV file with change(cells):
+    None drops the line, and a list of lists puts several in its place."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    n %= len(lines)
+    new = change(lines[n].split(","))
+    new = [] if new is None else new if isinstance(new[0], list) else [new]
+    lines[n : n + 1] = [",".join(cells) for cells in new]
+    path.write_text("".join(line + "\r\n" for line in lines), encoding="utf-8", newline="")
+
+
 def edit_rounds(run_dir, row: int, col: int, value: str) -> None:
-    path = run_dir / "rounds.csv"
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows[row][col] = value
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
+    edit_lines(run_dir / "rounds.csv", row, lambda cells: [*cells[:col], value, *cells[col + 1 :]])
