@@ -164,16 +164,20 @@ def _fisher_yates(
     first + i; marks the picked ids in ``tested``.
 
     A draw depends only on its stream and the pool size, so all are taken
-    at once; steps past a row's k swap slots that row never reads.
+    at once; steps past a row's k swap slots that row never reads.  Step i
+    swaps slots i and swaps[j, i] of every row j with one gather and one
+    scatter on the flattened pool: rows own disjoint slots, and a swap of a
+    slot with itself writes the value it reads.
     """
     steps = np.arange(int(k.max(initial=0)))
     rows = np.arange(len(pool))
     u64 = stream_u64_np(states[:, None], first + steps)
     swaps = steps + randbelow_np(u64, np.maximum(sizes[:, None] - steps, 1))
+    flat = pool.reshape(-1)
+    base = rows[:, None] * pool.shape[1]
+    a, b = (base + steps).T, (base + swaps).T
+    ab, ba = np.hstack((a, b)), np.hstack((b, a))
     for i in steps:
-        swap = swaps[:, i]
-        held = pool[:, i].copy()
-        pool[:, i] = pool[rows, swap]
-        pool[rows, swap] = held
+        flat[ab[i]] = flat[ba[i]]
     picks = np.arange(pool.shape[1]) < k[:, None]
-    tested[np.repeat(rows, k), pool[picks]] = True
+    tested[np.repeat(rows, k), flat.reshape(pool.shape)[picks]] = True

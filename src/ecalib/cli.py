@@ -221,8 +221,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    checked = replay_check(args.input)
     manifest = read_manifest(Path(args.input))
+    checked = replay_check(args.input, manifest)
     logger.info("replay: %d rounds reproduced exactly (run of %s)", checked, manifest.get("started_utc"))
     return 0
 

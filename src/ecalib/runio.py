@@ -519,13 +519,26 @@ def _parse_rounds_csv(run_dir: Path) -> list[list[str]]:
     return rows
 
 
-def replay_check(run_dir: str | Path) -> int:
+def _first_difference(name: str, got: str, logged: str, tested: str) -> str:
+    """The first entry where two ';'-separated cells differ: its position
+    and, in wealths, its candidate id; or the entry counts, when one cell is
+    a prefix of the other."""
+    g, lg = (cell.split(";") if cell else [] for cell in (got, logged))
+    for j, (a, b) in enumerate(zip(g, lg)):
+        if a != b:
+            where = f" (id {tested.split(';')[j]})" if name == "wealths" else ""
+            return f"{name} entry {j}{where}: {a} != logged {b}"
+    return f"{name}: {len(g)} entries != logged {len(lg)}"
+
+
+def replay_check(run_dir: str | Path, manifest: dict | None = None) -> int:
     """Re-run trial 0 from the logged risks: each round's wealths and
     selected_ids cells must equal the log's, and the re-written summary.csv
     and final.json the run directory's bytes.  Returns the number of rounds;
-    ReplayMismatch names the first difference.  Writes nothing to run_dir."""
+    ReplayMismatch names the first difference.  Writes nothing to run_dir.
+    ``manifest`` is run_dir's manifest.json, when the caller has read it."""
     run_dir = Path(run_dir)
-    plan = parse_config(read_manifest(run_dir)["config"])
+    plan = parse_config((read_manifest(run_dir) if manifest is None else manifest)["config"])
     path, rows = run_dir / "rounds.csv", _parse_rounds_csv(run_dir)
     result = run_altt(plan.cfg, ReplaySource(path, rows, bool(plan.cfg.extra_metrics)), trial=0, record_rounds=True)
     if len(result.records) != len(rows):
@@ -533,7 +546,7 @@ def replay_check(run_dir: str | Path) -> int:
     for rec, row in zip(result.records, rows):
         for name, got, logged in zip(ROUNDS_HEADER[4:], _outcome_cells(rec), row[4:]):
             if got != logged:
-                raise ReplayMismatch(f"{path} line {rec.t + 1}: {name} {got} != logged {logged}")
+                raise ReplayMismatch(f"{path} line {rec.t + 1}: {_first_difference(name, got, logged, row[2])}")
     with tempfile.TemporaryDirectory() as tmp:
         write_run(Path(tmp), plan, result, rounds=False)
         for name in ("summary.csv", "final.json"):

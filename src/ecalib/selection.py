@@ -5,9 +5,11 @@ ebh) they return the certified set.  Step-up rules (bh, by, ebh) default to
 the standard closure (select every rank up to the largest passing rank k*);
 ``literal=True`` instead selects exactly the ranks whose own predicate
 passes, which can be non-contiguous.  Ties in p or e are ranked by ascending
-id so results are deterministic: the step-up rules rank with a stable
-argsort, which orders ties exactly as sorting on (value, id) does, and
-compute each (N, delta)'s thresholds once.
+id so results are deterministic.  The closure never ranks: it cuts each row
+at the sorted value of rank k*, which selects the same set because a tie
+cannot straddle k*.  Only ``literal`` ranks, with a stable argsort
+that orders ties exactly as sorting on (value, id) does.  Each (N, delta)'s
+thresholds are computed once.
 
 ``select_rows`` is the one implementation of every rule: it applies a rule
 to each row of an (R, N) array at once, and both engines select through it.
@@ -57,24 +59,28 @@ def _ebh_thresholds(n: int, delta: float) -> np.ndarray:
     return _frozen([n / ((k + 1) * delta) for k in range(n)])
 
 
-def _step_up_rows(ranked: np.ndarray, passed: np.ndarray, literal: bool) -> np.ndarray:
-    """(R, N) mask of certified ids given each row's ranking and each rank's
-    own predicate.  The closure keeps every rank at or below a passing one."""
-    if not literal:
-        passed = np.logical_or.accumulate(passed[:, ::-1], axis=1)[:, ::-1]
-    selected = np.empty(passed.shape, dtype=bool)
-    np.put_along_axis(selected, ranked, passed, axis=1)
-    return selected
-
-
-def _ranked_rows(x: np.ndarray, thr_arr: np.ndarray, ascending: bool, literal: bool) -> np.ndarray:
-    """Step-up over ascending p (``ascending``) or descending e, row-wise.
-
-    A stable sort keeps tied values in ascending id order."""
-    ranked = np.argsort(x if ascending else -x, axis=1, kind="stable")
-    ordered = np.take_along_axis(x, ranked, axis=1)
-    passed = ordered <= thr_arr if ascending else ordered >= thr_arr
-    return _step_up_rows(ranked, passed, literal)
+def _step_up_rows(x: np.ndarray, thr_arr: np.ndarray, ascending: bool, literal: bool) -> np.ndarray:
+    """Step-up over ascending p (``ascending``) or descending e, row-wise."""
+    if literal:
+        # Each rank passes on its own, so ranks are needed: a stable sort
+        # keeps tied values in ascending id order.
+        ranked = np.argsort(x if ascending else -x, axis=1, kind="stable")
+        ordered = np.take_along_axis(x, ranked, axis=1)
+        selected = np.empty(x.shape, dtype=bool)
+        np.put_along_axis(selected, ranked, ordered <= thr_arr if ascending else ordered >= thr_arr, axis=1)
+        return selected
+    # The closure keeps every rank up to the last passing rank k*: every
+    # value at least as good as the cut, the sorted value at k*, which is the
+    # worst passing one.  Ties cannot straddle k*: the thresholds are monotone
+    # in rank (IEEE rounding is monotone), so a value at rank k*+1 equal to
+    # the cut would pass too.
+    # Negating twice sorts e descending with NaN last, where it never passes.
+    # A row where nothing passes cuts at -inf (p) or inf (e), which none of
+    # its values reaches: such a value would pass at rank 1.
+    srt = np.sort(x, axis=1) if ascending else -np.sort(-x, axis=1)
+    if ascending:
+        return x <= np.max(srt, axis=1, where=srt <= thr_arr, initial=-np.inf)[:, None]
+    return x >= np.min(srt, axis=1, where=srt >= thr_arr, initial=np.inf)[:, None]
 
 
 def select_rows(
@@ -100,9 +106,9 @@ def select_rows(
         selected[:, order] = prefix
         return selected
     if rule is SelectionRuleName.EBH:
-        return _ranked_rows(values, _ebh_thresholds(n, delta), False, literal)
+        return _step_up_rows(values, _ebh_thresholds(n, delta), False, literal)
     thresholds = _bh_thresholds if rule is SelectionRuleName.BH else _by_thresholds
-    return _ranked_rows(values, thresholds(n, delta), True, literal)
+    return _step_up_rows(values, thresholds(n, delta), True, literal)
 
 
 def _select_one(

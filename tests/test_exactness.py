@@ -1,7 +1,8 @@
 """The engine's fast paths give exactly what the plain definitions give.
 
-- The step-up rules and the eps-greedy top-k rank with a stable numpy
-  argsort; property tests compare them with ``sorted``-based references.
+- The step-up closure cuts at a sorted value, and the literal step-up rules
+  and the eps-greedy top-k rank with a stable numpy argsort; property tests
+  compare them with ``sorted``-based references.
 - Key prefixes are hashed once and continued with ``mix64_from``.
 - The engine re-selects only when an input of the rule changed; every
   logged round's set is checked against the rule applied from scratch.
@@ -54,7 +55,7 @@ from ecalib.rng import (
     unit_uniform,
     unit_uniform_from,
 )
-from ecalib.selection import bh, bonferroni, by, ebh, fixed_sequence
+from ecalib.selection import _bh_thresholds, _by_thresholds, _ebh_thresholds, bh, bonferroni, by, ebh, fixed_sequence
 from ecalib.selection import select_rows as select_set_rows
 from ecalib.simharness import (
     Bernoulli,
@@ -561,6 +562,67 @@ class TestRowWiseLayers:
             got = select_set_rows(rule, values, delta, literal, order)
             for j in range(len(values)):
                 assert frozenset(np.flatnonzero(got[j]).tolist()) == ref(values[j].tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300) | st.integers(200, 300), r=st.integers(1, 64) | st.integers(48, 64),
+           over=st.integers(0, 20),
+           density=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_fisher_yates_at_realistic_shapes(self, n, r, over, density, seed):
+        # Pools of a few hundred ids, batches up to and above the pool size,
+        # and eps-greedy rows whose pool sizes differ, so rows stop their
+        # partial shuffles at different steps.
+        rng = np.random.default_rng(seed)
+        batch = int(rng.integers(1, n + 1)) + over
+        certified = rng.random((r, n)) < density
+        prefixes = [mix64(TAG_RISK, j, seed) for j in range(r)]
+        t = int(rng.integers(1, 1000))
+        for spec in (AcquisitionSpec(AcquisitionPolicy.UNIFORM_ALL, batch_size=batch),
+                     AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=1.0, batch_size=batch)):
+            got = select_rows(spec, np.zeros((r, n)), certified, np.array(prefixes, dtype=np.uint64), t)
+            for j in range(r):
+                cert = frozenset(np.flatnonzero(certified[j]).tolist())
+                want = select_batch(spec, [0.0] * n, cert, MixStream.from_prefix(prefixes[j], t), t)
+                assert tuple(np.flatnonzero(got[j]).tolist()) == want
+
+    @given(n=st.integers(1, 3000), delta=deltas)
+    def test_step_up_thresholds_are_monotone_in_rank(self, n, delta):
+        # The closure cuts at a sorted value; that is exact only if no tie
+        # can straddle the last passing rank, which these orders guarantee.
+        assert (np.diff(_bh_thresholds(n, delta)) >= 0).all()
+        assert (np.diff(_by_thresholds(n, delta)) >= 0).all()
+        assert (np.diff(_ebh_thresholds(n, delta)) <= 0).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 300) | st.integers(200, 300), r=st.integers(1, 32) | st.integers(24, 32),
+           delta=deltas, seed=st.integers(0, 2**32 - 1))
+    def test_step_up_rows_are_the_reference_rule_per_row(self, n, r, delta, seed):
+        # Each row mixes general values with a few atoms: the rule's own
+        # thresholds at random ranks (values equal to a threshold, in runs of
+        # ties that can straddle a candidate cut rank), their neighbours, and
+        # p = 0, e = 0 and e = inf.
+        rng = np.random.default_rng(seed)
+        thr = {"p": np.concatenate((_bh_thresholds(n, delta), _by_thresholds(n, delta))),
+               "e": _ebh_thresholds(n, delta)}
+        ends = {"p": [0.0, 1.0], "e": [0.0, float("inf")]}
+        general = {"p": lambda size: rng.uniform(0.0, min(2 * delta, 1.0), size),
+                   "e": lambda size: n / (rng.uniform(0.5, n + 1, size) * delta)}
+
+        def block(kind):
+            rows = []
+            for _ in range(r):
+                picks = rng.choice(thr[kind], int(rng.integers(1, 6)))
+                atoms = np.concatenate((picks, np.nextafter(picks, 0.0), np.nextafter(picks, np.inf), ends[kind]))
+                tied = rng.random(n) < rng.uniform(0.0, 1.0)
+                rows.append(np.where(tied, rng.choice(atoms, n), general[kind](n)))
+            return np.minimum(np.array(rows), 1.0) if kind == "p" else np.array(rows)
+
+        pv, ev = block("p"), block("e")
+        for literal in (False, True):
+            for rule, values, ref in ((SelectionRuleName.BH, pv, ref_bh), (SelectionRuleName.BY, pv, ref_by),
+                                      (SelectionRuleName.EBH, ev, ref_ebh)):
+                got = select_set_rows(rule, values, delta, literal)
+                for j in range(r):
+                    assert frozenset(np.flatnonzero(got[j]).tolist()) == ref(values[j].tolist(), delta, literal)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

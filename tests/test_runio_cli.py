@@ -31,12 +31,14 @@ from ecalib.core import (
     validate_config,
 )
 from ecalib.errors import InvalidConfig
+from ecalib import runio
 from ecalib.orchestrator import run_altt
 from ecalib.rng import MIXER_ID
 from ecalib.runio import (
     OracleSpec,
     ReplayMismatch,
     RunPlan,
+    _first_difference,
     config_to_dict,
     fmt17,
     load_config,
@@ -669,6 +671,47 @@ class TestSimulateAndReplay:
         assert len(risks) > csv.field_size_limit()
         assert replay_check(out) == 2
 
+    def test_a_mismatch_in_a_large_log_names_the_first_differing_entry(self, tmp_path, caplog):
+        n, batch = 3000, 1000
+        doc = base_config_doc()
+        doc.update(n_candidates=n, d_stop=n, t_max=2, batch_size=batch)
+        doc["acquisition"] = {"policy": "uniform_all", "batch_size": batch}
+        doc["source"] = {"kind": "synthetic", "arms": [{"dist": "beta", "a": 2, "b": 9}] * n}
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+        cells = (out / "rounds.csv").read_text(encoding="utf-8").splitlines()[2].split(",")
+        tested, wealths = cells[2].split(";"), cells[4].split(";")
+        edited = fmt17(float(wealths[617]) * 1.0001)
+        edit_rounds(out, 2, 4, ";".join([*wealths[:617], edited, *wealths[618:]]))
+        caplog.clear()
+        assert main(["replay", "--in", str(out)]) == 1
+        [line] = error_lines(caplog)
+        assert len(line) < 300
+        assert line == (f"ERROR ecalib: {out / 'rounds.csv'} line 3: wealths entry 617 (id {tested[617]}): "
+                        f"{wealths[617]} != logged {edited}")
+
+    @pytest.mark.parametrize(
+        "name, got, logged, message",
+        [
+            ("wealths", "1.5;2;3", "1.5;2.5;3", "wealths entry 1 (id 7): 2 != logged 2.5"),
+            ("selected_ids", "0;4;9", "0;5;9", "selected_ids entry 1: 4 != logged 5"),
+            ("selected_ids", "0;4", "0;4;9", "selected_ids: 2 entries != logged 3"),
+            ("selected_ids", "", "3", "selected_ids: 0 entries != logged 1"),
+            ("wealths", "1.5;2;3", "1.5;2", "wealths: 3 entries != logged 2"),
+        ],
+    )
+    def test_a_cell_mismatch_names_one_entry_or_the_counts(self, name, got, logged, message):
+        assert _first_difference(name, got, logged, "2;7;8") == message
+
+    def test_replay_reads_the_manifest_once(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", write_doc(tmp_path, base_config_doc()), "--out", str(out)]) == 0
+        read = []
+        real = runio._read_json
+        monkeypatch.setattr(runio, "_read_json", lambda path, error: read.append(Path(path).name) or real(path, error))
+        assert main(["replay", "--in", str(out)]) == 0
+        assert read.count("manifest.json") == 1
+
     def test_overflowing_and_ruined_wealths_replay(self, tmp_path):
         # Under max bets a risk of 0 at alpha 0.5 about doubles the wealth
         # each round, past the largest double after ~1,024 rounds, and a risk
@@ -703,15 +746,17 @@ RUNS = Path(__file__).resolve().parent / "data" / "runs"
 
 
 class TestEarlierRunDirectories:
-    """Run directories written by ecalib 0.1.0 before the config echo wrote
-    every field: a single-metric simulate, a K=2 composite with a
-    fixed_sequence_order, and a calibrate against demo_oracle."""
+    """Run directories written by earlier versions of ecalib 0.1.0.  Before
+    the config echo wrote every field: a single-metric simulate, a K=2
+    composite with a fixed_sequence_order, and a calibrate against
+    demo_oracle.  Before the step-up closure cut at sorted values: a
+    200-arm e-BH simulate at batch 20 whose certified set changes often."""
 
-    @pytest.mark.parametrize("name, rounds", [("simulate", 40), ("composite", 60), ("calibrate", 30)])
+    @pytest.mark.parametrize("name, rounds", [("simulate", 40), ("composite", 60), ("calibrate", 30), ("ebh_wide", 40)])
     def test_replay_reproduces_them(self, name, rounds):
         assert replay_check(RUNS / name) == rounds
 
-    @pytest.mark.parametrize("name", ["simulate", "composite", "calibrate"])
+    @pytest.mark.parametrize("name", ["simulate", "composite", "calibrate", "ebh_wide"])
     def test_rerun_gives_the_same_bytes_and_plan(self, tmp_path, name):
         old = read_manifest(RUNS / name)
         plan = parse_config(old["config"])
