@@ -8,12 +8,14 @@ scale (the engines pass log wealth).
 ``select_batch`` serves one run; ``select_rows`` serves a block of trials
 advancing in lock-step, one row per trial, and marks in row r exactly the
 ids ``select_batch`` returns for row r's wealths, certified set and stream.
+Its keyed draws do not depend on the run's state, so they can be hashed
+ahead (``round_draws``), for any number of rounds in one array pass.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,17 +79,50 @@ def _pool(certified: frozenset[int], n: int) -> np.ndarray:
     return pool
 
 
+class Draws(NamedTuple):
+    """The keyed draws ``select_rows`` reads, from each row's round stream
+    ``MixStream.from_prefix(prefix, t)``: the stream state (for Fisher-Yates
+    steps), the eps-greedy explore coin (output 1 < epsilon) and the batch-1
+    rank draw (output 2).  A field the policy never reads is None."""
+
+    states: np.ndarray | None
+    explore: np.ndarray | None
+    rank_u64: np.ndarray | None
+
+    def at(self, c: int, rows) -> "Draws":
+        """Round c of draws laid out (rounds, rows), for the given rows."""
+        return Draws(*(None if a is None else a[c, rows] for a in self))
+
+
+def round_draws(spec: AcquisitionSpec, n: int, prefixes: np.ndarray, rounds) -> Draws:
+    """The draws of ``select_rows`` over N = n candidates for streams with
+    these prefixes in these rounds; ``rounds`` broadcasts against
+    ``prefixes``, so an int gives one round and a column of rounds gives a
+    (rounds, rows) layout."""
+    policy = spec.policy
+    if policy in (AcquisitionPolicy.FULL_BATCH, AcquisitionPolicy.ROUND_ROBIN):
+        return Draws(None, None, None)
+    states = mix64_from_np(prefixes, rounds)
+    if policy is AcquisitionPolicy.UNIFORM_ALL:
+        return Draws(states, None, None)
+    explore = uniform_np(stream_u64_np(states, 1)) < spec.epsilon
+    if min(spec.batch_size, n) == 1:
+        return Draws(None, explore, stream_u64_np(states, 2))
+    return Draws(states, explore, None)
+
+
 def select_rows(
     spec: AcquisitionSpec,
     wealths: np.ndarray,
     certified: np.ndarray,
-    prefixes: np.ndarray,
+    draws: Draws,
     round_index: int,
 ) -> np.ndarray:
     """Row-wise ``select_batch``: the (R, N) mask of each row's tested ids.
 
-    ``wealths`` and ``certified`` are (R, N) arrays; row r draws from the
-    stream ``MixStream.from_prefix(prefixes[r], round_index)``.  Eps-greedy
+    ``wealths`` and ``certified`` are (R, N) arrays; ``draws`` holds row
+    r's round-``round_index`` draws at index r of each field, as
+    ``round_draws(spec, N, prefixes, round_index)`` gives them.  Eps-greedy
     rows differ in pool size, so the pool is the explicit mask ~certified,
     never a sentinel wealth: an uncertified candidate may be bankrupt at
     -inf itself.
@@ -103,27 +138,30 @@ def select_rows(
         start = ((round_index - 1) * b) % n
         tested[:, (start + np.arange(b)) % n] = True
         return tested
-    states = mix64_from_np(prefixes, round_index)
     if policy is AcquisitionPolicy.UNIFORM_ALL:
         pool = np.tile(np.arange(n), (r, 1))
-        _fisher_yates(tested, pool, np.full(r, n), np.full(r, b), states, 1)
+        _fisher_yates(tested, pool, np.full(r, n), np.full(r, b), draws.states, 1)
         return tested
 
     # EPS_GREEDY
     free = ~certified
-    explore = uniform_np(stream_u64_np(states, 1)) < spec.epsilon
+    explore = draws.explore
     if b == 1:
         # The first pool id holding the pool's top wealth, or when exploring
-        # the pool id of rank randbelow(pool size).
-        top = np.where(free, wealths, -np.inf).max(axis=1)
-        hit = free & (wealths == top[:, None])
+        # the pool id of rank randbelow(pool size).  argmax finds the first
+        # top; it lands on a certified id only when every pool wealth is
+        # -inf, and then the first pool id is the pick.
+        rows = np.arange(r)
+        pool_w = np.where(free, wealths, -np.inf)
+        pick = pool_w.argmax(axis=1)
+        floor = pool_w[rows, pick] == -np.inf
+        if floor.any():
+            pick[floor] = free[floor].argmax(axis=1)
         if explore.any():
             f = free[explore]
-            rank = randbelow_np(stream_u64_np(states[explore], 2), np.count_nonzero(f, axis=1))
-            hit[explore] = f & (np.cumsum(f, axis=1) == rank[:, None] + 1)
-        rows = np.arange(r)
-        pick = np.argmax(hit, axis=1)
-        tested[rows, pick] = hit[rows, pick]  # an empty pool has no hit
+            rank = randbelow_np(draws.rank_u64[explore], f.sum(axis=1))
+            pick[explore] = (f.cumsum(axis=1) == rank[:, None] + 1).argmax(axis=1)
+        tested[rows, pick] = free[rows, pick]  # an empty pool tests nothing
         return tested
     pool_size = np.count_nonzero(free, axis=1)
     if explore.any():
@@ -132,7 +170,7 @@ def select_rows(
         pool = np.argsort(certified[rows], axis=1, kind="stable")
         sizes = pool_size[rows]
         sub = np.zeros(pool.shape, dtype=bool)
-        _fisher_yates(sub, pool, sizes, np.minimum(b, sizes), states[rows], 2)
+        _fisher_yates(sub, pool, sizes, np.minimum(b, sizes), draws.states[rows], 2)
         tested[rows] = sub
     exploit = np.flatnonzero(~explore)
     if len(exploit):

@@ -72,9 +72,11 @@ def _require_synthetic(plan: RunPlan, command: str) -> None:
         raise EcalibError(f"{command} needs a synthetic source (ground truth required)")
 
 
-def _check_workers(args) -> None:
-    if args.workers < 1:
-        raise EcalibError(f"--workers must be >= 1, got {args.workers}")
+def _check_counts(args) -> None:
+    """--trials and --workers of validate and sweep, before anything is made."""
+    for flag, value in (("--trials", args.trials), ("--workers", args.workers)):
+        if value < 1:
+            raise EcalibError(f"{flag} must be >= 1, got {value}")
 
 
 def _monte_carlo(cfg, source, args):
@@ -103,7 +105,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _check_workers(args)
+    _check_counts(args)
     plan = _override_seed(load_config(args.config), args.seed)
     _require_synthetic(plan, "validate")
     out = _prepare_out(args.out)
@@ -191,7 +193,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_workers(args)
+    _check_counts(args)
     plan = _override_seed(load_config(args.config), args.seed)
     _require_synthetic(plan, "sweep")
     if not plan.sweep:

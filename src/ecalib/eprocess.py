@@ -93,9 +93,12 @@ def each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
 
 def updates(log_wealth: np.ndarray, g: np.ndarray, mu, bound: BetBound) -> np.ndarray:
     """``update`` of each element; ``mu`` is an array or one shared bet."""
-    mus = np.broadcast_to(mu, np.shape(g))
-    out_of_bounds = ~((mus >= 0.0) & (mus < bound.mu_max))
-    if out_of_bounds.any():
+    # Two reductions check every bet that meets a payoff: broadcasting to a
+    # nonempty shape repeats each bet, and a NaN bet fails both compares.
+    mus = np.asarray(mu)
+    if np.size(g) and not (mus.min() >= 0.0 and mus.max() < bound.mu_max):
+        mus = np.broadcast_to(mus, np.shape(g))
+        out_of_bounds = ~((mus >= 0.0) & (mus < bound.mu_max))
         raise BetOutOfBounds(f"mu {float(mus[out_of_bounds][0])!r} outside [0, {bound.mu_max!r})")
     x = mu * g
     ruined = x <= -1.0

@@ -26,6 +26,12 @@ stops at its own d_stop.  Row m of its result equals ``_run`` on trial m,
 bit for bit, round by round: every step is the same elementwise IEEE
 arithmetic, and log1p and exp are math's, taken one element at a time.
 The Monte Carlo harness runs on it; ``_run`` serves single logged runs.
+
+A run_block round does only the work that depends on the state.  The keyed
+draws that do not, each trial's acquisition stream state, explore coin and
+batch-1 rank draw, are hashed for CHUNK_ROUNDS rounds at a time in one
+array pass (``acquisition.round_draws``), and the round hook hears only of
+rows whose certified set changed.
 """
 
 from __future__ import annotations
@@ -52,6 +58,10 @@ from .rng_np import mix64_np
 
 # exp() overflows past ~709.78; report such wealths as inf.
 _EXP_MAX = 709.0
+
+# Rounds whose state-independent keyed draws run_block hashes in one array
+# pass; a block holds a few (CHUNK_ROUNDS, M) arrays.
+CHUNK_ROUNDS = 64
 
 
 class StopReason(enum.Enum):
@@ -242,9 +252,12 @@ def run_block(
     ``source.query(t, rows, ids)`` receives the round index and the tested
     (row, id) pairs as two arrays, rows indexing ``trials``, and returns a
     (P, K) array: the K risks of each pair, as the trial's own source would
-    answer them.  ``round_hook(t, live, certified)`` is called after each
-    round's selection with the indices of the rows that ran the round and
-    the (M, N) certified mask.  Per-round work is on the rows still running.
+    answer them.  ``round_hook(t, rows, certified)`` is called after a
+    round's selection only when some row's certified set changed in it,
+    with the indices of those rows and the (M, N) certified mask; a row's
+    set in any other round is the one it held after its latest change
+    (empty before the first), and a row that stops does so in a round its
+    set changed.  Per-round work is on the rows still running.
     """
     validate_config(cfg)
     m, n = len(trials), cfg.n_candidates
@@ -270,6 +283,7 @@ def run_block(
     flat_e = evals.reshape(-1) if on_evals else None
 
     acq_prefix = mix64_np([TAG_ACQ, cfg.seed, np.asarray(trials, dtype=np.uint64)])
+    chunk = CHUNK_ROUNDS
     records: list[list[RoundRecord]] = [[] for _ in range(m)]
     stop_t = np.full(m, horizon)
     reached_d = np.zeros(m, dtype=bool)
@@ -278,10 +292,12 @@ def run_block(
     for t in range(1, horizon + 1):
         if not len(live):
             break
-        tested = acquisition.select_rows(
-            cfg.acquisition, merged_lw[live], certified[live], acq_prefix[live], t
-        )
-        pos, ids = np.nonzero(tested)
+        c = (t - 1) % chunk
+        if not c:
+            rounds = np.arange(t, min(t + chunk, horizon + 1), dtype=np.uint64)
+            draws = acquisition.round_draws(cfg.acquisition, n, acq_prefix, rounds[:, None])
+        tested = acquisition.select_rows(cfg.acquisition, merged_lw[live], certified[live], draws.at(c, live), t)
+        pos, ids = np.divmod(np.flatnonzero(tested), n)
         rows = live[pos]
         # When the whole block is tested, as under full_batch, pairs is the
         # identity and a slice spares the gathers.
@@ -321,16 +337,20 @@ def run_block(
             changed[rows[e != flat_e[pairs]]] = True
             flat_e[pairs] = e
         redo = np.flatnonzero(changed) if adaptive else ()
+        moved = redo
         if len(redo):
-            certified[redo] = selection.select_rows(
+            sets = selection.select_rows(
                 rule, (evals if on_evals else pvals)[redo], cfg.delta, cfg.literal_set, order
             )
+            moved = redo[(sets != certified[redo]).any(axis=1)]
+            certified[redo] = sets
         if record_rounds:
             _record(records, t, live, tested, ids, risks, merged_lw, evals, pvals, certified)
-        if round_hook is not None:
-            round_hook(t, live, certified)
-        if len(redo):
-            done = redo[certified[redo].sum(axis=1) >= cfg.d_stop]
+        if len(moved):
+            if round_hook is not None:
+                round_hook(t, moved, certified)
+            # A set below d_stop that did not change is still below it.
+            done = moved[certified[moved].sum(axis=1) >= cfg.d_stop]
             if len(done):
                 stop_t[done] = t
                 reached_d[done] = True

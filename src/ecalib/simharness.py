@@ -159,9 +159,10 @@ class SyntheticSpec:
 
     def draw(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The risk of each id in ``ids`` at its uniform in ``u``."""
+        families = self._families
         raws = np.empty(len(ids), dtype=np.float64)
-        for sample, members, params in self._families:
-            on = members[ids]
+        for sample, members, params in families:
+            on = members[ids] if len(families) > 1 else slice(None)  # a lone family has every id
             raws[on] = sample(u[on], *(p[ids[on]] for p in params))
         if self.quantile_threshold is None:
             return raws
@@ -175,8 +176,8 @@ class SyntheticSpec:
     def make_source(self, base_seed: int, trial: int) -> "SyntheticSource":
         return SyntheticSource(self.metrics, base_seed, trial)
 
-    def make_block(self, base_seed: int, trials: np.ndarray) -> "SyntheticBlock":
-        return SyntheticBlock(self.metrics, base_seed, trials)
+    def make_block(self, base_seed: int, trials: np.ndarray, horizon: int | None = None) -> "SyntheticBlock":
+        return SyntheticBlock(self.metrics, base_seed, trials, horizon)
 
 
 def sample_risk(
@@ -220,28 +221,56 @@ class SyntheticSource:
         return draws[0] if len(draws) == 1 else list(zip(*draws))
 
 
+# Rounds of (trial, round) keys a SyntheticBlock hashes in one array pass;
+# the engine's chunk (orchestrator.CHUNK_ROUNDS) need not match it.
+KEY_ROUNDS = 64
+
+
 class SyntheticBlock:
     """The risks SyntheticSource draws, for a block of trials at once.
 
     ``query(t, rows, ids)`` returns the round-t risks of id ids[j] in trial
     trials[rows[j]] as row j of a (P, K) array, column k holding metric k.
+    The (trial, round) keys do not depend on what is queried, so a query in
+    a round outside the last chunk hashes every trial's keys for a chunk of
+    KEY_ROUNDS rounds from it, no further than ``horizon``.
     """
 
-    def __init__(self, metrics: tuple[SyntheticSpec, ...], base_seed: int, trials: np.ndarray):
+    def __init__(self, metrics: tuple[SyntheticSpec, ...], base_seed: int, trials: np.ndarray,
+                 horizon: int | None = None):
         self.metrics = metrics
         trials = np.asarray(trials, dtype=np.uint64)
         self._prefixes = [mix64_np([TAG_SHARED if m.shared_draw else TAG_RISK, base_seed, trials]) for m in metrics]
+        self._horizon = horizon
+        self._rounds, self._keys = range(0), []
 
     def query(self, round_index: int, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        if round_index not in self._rounds:
+            self._hash_chunk(round_index)
+        c = round_index - self._rounds.start
         risks = np.empty((len(ids), len(self.metrics)))
-        for k, (spec, prefix) in enumerate(zip(self.metrics, self._prefixes)):
-            key = mix64_from_np(prefix, round_index)
+        for k, (spec, keys) in enumerate(zip(self.metrics, self._keys)):
             if spec.shared_draw:
-                u = unit_uniform_from_np(key, k)[rows]
+                u = keys[c, rows]
             else:
-                u = unit_uniform_from_np(key[rows], ids, k)
+                u = unit_uniform_from_np(keys[c, rows], ids, k)
             risks[:, k] = spec.draw(ids, u)
         return risks
+
+    def _hash_chunk(self, round_index: int) -> None:
+        """Hash the chunk from ``round_index``, laid out (round, trial): per
+        metric the (trial, round) keys, or under a shared draw the round's
+        uniform itself."""
+        last = round_index + KEY_ROUNDS
+        if self._horizon is not None:
+            last = min(last, max(self._horizon, round_index) + 1)
+        self._rounds = range(round_index, last)
+        rounds = np.arange(round_index, last, dtype=np.uint64)[:, None]
+        self._keys = [
+            unit_uniform_from_np(mix64_from_np(prefix, rounds), k) if spec.shared_draw
+            else mix64_from_np(prefix, rounds)
+            for k, (spec, prefix) in enumerate(zip(self.metrics, self._prefixes))
+        ]
 
 
 @dataclass(frozen=True)
@@ -426,15 +455,28 @@ def _trial_block(args) -> tuple[list[RunResult], np.ndarray]:
     # holds them; the accumulator's float64 arithmetic on them is exact.
     curves = np.zeros((3, len(trials), cfg.t_max), dtype=np.min_scalar_type(cfg.n_candidates))
 
-    def hook(t: int, live: np.ndarray, certified: np.ndarray) -> None:
-        sel = certified[live]
+    # The hook sees only the rows whose set changed; a row's counts hold
+    # until its next change, and past its stopping round they are 0.
+    changes = np.zeros((len(trials), cfg.t_max), dtype=bool)
+
+    def hook(t: int, rows: np.ndarray, certified: np.ndarray) -> None:
+        sel = certified[rows]
         rel = (sel & in_rel).sum(axis=1)
         size = sel.sum(axis=1)
-        curves[0, live, t - 1] = rel
-        curves[1, live, t - 1] = size - rel
-        curves[2, live, t - 1] = size
+        curves[0, rows, t - 1] = rel
+        curves[1, rows, t - 1] = size - rel
+        curves[2, rows, t - 1] = size
+        changes[rows, t - 1] = True
 
-    results = run_block(cfg, spec.make_block(base_seed, trials), trials, cfg.t_max, True, round_hook=hook)
+    block = spec.make_block(base_seed, trials, cfg.t_max)
+    results = run_block(cfg, block, trials, cfg.t_max, True, round_hook=hook)
+    stops = np.array([r.T for r in results])
+    early = np.flatnonzero(stops < cfg.t_max)
+    changes[early, stops[early]] = True
+    # Forward fill: each round reads the counts of its row's latest change.
+    latest = np.where(changes, np.arange(cfg.t_max, dtype=np.int32), 0)
+    np.maximum.accumulate(latest, axis=1, out=latest)
+    curves = curves[:, np.arange(len(trials))[:, None], latest]
     # Drop the heavyweight fields before results cross a process boundary.
     slim = [RunResult(r.selected, r.T, r.stop_reason, (), (), (), r.n_queries) for r in results]
     return slim, curves

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ecalib.core import Direction
-from ecalib.eprocess import BetBound, bet_bound, payoff, quantile_transform, update
+from ecalib.eprocess import BetBound, bet_bound, payoff, quantile_transform, update, updates
 from ecalib.errors import BetOutOfBounds, OutOfRange
 
 
@@ -68,6 +68,19 @@ class TestUpdate:
         # the check holds after bankruptcy too
         with pytest.raises(BetOutOfBounds):
             update(-math.inf, 0.1, bound.mu_max, bound)
+
+    def test_array_bet_domain_names_the_first_bad_bet(self):
+        bound = bet_bound(0.2, Direction.RISK_BELOW)
+        lw, g = np.zeros(4), np.full(4, 0.1)
+        for mus, bad in (([0.1, math.nan, -1.0, 0.2], "nan"), ([0.1, 0.2, -0.5, math.nan], "-0.5"),
+                         ([0.0, bound.mu_max, 0.3, 0.2], repr(bound.mu_max)), ([0.1, math.inf, 0.0, 0.0], "inf")):
+            with pytest.raises(BetOutOfBounds, match=rf"^mu {bad} outside \[0, 1\.25\)$"):
+                updates(lw, g, np.array(mus), bound)
+        with pytest.raises(BetOutOfBounds, match=r"^mu -0\.1 outside"):
+            updates(lw, g, -0.1, bound)  # one shared bet
+        # An empty round checks no bet, whichever bet it is given.
+        for mu in (np.array([]), -0.1, math.nan):
+            assert updates(np.zeros(0), np.zeros(0), mu, bound).shape == (0,)
 
     def test_zero_bet_leaves_wealth_unchanged(self):
         bound = bet_bound(0.2, Direction.RISK_BELOW)

@@ -10,7 +10,8 @@
   configs, so any drift in wealth bits, draws or selection fails here.
 - The trial-batched engine (``run_block``, under ``run_trials``) gives row m
   exactly what ``run_altt`` gives trial m, in every round; its row-wise
-  acquisition, selection and wealth update equal the one-run functions;
+  acquisition, selection and wealth update equal the one-run functions, at
+  any length of the chunks of rounds whose keyed draws are hashed at once;
   ``run_trials`` is the same at any worker count and equals the scalar
   reference ``_one_trial`` accumulated in trial order; and golden digests
   pin ``ecalib validate`` output for the benchmark's Monte Carlo configs.
@@ -18,6 +19,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -30,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecalib.acquisition import select_batch, select_rows
+from ecalib.acquisition import round_draws, select_batch, select_rows
 from ecalib.cli import main
 from ecalib.core import (
     AcquisitionPolicy,
@@ -45,7 +47,7 @@ from ecalib.core import (
 )
 from ecalib.eprocess import bet_bound, update, updates
 from ecalib.errors import BetOutOfBounds
-from ecalib.orchestrator import run_altt, run_block, run_ltt
+from ecalib.orchestrator import CHUNK_ROUNDS, run_altt, run_block, run_ltt
 from ecalib.rng import (
     TAG_RISK,
     TAG_SHARED,
@@ -65,6 +67,8 @@ from ecalib.simharness import (
     SyntheticSpec,
     TrialAccumulator,
     _one_trial,
+    _trial_block,
+    KEY_ROUNDS,
     derive_reliable,
     run_trials,
     sample_risk,
@@ -240,6 +244,23 @@ class TestSourcesDrawTheDocumentedKeys:
         cfg = small_config(SelectionRuleName.BH, 3, t_max=20)
         assert_same_run(run_altt(cfg, composite.make_source(5, 1), trial=1),
                         run_altt(cfg, spec.make_source(5, 1), trial=1))
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("horizon", [None, 7])
+    def test_block_answers_any_sequence_of_queries(self, monkeypatch, shared, horizon):
+        # The block hashes a chunk of rounds at a time; empty queries and
+        # rounds that go back or pass the horizon get the trial sources'
+        # draws all the same.
+        monkeypatch.setattr("ecalib.simharness.KEY_ROUNDS", 3)
+        spec = SyntheticSpec((Bernoulli(0.3), Beta(2.0, 3.0), PointMass(0.25)), shared_draw=shared)
+        trials = [8, 2, 5, 11]
+        block = spec.make_block(6, trials, horizon)
+        queries = [(1, [1, 3]), (2, [0, 1, 3]), (3, []), (4, [3]), (5, [2, 3]), (2, [1]), (9, [0, 0]), (7, [2])]
+        for t, rows in queries:
+            ids = np.arange(len(rows)) % spec.n
+            got = block.query(t, np.array(rows, dtype=np.intp), ids)
+            want = [spec.make_source(6, trials[r]).query(t, [i], "")[0] for r, i in zip(rows, ids.tolist())]
+            assert _hex(got[:, 0]) == _hex(want)
 
 
 def small_config(rule, n, literal=False, **kw) -> CalibrationConfig:
@@ -456,27 +477,46 @@ def engine_cases(draw, adaptive=True):
     return cfg, spec, list(range(first, first + draw(st.integers(1, 5))))
 
 
+@contextlib.contextmanager
+def chunk_rounds(sizes):
+    """run_block and SyntheticBlock hash their keyed draws sizes[0] and
+    sizes[1] rounds at a time inside this context."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ecalib.orchestrator.CHUNK_ROUNDS", sizes[0])
+        patch.setattr("ecalib.simharness.KEY_ROUNDS", sizes[1])
+        yield
+
+
+# The default chunks, then one round per chunk on one side and a chunk that
+# horizons of up to 40 rounds span many times, and that rows stop in the
+# middle of, on the other.
+CHUNKS = [(CHUNK_ROUNDS, KEY_ROUNDS), (1, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
 class TestBatchedEngine:
     @settings(max_examples=150, deadline=None)
     @given(case=engine_cases())
-    def test_row_m_is_run_altt_of_trial_m(self, case):
+    def test_row_m_is_run_altt_of_trial_m(self, chunk, case):
         cfg, spec, trials = case
-        rows = run_block(cfg, spec.make_block(cfg.seed, trials), trials, cfg.t_max, True,
-                         record_rounds=True)
+        with chunk_rounds(chunk):
+            rows = run_block(cfg, spec.make_block(cfg.seed, trials), trials, cfg.t_max, True,
+                             record_rounds=True)
         for trial, got in zip(trials, rows):
             assert_same_run(got, run_altt(cfg, spec.make_source(cfg.seed, trial), trial=trial))
 
     @settings(max_examples=150, deadline=None)
     @given(case=engine_cases(adaptive=False), data=st.data())
-    def test_row_m_is_run_ltt_of_trial_m(self, case, data):
+    def test_row_m_is_run_ltt_of_trial_m(self, chunk, case, data):
         cfg, spec, trials = case
         horizon = data.draw(st.integers(0, cfg.t_max))
-        rows = run_block(cfg, spec.make_block(cfg.seed, trials), trials, horizon, False,
-                         record_rounds=True)
+        with chunk_rounds(chunk):
+            rows = run_block(cfg, spec.make_block(cfg.seed, trials, horizon), trials, horizon, False,
+                             record_rounds=True)
         for trial, got in zip(trials, rows):
             assert_same_run(got, run_ltt(cfg, spec.make_source(cfg.seed, trial), horizon, trial=trial))
 
-    def test_every_rule_policy_strategy_and_direction(self):
+    def test_every_rule_policy_strategy_and_direction(self, chunk):
         # The grid the property test samples, covered exhaustively on a
         # small instance; the source kind cycles through all four.
         arms4 = (Bernoulli(0.05), Beta(2.0, 8.0), PointMass(0.2), Bernoulli(0.6))
@@ -496,17 +536,37 @@ class TestBatchedEngine:
                 betting=BettingSpec(strategy),
                 extra_metrics=(MetricSpec(0.4, direction),) if j % 4 == 3 else (),
             )
-            rows = run_block(cfg, spec.make_block(cfg.seed, trials), trials, cfg.t_max, True,
-                             record_rounds=True)
+            with chunk_rounds(chunk):
+                rows = run_block(cfg, spec.make_block(cfg.seed, trials), trials, cfg.t_max, True,
+                                 record_rounds=True)
             for trial, got in zip(trials, rows):
                 assert_same_run(got, run_altt(cfg, spec.make_source(cfg.seed, trial), trial=trial))
 
-    def test_rows_stop_at_their_own_rounds(self):
+    def test_rows_stop_at_their_own_rounds(self, chunk):
         cfg = small_config(SelectionRuleName.BH, SMALL_SPEC.n, d_stop=3)
         trials = list(range(12))
-        rows = run_block(cfg, SMALL_SPEC.make_block(cfg.seed, trials), trials, cfg.t_max, True,
-                         record_rounds=True)
+        with chunk_rounds(chunk):
+            rows = run_block(cfg, SMALL_SPEC.make_block(cfg.seed, trials), trials, cfg.t_max, True,
+                             record_rounds=True)
         assert len({row.T for row in rows if row.T < cfg.t_max}) > 3
+        for trial, got in zip(trials, rows):
+            assert_same_run(got, run_altt(cfg, SMALL_SPEC.make_source(cfg.seed, trial), trial=trial))
+
+    @pytest.mark.parametrize("policy, batch", [
+        (AcquisitionPolicy.UNIFORM_ALL, 3),  # Fisher-Yates over every id
+        (AcquisitionPolicy.EPS_GREEDY, 3),  # Fisher-Yates over the pool, top-k
+        (AcquisitionPolicy.EPS_GREEDY, 1),  # the batch-1 rank, the first maximum
+    ])
+    def test_each_acquisition_path_across_chunk_edges(self, chunk, policy, batch):
+        cfg = small_config(SelectionRuleName.BH, SMALL_SPEC.n, d_stop=3, t_max=150,
+                           acquisition=AcquisitionSpec(policy, epsilon=0.5, batch_size=batch))
+        trials = list(range(10))
+        with chunk_rounds(chunk):
+            rows = run_block(cfg, SMALL_SPEC.make_block(cfg.seed, trials, cfg.t_max), trials, cfg.t_max, True,
+                             record_rounds=True)
+        # Rows stop at different rounds, some in the middle of a chunk of 3.
+        stops = {row.T for row in rows if row.T < cfg.t_max}
+        assert len(stops) > 2 and any(T % 3 for T in stops)
         for trial, got in zip(trials, rows):
             assert_same_run(got, run_altt(cfg, SMALL_SPEC.make_source(cfg.seed, trial), trial=trial))
 
@@ -537,11 +597,26 @@ class TestRowWiseLayers:
                                batch_size=data.draw(st.integers(1, n)))
         t = data.draw(st.integers(1, 50))
         prefixes = [mix64(TAG_RISK, j, 3) for j in range(r)]
-        got = select_rows(spec, wealths, certified, np.array(prefixes, dtype=np.uint64), t)
+        got = select_rows(spec, wealths, certified, round_draws(spec, n, np.array(prefixes, dtype=np.uint64), t), t)
         for j in range(r):
             cert = frozenset(np.flatnonzero(certified[j]).tolist())
             want = select_batch(spec, w[j], cert, MixStream.from_prefix(prefixes[j], t), t)
             assert tuple(np.flatnonzero(got[j]).tolist()) == want
+
+    def test_batch_one_pick_of_a_pool_all_at_minus_inf(self):
+        # The top of a pool whose wealths are all -inf ties with the -inf that
+        # fills certified slots; the pick is still the first pool id.
+        inf = float("inf")
+        wealths = [[5.0, -inf, -inf, -inf], [-inf] * 4, [0.0, 1.0, 1.0, 0.5], [1.0] * 4]
+        certified = np.array([[True, False, True, False], [False] * 4, [False, True, False, False], [True] * 4])
+        spec = AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.0, batch_size=1)
+        prefixes = np.array([mix64(TAG_RISK, j, 3) for j in range(4)], dtype=np.uint64)
+        got = select_rows(spec, np.array(wealths), certified, round_draws(spec, 4, prefixes, 1), 1)
+        assert [tuple(np.flatnonzero(row).tolist()) for row in got] == [(1,), (0,), (2,), ()]
+        for j in range(4):
+            cert = frozenset(np.flatnonzero(certified[j]).tolist())
+            assert select_batch(spec, wealths[j], cert, MixStream.from_prefix(int(prefixes[j]), 1), 1) == \
+                tuple(np.flatnonzero(got[j]).tolist())
 
     @settings(max_examples=200, deadline=None)
     @given(v=value_rows, data=st.data(), literal=st.booleans())
@@ -578,7 +653,8 @@ class TestRowWiseLayers:
         t = int(rng.integers(1, 1000))
         for spec in (AcquisitionSpec(AcquisitionPolicy.UNIFORM_ALL, batch_size=batch),
                      AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=1.0, batch_size=batch)):
-            got = select_rows(spec, np.zeros((r, n)), certified, np.array(prefixes, dtype=np.uint64), t)
+            draws = round_draws(spec, n, np.array(prefixes, dtype=np.uint64), t)
+            got = select_rows(spec, np.zeros((r, n)), certified, draws, t)
             for j in range(r):
                 cert = frozenset(np.flatnonzero(certified[j]).tolist())
                 want = select_batch(spec, [0.0] * n, cert, MixStream.from_prefix(prefixes[j], t), t)
@@ -663,6 +739,35 @@ class TestRunTrials:
             assert run_trials(cfg, SMALL_SPEC, M=7, base_seed=5, workers=workers) == want
         monkeypatch.setattr("ecalib.simharness.BLOCK_TRIALS", 2)
         assert run_trials(cfg, SMALL_SPEC, M=7, base_seed=5) == want
+        # Chunks of rounds that the 150-round horizon spans many times, and
+        # that rows stopping at d_stop leave in the middle.
+        for chunks in CHUNKS[1:]:
+            with chunk_rounds(chunks):
+                assert run_trials(cfg, SMALL_SPEC, M=7, base_seed=5) == want
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_block_curves_are_the_scalar_curves_row_by_row(self, chunk):
+        # Uniform acquisition keeps testing certified ids, so an e-value can
+        # fall and e-BH's set shrink, then grow again; rows stop at d_stop in
+        # different rounds.  Counts are recorded only where a set changed and
+        # filled forward, and past a row's stop they stay 0, as _make_hook
+        # leaves them.
+        cfg = small_config(SelectionRuleName.EBH, SMALL_SPEC.n, d_stop=3, t_max=120, delta=0.5,
+                           acquisition=AcquisitionSpec(AcquisitionPolicy.UNIFORM_ALL, batch_size=3))
+        reliable = derive_reliable(cfg, SMALL_SPEC)
+        with chunk_rounds(chunk):
+            results, curves = _trial_block((cfg, SMALL_SPEC, 5, 0, 8, reliable))
+        assert curves.shape == (3, 8, cfg.t_max)
+        regrown, stops = 0, set()
+        for trial, result in enumerate(results):
+            _, want, rel_hits, unrel_hits, sizes = _one_trial((cfg, SMALL_SPEC, 5, trial, reliable))
+            assert (result.T, result.selected) == (want.T, want.selected)
+            assert curves[:, trial].tolist() == [rel_hits.tolist(), unrel_hits.tolist(), sizes.tolist()]
+            steps = np.diff(sizes[: want.T].astype(int))
+            regrown += bool((steps < 0).any() and (steps[np.argmax(steps < 0):] > 0).any())
+            stops.add(want.T)
+        assert regrown >= 2
+        assert len(stops - {cfg.t_max}) >= 3 and cfg.t_max in stops
 
     def test_fdp_sums_follow_trial_order(self):
         # The fractional FDPs of this instance sum to different bits in

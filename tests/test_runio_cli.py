@@ -872,6 +872,19 @@ class TestValidateReportSweep:
         assert f"--workers must be >= 1, got {workers}" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_rejected(self, tmp_path, caplog, command, trials):
+        doc = self.validate_doc()
+        doc["sweep"] = {"epsilon": [0.2]}
+        cfg_path = write_doc(tmp_path, doc)
+        out = tmp_path / "t"
+        argv = [command, "--config", cfg_path, "--trials", trials, "--out", str(out)]
+        assert main(argv) == 1
+        assert f"--trials must be >= 1, got {trials}" in caplog.text
+        assert "M must be" not in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "sweep, axis",
         [
