@@ -27,6 +27,13 @@ bit for bit, round by round: every step is the same elementwise IEEE
 arithmetic, and log1p and exp are math's, taken one element at a time.
 The Monte Carlo harness runs on it; ``_run`` serves single logged runs.
 
+``_run`` picks its layout once per run from the batch its policy implies
+(N under full_batch, else min(batch_size, N)).  From ARRAY_BATCH ids up it
+keeps the betting state in (6, K, N) arrays and advances a round's ids with
+``_advance``, the update run_block makes; below, where a per-id Python loop
+is cheaper, it keeps one BettingState per (id, metric).  Either way the p-
+and e-values are lists of floats, which consecutive records share.
+
 A run_block round does only the work that depends on the state.  The keyed
 draws that do not, each trial's acquisition stream state, explore coin and
 batch-1 rank draw, are hashed for CHUNK_ROUNDS rounds at a time in one
@@ -62,6 +69,11 @@ _EXP_MAX = 709.0
 # Rounds whose state-independent keyed draws run_block hashes in one array
 # pass; a block holds a few (CHUNK_ROUNDS, M) arrays.
 CHUNK_ROUNDS = 64
+
+# The least per-round batch at which ``_run`` advances its wealths as arrays.
+# Pinned to one CPU, the array update of b ids costs 45-66 us at any b <= 50,
+# the per-id loop 16.9 us at b = 4, 32.4 at 12, 45.2 at 16 and 58.0 at 20.
+ARRAY_BATCH = 20
 
 
 class StopReason(enum.Enum):
@@ -137,19 +149,84 @@ def _run(
     bspec = cfg.betting
     seed = cfg.seed
 
-    lws = [[0.0] * n_metrics for _ in range(n)]  # per-metric log wealths
-    bstates = [[BettingState() for _ in range(n_metrics)] for _ in range(n)]
     merged_lw = np.zeros(n)  # log of min-over-metrics wealth, for acquisition
-    merged_lrm = [0.0] * n  # running max of merged log wealth
     pvals = [1.0] * n
     evals = [1.0] * n  # merged wealth, linear
-
     on_evals = cfg.selection_rule is SelectionRuleName.EBH
-    rule_values = evals if on_evals else pvals
+    acq = cfg.acquisition
+    arrays = (n if acq.policy is AcquisitionPolicy.FULL_BATCH else min(acq.batch_size, n)) >= ARRAY_BATCH
+
+    if arrays:
+        # As run_block's state, one column per id; the rule's input is kept
+        # as an array beside its list.
+        state = np.zeros((6, n_metrics, n))
+        state[5] = BettingState().ons_curvature
+        merged_lrm = np.zeros(n)
+        rule_values = np.ones((1, n))
+
+        def advance(t: int, batch: tuple[int, ...], risks_row: tuple) -> bool:
+            ids = np.array(batch, dtype=np.intp)
+            risks = np.array(risks_row, dtype=np.float64).reshape(len(batch), n_metrics)
+            _check_risks(t, risks, batch)
+            lw = _advance(state, ids, risks, metrics, bounds, bspec)
+            merged_lw[ids] = lw
+            rose = lw > merged_lrm[ids]
+            changed = bool(rose.any())
+            if changed:
+                risen = ids[rose]
+                merged_lrm[risen] = lw[rose]
+                p = each(math.exp, -lw[rose])
+                for i, x in zip(risen.tolist(), p.tolist()):
+                    pvals[i] = x
+                if not on_evals:
+                    rule_values[0, risen] = p
+            e = _exps(lw)
+            if on_evals:
+                changed |= bool((e != rule_values[0, ids]).any())
+                rule_values[0, ids] = e
+            for i, x in zip(batch, e.tolist()):
+                evals[i] = x
+            return changed
+    else:
+        lws = [[0.0] * n_metrics for _ in range(n)]  # per-metric log wealths
+        bstates = [[BettingState() for _ in range(n_metrics)] for _ in range(n)]
+        merged_lrm = [0.0] * n  # running max of merged log wealth
+        rule_values = evals if on_evals else pvals
+
+        def advance(t: int, batch: tuple[int, ...], risks_row: tuple) -> bool:
+            rows = [(r,) for r in risks_row] if n_metrics == 1 else risks_row
+            changed = False
+            for pos, i in enumerate(batch):
+                row = rows[pos]
+                lw_i = lws[i]
+                b_i = bstates[i]
+                for k in range(n_metrics):
+                    r = row[k]
+                    if not 0.0 <= r <= 1.0:
+                        raise SourceFailure(f"round {t}: risk {r!r} for id {i} out of [0,1]")
+                    alpha_k, dir_k = metrics[k]
+                    bound = bounds[k]
+                    bs = b_i[k]
+                    mu = next_bet(bspec, bs, bound)
+                    g = payoff(r, alpha_k, dir_k)
+                    lw_i[k] = update(lw_i[k], g, mu, bound)
+                    b_i[k] = observe(bspec, bs, g, mu, bound)
+                lw = min(lw_i)
+                merged_lw[i] = lw
+                if lw > merged_lrm[i]:
+                    merged_lrm[i] = lw
+                    pvals[i] = math.exp(-lw)
+                    changed = True
+                e = _exp(lw)
+                if on_evals and e != evals[i]:
+                    changed = True
+                evals[i] = e
+            return changed
 
     def select() -> frozenset[int]:
+        values = rule_values if arrays else np.array([rule_values])
         row = selection.select_rows(
-            cfg.selection_rule, np.array([rule_values]), cfg.delta, cfg.literal_set, cfg.fixed_sequence_order
+            cfg.selection_rule, values, cfg.delta, cfg.literal_set, cfg.fixed_sequence_order
         )[0]
         return frozenset(np.flatnonzero(row).tolist())
 
@@ -174,41 +251,14 @@ def _run(
                 )
             if n_metrics == 1:
                 risks_row = tuple(float(v) for v in values)
-                rows = [(r,) for r in risks_row]
             else:
-                rows = [tuple(float(x) for x in v) for v in values]
-                for row in rows:
+                risks_row = tuple(tuple(float(x) for x in v) for v in values)
+                for row in risks_row:
                     if len(row) != n_metrics:
                         raise SourceFailure(f"round {t}: expected {n_metrics} metrics per id")
-                risks_row = tuple(rows)
         except (TypeError, ValueError) as exc:
             raise SourceFailure(f"round {t}: malformed answer: {exc}") from None
-        changed = False
-        for pos, i in enumerate(batch):
-            row = rows[pos]
-            lw_i = lws[i]
-            b_i = bstates[i]
-            for k in range(n_metrics):
-                r = row[k]
-                if not 0.0 <= r <= 1.0:
-                    raise SourceFailure(f"round {t}: risk {r!r} for id {i} out of [0,1]")
-                alpha_k, dir_k = metrics[k]
-                bound = bounds[k]
-                bs = b_i[k]
-                mu = next_bet(bspec, bs, bound)
-                g = payoff(r, alpha_k, dir_k)
-                lw_i[k] = update(lw_i[k], g, mu, bound)
-                b_i[k] = observe(bspec, bs, g, mu, bound)
-            lw = min(lw_i)
-            merged_lw[i] = lw
-            if lw > merged_lrm[i]:
-                merged_lrm[i] = lw
-                pvals[i] = math.exp(-lw)
-                changed = True
-            e = _exp(lw)
-            if on_evals and e != evals[i]:
-                changed = True
-            evals[i] = e
+        changed = advance(t, batch, risks_row)
         n_queries += len(batch)
         if adaptive and changed:
             certified = select()
@@ -310,20 +360,8 @@ def run_block(
             raise SourceFailure(f"round {t}: malformed answer: {exc}") from None
         if risks.shape != (len(ids), n_metrics):
             raise SourceFailure(f"round {t}: expected {n_metrics} metrics per id")
-        if not (risks.min(initial=0.0) >= 0.0 and risks.max(initial=1.0) <= 1.0):
-            j, k = np.argwhere(~((risks >= 0.0) & (risks <= 1.0)))[0]
-            raise SourceFailure(f"round {t}: risk {float(risks[j, k])!r} for id {int(ids[j])} out of [0,1]")
-        for k, (alpha_k, dir_k) in enumerate(metrics):
-            bound = bounds[k]
-            lw, *stats = state[:, k, pairs]
-            bs = BettingState(*stats)
-            mu = next_bet(bspec, bs, bound)
-            g = payoffs(risks[:, k], alpha_k, dir_k)
-            lw = updates(lw, g, mu, bound)
-            bs = observe(bspec, bs, g, mu, bound)
-            state[:, k, pairs] = (lw, bs.t, bs.sum_g, bs.sum_sq_dev, bs.ons_mu, bs.ons_curvature)
-        if n_metrics > 1:
-            lw = state[0][:, pairs].min(axis=0)
+        _check_risks(t, risks, ids)
+        lw = _advance(state, pairs, risks, metrics, bounds, bspec)
         flat_lw[pairs] = lw
         changed = np.zeros(m, dtype=bool)
         rose = lw > flat_lrm[pairs]
@@ -370,6 +408,34 @@ def run_block(
             selected, stop_t.tolist(), reasons, records, wealths.tolist(), pvals.tolist(), n_queries.tolist()
         )
     ]
+
+
+def _check_risks(t: int, risks: np.ndarray, ids) -> None:
+    """SourceFailure naming the first risk outside [0, 1] of a (P, K) array
+    whose row j answers for id ``ids[j]``, in the order the per-id loop
+    checks them."""
+    if not (risks.min(initial=0.0) >= 0.0 and risks.max(initial=1.0) <= 1.0):
+        j, k = np.argwhere(~((risks >= 0.0) & (risks <= 1.0)))[0]
+        raise SourceFailure(f"round {t}: risk {float(risks[j, k])!r} for id {int(ids[j])} out of [0,1]")
+
+
+def _advance(state: np.ndarray, pairs, risks: np.ndarray, metrics, bounds, bspec) -> np.ndarray:
+    """One betting round of the columns ``pairs`` of ``state``, the (6, K, .)
+    log wealths and BettingState fields (the tested count as a float), on
+    the (P, K) ``risks``; returns their merged log wealth, the min over
+    metrics."""
+    for k, (alpha_k, dir_k) in enumerate(metrics):
+        bound = bounds[k]
+        lw, *stats = state[:, k, pairs]
+        bs = BettingState(*stats)
+        mu = next_bet(bspec, bs, bound)
+        g = payoffs(risks[:, k], alpha_k, dir_k)
+        lw = updates(lw, g, mu, bound)
+        bs = observe(bspec, bs, g, mu, bound)
+        state[:, k, pairs] = (lw, bs.t, bs.sum_g, bs.sum_sq_dev, bs.ons_mu, bs.ons_curvature)
+    if len(metrics) > 1:
+        lw = state[0][:, pairs].min(axis=0)
+    return lw
 
 
 def _record(records, t, live, tested, ids, risks, merged_lw, evals, pvals, certified) -> None:

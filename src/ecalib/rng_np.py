@@ -7,6 +7,8 @@ such as the oracle child ``demo_oracle``, never import numpy.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from .rng import _INV_2_53, GOLDEN, MASK64
@@ -34,9 +36,16 @@ def _scramble_np(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _quiet(x):
+    """Silence numpy's overflow warning where ``x`` is 0-d.  numpy warns of
+    uint64 wraparound only in arithmetic on scalars, and an operation with
+    an operand of one or more dimensions gives an array."""
+    return nullcontext() if getattr(x, "ndim", 0) else np.errstate(over="ignore")
+
+
 def mix64_from_np(h: np.ndarray, *parts: np.ndarray | int) -> np.ndarray:
     """Vectorized mix64_from over broadcastable uint64 prefixes and parts."""
-    with np.errstate(over="ignore"):
+    with _quiet(h):
         for p in parts:
             if isinstance(p, int):
                 h = _scramble_np(h + np.uint64((GOLDEN + p) & MASK64))
@@ -53,7 +62,7 @@ def mix64_np(parts: list[np.ndarray | int]) -> np.ndarray:
 def stream_u64_np(states: np.ndarray, k: int | np.ndarray) -> np.ndarray:
     """The k-th ``next_u64`` (k >= 1) of the streams whose states are
     ``states``; an array k broadcasts against them."""
-    with np.errstate(over="ignore"):
+    with _quiet(states):
         if isinstance(k, int):
             return _scramble_np(states + np.uint64((k * GOLDEN) & MASK64))
         return _scramble_np(states + np.asarray(k, dtype=np.uint64) * _NP_GOLDEN)

@@ -197,9 +197,11 @@ class SyntheticSource:
     Metric k of id i in round t is drawn on the stream keyed by (tag, seed,
     trial, t, i, k), or (tag, seed, trial, t, k) under a shared draw, so
     metric 0 draws what ``sample_risk`` draws.  The (tag, seed, trial)
-    prefixes are hashed once here and each id is folded in scalar Python,
-    which keeps this source an independent reference for ``SyntheticBlock``.
-    A query returns one float per id for K = 1, one K-tuple otherwise.
+    prefixes are hashed once here and continued with the round in scalar
+    Python; a query folds all its ids in one array pass (``rng_np``), as
+    ``SyntheticBlock`` does, so ``sample_risk``, which hashes each key in
+    scalar Python, is its reference.  A query returns one float per id for
+    K = 1, one K-tuple otherwise.
     """
 
     reads_token = False
@@ -215,8 +217,8 @@ class SyntheticSource:
             if spec.shared_draw:
                 us = [unit_uniform_from(prefix, round_index, k)] * len(ids)
             else:
-                prefix = mix64_from(prefix, round_index)
-                us = [unit_uniform_from(prefix, i, k) for i in ids]
+                # A one-element prefix keeps every operation on arrays.
+                us = unit_uniform_from_np(np.array([mix64_from(prefix, round_index)], dtype=np.uint64), ids_arr, k)
             draws.append(spec.draw(ids_arr, np.asarray(us, dtype=np.float64)).tolist())
         return draws[0] if len(draws) == 1 else list(zip(*draws))
 

@@ -7,6 +7,9 @@ normal pytest output so the run ends with a per-criterion scoreboard.
 
 from __future__ import annotations
 
+import contextlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,19 @@ CRITERIA_LABELS = {
 }
 
 _RESULTS: dict[int, tuple[bool, str]] = {}
+
+# The one-run engine's layouts: "scalar" advances each id's bets in Python,
+# "arrays" advances a round's ids as arrays.
+LAYOUTS = ("scalar", "arrays")
+
+
+@contextlib.contextmanager
+def one_run_layout(layout: str):
+    """``_run`` takes ``layout`` at every batch size inside this context."""
+    least = {"scalar": sys.maxsize, "arrays": 0}[layout]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ecalib.orchestrator.ARRAY_BATCH", least)
+        yield
 
 
 @pytest.fixture

@@ -8,6 +8,10 @@
   logged round's set is checked against the rule applied from scratch.
 - Golden digests pin the bytes ``ecalib simulate`` writes for small fixed
   configs, so any drift in wealth bits, draws or selection fails here.
+- The one-run engine's two layouts, per-id Python and arrays, give equal
+  results, and each gives the golden bytes and what the trial-batched
+  engine gives; the one-run source, folding a query's ids into keys as an
+  array, draws what ``sample_risk`` draws one key at a time.
 - The trial-batched engine (``run_block``, under ``run_trials``) gives row m
   exactly what ``run_altt`` gives trial m, in every round; its row-wise
   acquisition, selection and wealth update equal the one-run functions, at
@@ -29,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import LAYOUTS, one_run_layout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,7 +52,8 @@ from ecalib.core import (
 )
 from ecalib.eprocess import bet_bound, update, updates
 from ecalib.errors import BetOutOfBounds
-from ecalib.orchestrator import CHUNK_ROUNDS, run_altt, run_block, run_ltt
+from ecalib import orchestrator
+from ecalib.orchestrator import ARRAY_BATCH, CHUNK_ROUNDS, run_altt, run_block, run_ltt
 from ecalib.rng import (
     TAG_RISK,
     TAG_SHARED,
@@ -191,19 +197,43 @@ class TestPrefixFold:
         assert [full.next_u64() for _ in range(3)] == [cont.next_u64() for _ in range(3)]
 
 
+# Query sizes from one id to wide's batch of 50.
+SOURCE_SIZES = [1, 3, 11, 12, 50]
+ARMS4 = (Bernoulli(0.3), Beta(2.0, 3.0), PointMass(0.25), Beta(0.5, 0.5))
+
+
+def _query_ids(size, t):
+    """``size`` ascending ids of 60, a different set in each round."""
+    return sorted(np.random.default_rng(t).choice(60, size, replace=False).tolist())
+
+
 class TestSourcesDrawTheDocumentedKeys:
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("threshold", [None, 0.4])
-    def test_synthetic_source_equals_sample_risk(self, shared, threshold):
-        spec = SyntheticSpec(
-            (Bernoulli(0.3), Beta(2.0, 3.0), PointMass(0.25), Beta(0.5, 0.5)),
-            shared_draw=shared,
-            quantile_threshold=threshold,
-        )
+    @pytest.mark.parametrize("size", SOURCE_SIZES)
+    def test_synthetic_source_equals_sample_risk(self, shared, threshold, size):
+        spec = SyntheticSpec(ARMS4 * 15, shared_draw=shared, quantile_threshold=threshold)
         source = spec.make_source(17, 3)
         for t in (1, 2, 50):
-            ids = [0, 1, 3] if t % 2 else [1, 2]
+            ids = _query_ids(size, t)
             assert source.query(t, ids, "") == [sample_risk(spec, i, t, 17, 3) for i in ids]
+
+    @pytest.mark.parametrize("size", SOURCE_SIZES)
+    def test_two_metric_source_equals_the_keyed_draws(self, size):
+        # Metric k of id i on the stream keyed by (seed, trial, t, i, k):
+        # sample_risk's key with k in place of its 0.
+        m0 = SyntheticSpec(ARMS4 * 15)
+        m1 = SyntheticSpec(ARMS4[::-1] * 15, quantile_threshold=0.4)
+        source = CompositeSyntheticSpec((m0, m1)).make_source(17, 3)
+        for t in (1, 2, 50):
+            ids = _query_ids(size, t)
+            want = [
+                tuple(float(m.draw(np.array([i]), np.array([unit_uniform(TAG_RISK, 17, 3, t, i, k)]))[0])
+                      for k, m in enumerate((m0, m1)))
+                for i in ids
+            ]
+            assert source.query(t, ids, "") == want
+            assert [r[0] for r in want] == [sample_risk(m0, i, t, 17, 3) for i in ids]
 
     def test_one_array_draw_equals_the_scalar_draws(self):
         # One betaincinv call over a round's ids gives each id's scalar draw.
@@ -286,6 +316,7 @@ SMALL_SPEC = SyntheticSpec(
 )
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
 class TestEngine:
     @pytest.mark.parametrize(
         "rule,metric",
@@ -298,11 +329,12 @@ class TestEngine:
         ],
     )
     @pytest.mark.parametrize("literal", [False, True])
-    def test_every_round_holds_the_rule_applied_from_scratch(self, rule, metric, literal):
+    def test_every_round_holds_the_rule_applied_from_scratch(self, layout, rule, metric, literal):
         cfg = small_config(rule, SMALL_SPEC.n, literal)
         assert cfg.error_metric is metric
         for trial in range(8):
-            result = run_altt(cfg, SMALL_SPEC.make_source(cfg.seed, trial), trial=trial)
+            with one_run_layout(layout):
+                result = run_altt(cfg, SMALL_SPEC.make_source(cfg.seed, trial), trial=trial)
             order = tuple(range(cfg.n_candidates))
             for rec in result.records:
                 if rule is SelectionRuleName.BONFERRONI:
@@ -317,7 +349,7 @@ class TestEngine:
                     fresh = ebh(rec.wealth, cfg.delta, literal)
                 assert rec.selected == fresh.selected, (trial, rec.t)
 
-    def test_token_free_sources_get_an_empty_token(self):
+    def test_token_free_sources_get_an_empty_token(self, layout):
         seen = []
 
         class Silent:
@@ -328,7 +360,8 @@ class TestEngine:
                 return [0.0] * len(ids)
 
         cfg = small_config(SelectionRuleName.BONFERRONI, 3, t_max=3, d_stop=3)
-        run_altt(cfg, Silent())
+        with one_run_layout(layout):
+            run_altt(cfg, Silent())
         assert seen == ["", "", ""]
 
 
@@ -392,13 +425,15 @@ GOLDEN = {
 }
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_simulate_writes_the_golden_bytes(tmp_path, name):
+def test_simulate_writes_the_golden_bytes(tmp_path, name, layout):
     doc, rounds_sha, final_sha = GOLDEN[name]
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "run"
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    with one_run_layout(layout):
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest() == rounds_sha
     assert hashlib.sha256((out / "final.json").read_bytes()).hexdigest() == final_sha
 
@@ -493,30 +528,44 @@ def chunk_rounds(sizes):
 CHUNKS = [(CHUNK_ROUNDS, KEY_ROUNDS), (1, 3), (3, 1)]
 
 
-@pytest.mark.parametrize("chunk", CHUNKS)
+def one_run(cfg, spec, trial, layout, horizon=None, record_rounds=True):
+    """``run_altt`` of ``trial``, or ``run_ltt`` for ``horizon`` rounds, in
+    the one-run engine's ``layout``."""
+    source = spec.make_source(cfg.seed, trial)
+    with one_run_layout(layout):
+        if horizon is None:
+            return run_altt(cfg, source, trial=trial, record_rounds=record_rounds)
+        return run_ltt(cfg, source, horizon, trial=trial, record_rounds=record_rounds)
+
+
+# The chunks shape run_block and the layout the run_altt it is compared
+# with: the default chunks meet both layouts, the others one each.
+@pytest.mark.parametrize("chunk, layout", [(CHUNKS[0], "scalar"), (CHUNKS[0], "arrays"),
+                                           (CHUNKS[1], "arrays"), (CHUNKS[2], "scalar")],
+                         ids=["chunk0-scalar", "chunk0-arrays", "chunk1-arrays", "chunk2-scalar"])
 class TestBatchedEngine:
     @settings(max_examples=150, deadline=None)
     @given(case=engine_cases())
-    def test_row_m_is_run_altt_of_trial_m(self, chunk, case):
+    def test_row_m_is_run_altt_of_trial_m(self, chunk, layout, case):
         cfg, spec, trials = case
         with chunk_rounds(chunk):
             rows = run_block(cfg, spec.make_block(cfg.seed, trials), trials, cfg.t_max, True,
                              record_rounds=True)
         for trial, got in zip(trials, rows):
-            assert_same_run(got, run_altt(cfg, spec.make_source(cfg.seed, trial), trial=trial))
+            assert_same_run(got, one_run(cfg, spec, trial, layout))
 
     @settings(max_examples=150, deadline=None)
     @given(case=engine_cases(adaptive=False), data=st.data())
-    def test_row_m_is_run_ltt_of_trial_m(self, chunk, case, data):
+    def test_row_m_is_run_ltt_of_trial_m(self, chunk, layout, case, data):
         cfg, spec, trials = case
         horizon = data.draw(st.integers(0, cfg.t_max))
         with chunk_rounds(chunk):
             rows = run_block(cfg, spec.make_block(cfg.seed, trials, horizon), trials, horizon, False,
                              record_rounds=True)
         for trial, got in zip(trials, rows):
-            assert_same_run(got, run_ltt(cfg, spec.make_source(cfg.seed, trial), horizon, trial=trial))
+            assert_same_run(got, one_run(cfg, spec, trial, layout, horizon))
 
-    def test_every_rule_policy_strategy_and_direction(self, chunk):
+    def test_every_rule_policy_strategy_and_direction(self, chunk, layout):
         # The grid the property test samples, covered exhaustively on a
         # small instance; the source kind cycles through all four.
         arms4 = (Bernoulli(0.05), Beta(2.0, 8.0), PointMass(0.2), Bernoulli(0.6))
@@ -540,9 +589,9 @@ class TestBatchedEngine:
                 rows = run_block(cfg, spec.make_block(cfg.seed, trials), trials, cfg.t_max, True,
                                  record_rounds=True)
             for trial, got in zip(trials, rows):
-                assert_same_run(got, run_altt(cfg, spec.make_source(cfg.seed, trial), trial=trial))
+                assert_same_run(got, one_run(cfg, spec, trial, layout))
 
-    def test_rows_stop_at_their_own_rounds(self, chunk):
+    def test_rows_stop_at_their_own_rounds(self, chunk, layout):
         cfg = small_config(SelectionRuleName.BH, SMALL_SPEC.n, d_stop=3)
         trials = list(range(12))
         with chunk_rounds(chunk):
@@ -550,14 +599,14 @@ class TestBatchedEngine:
                              record_rounds=True)
         assert len({row.T for row in rows if row.T < cfg.t_max}) > 3
         for trial, got in zip(trials, rows):
-            assert_same_run(got, run_altt(cfg, SMALL_SPEC.make_source(cfg.seed, trial), trial=trial))
+            assert_same_run(got, one_run(cfg, SMALL_SPEC, trial, layout))
 
     @pytest.mark.parametrize("policy, batch", [
         (AcquisitionPolicy.UNIFORM_ALL, 3),  # Fisher-Yates over every id
         (AcquisitionPolicy.EPS_GREEDY, 3),  # Fisher-Yates over the pool, top-k
         (AcquisitionPolicy.EPS_GREEDY, 1),  # the batch-1 rank, the first maximum
     ])
-    def test_each_acquisition_path_across_chunk_edges(self, chunk, policy, batch):
+    def test_each_acquisition_path_across_chunk_edges(self, chunk, layout, policy, batch):
         cfg = small_config(SelectionRuleName.BH, SMALL_SPEC.n, d_stop=3, t_max=150,
                            acquisition=AcquisitionSpec(policy, epsilon=0.5, batch_size=batch))
         trials = list(range(10))
@@ -568,7 +617,81 @@ class TestBatchedEngine:
         stops = {row.T for row in rows if row.T < cfg.t_max}
         assert len(stops) > 2 and any(T % 3 for T in stops)
         for trial, got in zip(trials, rows):
-            assert_same_run(got, run_altt(cfg, SMALL_SPEC.make_source(cfg.seed, trial), trial=trial))
+            assert_same_run(got, one_run(cfg, SMALL_SPEC, trial, layout))
+
+
+class TestOneRunLayouts:
+    """``_run`` gives the same RunResult in either layout: records, final
+    wealths and p-values, T, stop reason and query count."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=engine_cases(), data=st.data())
+    def test_the_layouts_give_the_same_run(self, case, data):
+        cfg, spec, trials = case
+        horizon = None
+        if cfg.acquisition.policy is not AcquisitionPolicy.EPS_GREEDY and data.draw(st.booleans()):
+            horizon = data.draw(st.integers(0, cfg.t_max))
+        assert_same_run(one_run(cfg, spec, trials[0], "arrays", horizon),
+                        one_run(cfg, spec, trials[0], "scalar", horizon))
+
+    def test_every_rule_policy_strategy_and_direction(self):
+        # K = 1 and K = 2 alternate; eps-greedy pools shrink below the batch
+        # of 4 once three of the six ids are certified.
+        arms6 = (Bernoulli(0.02), Beta(2.0, 30.0), PointMass(0.05), Bernoulli(0.1), Beta(2.0, 2.0), Bernoulli(0.6))
+        kinds = [
+            SyntheticSpec(arms6),
+            SyntheticSpec(arms6, shared_draw=True),
+            SyntheticSpec(arms6, quantile_threshold=0.3),
+            CompositeSyntheticSpec((SyntheticSpec(arms6), SyntheticSpec(arms6[::-1], shared_draw=True))),
+        ]
+        grid = itertools.product(SelectionRuleName, (False, True), AcquisitionPolicy, BettingStrategy, Direction)
+        shrunk = 0
+        for j, (rule, literal, policy, strategy, direction) in enumerate(grid):
+            cfg = small_config(
+                rule, 6, literal, t_max=30, d_stop=5, direction=direction, delta=0.5,
+                acquisition=AcquisitionSpec(policy, epsilon=0.3, batch_size=4),
+                betting=BettingSpec(strategy),
+                extra_metrics=(MetricSpec(0.4, direction),) if j % 4 == 3 else (),
+            )
+            got = one_run(cfg, kinds[j % 4], j, "arrays")
+            assert_same_run(got, one_run(cfg, kinds[j % 4], j, "scalar"))
+            shrunk += any(len(rec.tested) < 4 for rec in got.records)
+        assert shrunk > 10
+
+    def test_full_batch_with_batch_size_one(self):
+        cfg = small_config(SelectionRuleName.BH, 8, t_max=60, d_stop=8,
+                           acquisition=AcquisitionSpec(AcquisitionPolicy.FULL_BATCH, batch_size=1))
+        got = one_run(cfg, SMALL_SPEC, 3, "arrays")
+        assert_same_run(got, one_run(cfg, SMALL_SPEC, 3, "scalar"))
+        assert {rec.tested for rec in got.records} == {tuple(range(8))}
+
+    @pytest.mark.parametrize("policy, batch_size, n, arrays", [
+        (AcquisitionPolicy.FULL_BATCH, 1, ARRAY_BATCH, True),  # N ids a round, whatever batch_size says
+        (AcquisitionPolicy.FULL_BATCH, 1, ARRAY_BATCH - 1, False),
+        (AcquisitionPolicy.EPS_GREEDY, ARRAY_BATCH, ARRAY_BATCH + 5, True),
+        (AcquisitionPolicy.EPS_GREEDY, ARRAY_BATCH - 1, 100, False),
+        (AcquisitionPolicy.UNIFORM_ALL, ARRAY_BATCH, ARRAY_BATCH, True),
+        (AcquisitionPolicy.ROUND_ROBIN, ARRAY_BATCH - 1, 100, False),
+    ])
+    def test_the_batch_the_policy_implies_picks_the_layout(self, monkeypatch, policy, batch_size, n, arrays):
+        calls = []
+        advance = orchestrator._advance
+        monkeypatch.setattr(orchestrator, "_advance", lambda *args: calls.append(1) or advance(*args))
+        cfg = small_config(SelectionRuleName.BH, n, t_max=3,
+                           acquisition=AcquisitionSpec(policy, epsilon=0.3, batch_size=batch_size))
+        run_altt(cfg, SyntheticSpec((Bernoulli(0.2),) * n).make_source(cfg.seed, 0))
+        assert calls == ([1] * 3 if arrays else [])
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_records_share_the_floats_of_untested_ids(self, layout):
+        # A round makes new floats only for the ids it tests, so a logged
+        # run's records grow by about a batch of floats per round.
+        cfg = small_config(SelectionRuleName.EBH, 60, t_max=20, d_stop=60,
+                           acquisition=AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.3, batch_size=25))
+        records = one_run(cfg, SyntheticSpec(ARMS4 * 15), 0, layout).records
+        for prev, rec in zip(records, records[1:]):
+            for i in set(range(60)) - set(rec.tested):
+                assert rec.wealth[i] is prev.wealth[i] and rec.anytime_p[i] is prev.anytime_p[i]
 
 
 wealth_rows = st.integers(1, 12).flatmap(lambda n: st.lists(

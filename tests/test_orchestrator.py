@@ -6,6 +6,7 @@ import dataclasses
 import math
 
 import pytest
+from conftest import LAYOUTS, one_run_layout
 
 from ecalib.core import (
     AcquisitionPolicy,
@@ -301,6 +302,9 @@ MALFORMED_ANSWERS = {
     "strings": ((), ["x", "y", "z"], [["x"], ["y"], ["z"]]),
     "too_few": ((), [0.1, 0.2], [[0.1], [0.2]]),
     "out_of_range": ((), [0.1, 1.5, 0.2], [[0.1], [1.5], [0.2]]),
+    "two_out_of_range": ((), [0.1, 1.5, -0.2], [[0.1], [1.5], [-0.2]]),
+    "second_metric_out_of_range": (TWO_METRICS, [(0.1, 0.2), (0.3, 1.5), (-0.1, 0.5)],
+                                   [[0.1, 0.2], [0.3, 1.5], [-0.1, 0.5]]),
     "nan": ((), [0.1, math.nan, 0.2], [[0.1], [math.nan], [0.2]]),
     "other_engine_shape": ((), [(0.1,), (0.2,), (0.3,)], [0.1, 0.2, 0.3]),
     "floats_for_two_metrics": (TWO_METRICS, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3]),
@@ -318,12 +322,44 @@ class TestMalformedAnswers:
 
     @pytest.mark.parametrize("extra, answer, _", MALFORMED_ANSWERS.values(), ids=MALFORMED_ANSWERS.keys())
     def test_one_run_engine(self, extra, answer, _):
+        # Both layouts refuse the answer with the same message.
         class Source:
             def query(self, round_index, ids, token):
                 return answer
 
-        with pytest.raises(SourceFailure, match="^round 1: "):
-            run_altt(self.config(extra), Source())
+        messages = []
+        for layout in LAYOUTS:
+            with one_run_layout(layout), pytest.raises(SourceFailure, match="^round 1: ") as failure:
+                run_altt(self.config(extra), Source())
+            messages.append(str(failure.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("name, message", [
+        ("nan", "round 1: risk nan for id 1 out of [0,1]"),
+        ("two_out_of_range", "round 1: risk 1.5 for id 1 out of [0,1]"),
+        ("second_metric_out_of_range", "round 1: risk 1.5 for id 1 out of [0,1]"),
+        ("too_few", "round 1: source returned 2 values for 3 ids"),
+        ("one_tuples_for_two_metrics", "round 1: expected 2 metrics per id"),
+    ])
+    def test_the_first_bad_id_is_named(self, name, message):
+        extra, answer, block_answer = MALFORMED_ANSWERS[name]
+
+        class Source:
+            def query(self, round_index, ids, token):
+                return answer
+
+        class Block:
+            def query(self, round_index, rows, ids):
+                return block_answer
+
+        for layout in LAYOUTS:
+            with one_run_layout(layout), pytest.raises(SourceFailure) as failure:
+                run_altt(self.config(extra), Source())
+            assert str(failure.value) == message
+        if name != "too_few":
+            with pytest.raises(SourceFailure) as failure:
+                run_block(self.config(extra), Block(), [0], 10, True)
+            assert str(failure.value) == message
 
     @pytest.mark.parametrize("extra, _, answer", MALFORMED_ANSWERS.values(), ids=MALFORMED_ANSWERS.keys())
     def test_block_engine(self, extra, _, answer):

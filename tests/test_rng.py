@@ -7,11 +7,13 @@ checked against the published reference sequence (seed 0 and seed
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from ecalib.rng import GOLDEN, MASK64, MIXER_ID, MixStream, _scramble, mix64, unit_uniform
-from ecalib.rng_np import mix64_np, unit_uniform_from_np
+from ecalib.rng import GOLDEN, MASK64, MIXER_ID, MixStream, _scramble, mix64, mix64_from, unit_uniform
+from ecalib.rng_np import mix64_from_np, mix64_np, stream_u64_np, unit_uniform_from_np
 
 # SplitMix64 reference outputs for seed 0: the first values of the recurrence
 # state += GOLDEN; out = scramble(state).  Widely published test vector.
@@ -120,3 +122,35 @@ class TestNumpyMirror:
 
     def test_golden_constant_matches_reference(self):
         assert GOLDEN == 0x9E3779B97F4A7C15
+
+    # Values next to 2**64, so that every add and multiply wraps.
+    HIGH = [MASK64, MASK64 - GOLDEN + 1, 0x8000000000000000, 12345]
+
+    def test_0d_operands_wrap_without_a_warning(self):
+        # numpy warns of wraparound in arithmetic on scalars; the helpers
+        # silence it for a 0-d prefix or state, of any kind.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h in self.HIGH:
+                for zero_d in (h, np.uint64(h), np.asarray(h, dtype=np.uint64)):
+                    assert int(mix64_from_np(zero_d, MASK64, np.uint64(h))) == mix64_from(h, MASK64, h)
+                    for k in (1, MASK64, np.uint64(3)):
+                        assert int(stream_u64_np(zero_d, k)) == _scramble(h + int(k) * GOLDEN)
+            assert int(mix64_np([MASK64, MASK64])) == mix64(MASK64, MASK64)
+
+    def test_arrays_keep_their_bits(self):
+        # A prefix or state of one or more dimensions takes the path without
+        # errstate; broadcasting a one-element prefix is how a one-run source
+        # folds a round's ids.
+        high = np.array(self.HIGH, dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h in self.HIGH:
+                got = mix64_from_np(np.array([h], dtype=np.uint64), high, 7)
+                assert got.tolist() == [mix64_from(h, p, 7) for p in self.HIGH]
+            grid = mix64_from_np(high[:, None], high[None, :])
+            assert grid.tolist() == [[mix64_from(a, b) for b in self.HIGH] for a in self.HIGH]
+            for k in (1, MASK64, high):
+                got = stream_u64_np(high, k)
+                ks = k.tolist() if isinstance(k, np.ndarray) else [k] * len(self.HIGH)
+                assert got.tolist() == [_scramble(s + j * GOLDEN) for s, j in zip(self.HIGH, ks)]

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import LAYOUTS, one_run_layout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -752,12 +753,15 @@ class TestEarlierRunDirectories:
     demo_oracle.  Before the step-up closure cut at sorted values: a
     200-arm e-BH simulate at batch 20 whose certified set changes often."""
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("name, rounds", [("simulate", 40), ("composite", 60), ("calibrate", 30), ("ebh_wide", 40)])
-    def test_replay_reproduces_them(self, name, rounds):
-        assert replay_check(RUNS / name) == rounds
+    def test_replay_reproduces_them(self, name, rounds, layout):
+        with one_run_layout(layout):
+            assert replay_check(RUNS / name) == rounds
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("name", ["simulate", "composite", "calibrate", "ebh_wide"])
-    def test_rerun_gives_the_same_bytes_and_plan(self, tmp_path, name):
+    def test_rerun_gives_the_same_bytes_and_plan(self, tmp_path, name, layout):
         old = read_manifest(RUNS / name)
         plan = parse_config(old["config"])
         out = tmp_path / name
@@ -770,7 +774,8 @@ class TestEarlierRunDirectories:
             plan = dataclasses.replace(plan, source=dataclasses.replace(plan.source, command=command))
         else:
             argv = ["simulate", *argv]
-        assert main(argv) == 0
+        with one_run_layout(layout):
+            assert main(argv) == 0
         for artifact in ("rounds.csv", "summary.csv", "final.json"):
             assert (out / artifact).read_bytes() == (RUNS / name / artifact).read_bytes()
         assert parse_config(read_manifest(out)["config"]) == plan
