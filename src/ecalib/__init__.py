@@ -28,7 +28,7 @@ _EXPORTS = {
     "betting": ("BettingState", "next_bet", "observe"),
     "selection": ("SelectionResult", "bh", "bonferroni", "by", "ebh", "fixed_sequence"),
     "acquisition": ("select_batch",),
-    "orchestrator": ("RiskSource", "RoundRecord", "RunResult", "StopReason", "run_altt", "run_ltt"),
+    "orchestrator": ("RiskSource", "RunResult", "StopReason", "run_altt", "run_ltt"),
     "simharness": (
         "Bernoulli",
         "Beta",

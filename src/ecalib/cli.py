@@ -31,6 +31,7 @@ from .runio import (
     SUMMARY_HEADER,
     SWEEP_AXES,
     OracleSpec,
+    RunLog,
     RunPlan,
     config_to_dict,
     load_config,
@@ -84,10 +85,10 @@ def _monte_carlo(cfg, source, args):
     return run_trials(cfg, source, M=args.trials, base_seed=cfg.seed, workers=args.workers)
 
 
-def _write_single_run(command: str, out: Path, plan: RunPlan, started: str, result) -> int:
-    """The run directory of one logged run (simulate, calibrate)."""
+def _write_single_run(command: str, out: Path, plan: RunPlan, started: str, result, log: RunLog) -> int:
+    """The run directory of one logged run (simulate, calibrate), once it has ended."""
     write_manifest(out, plan, started=started, finished=utc_now(), stop_reason=result.stop_reason.value)
-    write_run(out, plan, result)
+    write_run(out, plan, result, log)
     logger.info(
         "%s: stopped at t=%d (%s), selected %s", command, result.T, result.stop_reason.value, sorted(result.selected)
     )
@@ -100,8 +101,9 @@ def cmd_simulate(args) -> int:
     out = _prepare_out(args.out)
     started = utc_now()
     source = plan.source.make_source(plan.cfg.seed, 0)
-    result = run_altt(plan.cfg, source, trial=0, record_rounds=True)
-    return _write_single_run("simulate", out, plan, started, result)
+    log = RunLog()
+    result = run_altt(plan.cfg, source, trial=0, observer=log)
+    return _write_single_run("simulate", out, plan, started, result, log)
 
 
 def cmd_validate(args) -> int:
@@ -165,9 +167,10 @@ def cmd_calibrate(args) -> int:
     plan = dataclasses.replace(plan, source=OracleSpec(command, timeout))
     out = _prepare_out(args.out)
     started = utc_now()
+    log = RunLog()
     with oracle_client(plan.source.command, plan.cfg, plan.source.timeout) as source:
-        result = run_altt(plan.cfg, source, trial=0, record_rounds=True)
-    return _write_single_run("calibrate", out, plan, started, result)
+        result = run_altt(plan.cfg, source, trial=0, observer=log)
+    return _write_single_run("calibrate", out, plan, started, result, log)
 
 
 def cmd_report(args) -> int:

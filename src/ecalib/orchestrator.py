@@ -30,15 +30,18 @@ The Monte Carlo harness runs on it; ``_run`` serves single logged runs.
 ``_run`` picks its layout once per run from the batch its policy implies
 (N under full_batch, else min(batch_size, N)).  From ARRAY_BATCH ids up it
 keeps the betting state in (6, K, N) arrays and advances a round's ids with
-``_advance``, the update run_block makes; below, where a per-id Python loop
-is cheaper, it keeps one BettingState per (id, metric).  Either way the p-
-and e-values are lists of floats, which consecutive records share.
+``_advance``, the update run_block makes, and the p- and e-values are
+arrays too; below, where a per-id Python loop is cheaper, it keeps one
+BettingState per (id, metric) and the values in lists of floats.
+
+Each engine keeps no history: it calls one observer once per round, after
+selection, and the observer keeps what it needs (``runio``'s run log and
+replay check, the Monte Carlo harness's curves).
 
 A run_block round does only the work that depends on the state.  The keyed
 draws that do not, each trial's acquisition stream state, explore coin and
 batch-1 rank draw, are hashed for CHUNK_ROUNDS rounds at a time in one
-array pass (``acquisition.round_draws``), and the round hook hears only of
-rows whose certified set changed.
+array pass (``acquisition.round_draws``).
 """
 
 from __future__ import annotations
@@ -97,21 +100,10 @@ class RiskSource(Protocol):
 
 
 @dataclass
-class RoundRecord:
-    t: int
-    tested: tuple[int, ...]
-    risks: tuple
-    wealth: tuple[float, ...]
-    anytime_p: tuple[float, ...]
-    selected: frozenset[int]
-
-
-@dataclass
 class RunResult:
     selected: frozenset[int]
     T: int
     stop_reason: StopReason
-    records: tuple[RoundRecord, ...]
     final_wealth: tuple[float, ...]
     final_anytime_p: tuple[float, ...]
     n_queries: int
@@ -136,11 +128,16 @@ def _run(
     trial: int,
     horizon: int,
     adaptive: bool,
-    record_rounds: bool,
-    round_hook,
+    observer,
 ) -> RunResult:
     """The shared engine.  With ``adaptive`` the rule re-selects each round
-    and the run stops at d_stop; without it the rule runs once at the end."""
+    and the run stops at d_stop; without it the rule runs once at the end.
+
+    ``observer(t, tested, risks, wealth, anytime_p, certified)``, when
+    given, is called once per round after selection with the tested ids,
+    their risks row (a float or K-tuple per id), every candidate's merged
+    wealth and anytime p-value, the engine's own list or array, to be read
+    during the call and not kept, and the certified frozenset."""
     validate_config(cfg)
     n = cfg.n_candidates
     metrics = cfg.requirements
@@ -150,19 +147,17 @@ def _run(
     seed = cfg.seed
 
     merged_lw = np.zeros(n)  # log of min-over-metrics wealth, for acquisition
-    pvals = [1.0] * n
-    evals = [1.0] * n  # merged wealth, linear
     on_evals = cfg.selection_rule is SelectionRuleName.EBH
     acq = cfg.acquisition
     arrays = (n if acq.policy is AcquisitionPolicy.FULL_BATCH else min(acq.batch_size, n)) >= ARRAY_BATCH
 
     if arrays:
-        # As run_block's state, one column per id; the rule's input is kept
-        # as an array beside its list.
+        # As run_block's state, one column per id.
         state = np.zeros((6, n_metrics, n))
         state[5] = BettingState().ons_curvature
         merged_lrm = np.zeros(n)
-        rule_values = np.ones((1, n))
+        pvals = np.ones(n)
+        evals = np.ones(n)  # merged wealth, linear
 
         def advance(t: int, batch: tuple[int, ...], risks_row: tuple) -> bool:
             ids = np.array(batch, dtype=np.intp)
@@ -175,23 +170,18 @@ def _run(
             if changed:
                 risen = ids[rose]
                 merged_lrm[risen] = lw[rose]
-                p = each(math.exp, -lw[rose])
-                for i, x in zip(risen.tolist(), p.tolist()):
-                    pvals[i] = x
-                if not on_evals:
-                    rule_values[0, risen] = p
+                pvals[risen] = each(math.exp, -lw[rose])
             e = _exps(lw)
             if on_evals:
-                changed |= bool((e != rule_values[0, ids]).any())
-                rule_values[0, ids] = e
-            for i, x in zip(batch, e.tolist()):
-                evals[i] = x
+                changed |= bool((e != evals[ids]).any())
+            evals[ids] = e
             return changed
     else:
         lws = [[0.0] * n_metrics for _ in range(n)]  # per-metric log wealths
         bstates = [[BettingState() for _ in range(n_metrics)] for _ in range(n)]
         merged_lrm = [0.0] * n  # running max of merged log wealth
-        rule_values = evals if on_evals else pvals
+        pvals = [1.0] * n
+        evals = [1.0] * n  # merged wealth, linear
 
         def advance(t: int, batch: tuple[int, ...], risks_row: tuple) -> bool:
             rows = [(r,) for r in risks_row] if n_metrics == 1 else risks_row
@@ -223,8 +213,10 @@ def _run(
                 evals[i] = e
             return changed
 
+    rule_values = evals if on_evals else pvals
+
     def select() -> frozenset[int]:
-        values = rule_values if arrays else np.array([rule_values])
+        values = rule_values[None] if arrays else np.array([rule_values])
         row = selection.select_rows(
             cfg.selection_rule, values, cfg.delta, cfg.literal_set, cfg.fixed_sequence_order
         )[0]
@@ -233,7 +225,6 @@ def _run(
     acq_prefix = mix64(TAG_ACQ, seed, trial)
     token_prefix = mix64(TAG_TOKEN, seed, trial) if getattr(source, "reads_token", True) else None
     certified: frozenset[int] = frozenset()
-    records: list[RoundRecord] = []
     n_queries = 0
     stop_reason = StopReason.REACHED_T_MAX
     stop_t = horizon
@@ -262,12 +253,8 @@ def _run(
         n_queries += len(batch)
         if adaptive and changed:
             certified = select()
-        if record_rounds:
-            records.append(
-                RoundRecord(t, batch, risks_row, tuple(evals), tuple(pvals), certified)
-            )
-        if round_hook is not None:
-            round_hook(t, batch, certified)
+        if observer is not None:
+            observer(t, batch, risks_row, evals, pvals, certified)
         if adaptive and len(certified) >= cfg.d_stop:
             stop_reason = StopReason.REACHED_D
             stop_t = t
@@ -280,9 +267,8 @@ def _run(
         selected=certified,
         T=stop_t,
         stop_reason=stop_reason,
-        records=tuple(records),
-        final_wealth=tuple(evals),
-        final_anytime_p=tuple(pvals),
+        final_wealth=tuple(evals.tolist() if arrays else evals),
+        final_anytime_p=tuple(pvals.tolist() if arrays else pvals),
         n_queries=n_queries,
     )
 
@@ -294,20 +280,20 @@ def run_block(
     horizon: int,
     adaptive: bool,
     *,
-    record_rounds: bool = False,
-    round_hook=None,
+    observer=None,
 ) -> list[RunResult]:
     """``_run`` of every trial in ``trials`` at once, one result per trial.
 
     ``source.query(t, rows, ids)`` receives the round index and the tested
     (row, id) pairs as two arrays, rows indexing ``trials``, and returns a
     (P, K) array: the K risks of each pair, as the trial's own source would
-    answer them.  ``round_hook(t, rows, certified)`` is called after a
-    round's selection only when some row's certified set changed in it,
-    with the indices of those rows and the (M, N) certified mask; a row's
-    set in any other round is the one it held after its latest change
-    (empty before the first), and a row that stops does so in a round its
-    set changed.  Per-round work is on the rows still running.
+    answer them.  ``observer(t, rows, ids, risks, moved, merged_lw,
+    anytime_p, certified)``, when given, is called once per round after
+    selection with the tested pairs (by row, then id; each running row tests
+    some), their (P, K) risks, the rows whose certified set changed, in
+    whose rounds alone a row stops, and read-only (M, N) views of the merged
+    log wealth, anytime p-values and certified mask.  Per-round work is on
+    the rows still running.
     """
     validate_config(cfg)
     m, n = len(trials), cfg.n_candidates
@@ -331,10 +317,12 @@ def run_block(
     # Flat views of the (M, N) arrays, indexed by pair.
     flat_lw, flat_lrm, flat_p = merged_lw.reshape(-1), merged_lrm.reshape(-1), pvals.reshape(-1)
     flat_e = evals.reshape(-1) if on_evals else None
+    views = [a.view() for a in (merged_lw, pvals, certified)]
+    for view in views:
+        view.flags.writeable = False
 
     acq_prefix = mix64_np([TAG_ACQ, cfg.seed, np.asarray(trials, dtype=np.uint64)])
     chunk = CHUNK_ROUNDS
-    records: list[list[RoundRecord]] = [[] for _ in range(m)]
     stop_t = np.full(m, horizon)
     reached_d = np.zeros(m, dtype=bool)
     live = np.arange(m)
@@ -374,7 +362,7 @@ def run_block(
             e = _exps(lw)
             changed[rows[e != flat_e[pairs]]] = True
             flat_e[pairs] = e
-        redo = np.flatnonzero(changed) if adaptive else ()
+        redo = np.flatnonzero(changed) if adaptive else np.array([], dtype=np.intp)
         moved = redo
         if len(redo):
             sets = selection.select_rows(
@@ -382,11 +370,9 @@ def run_block(
             )
             moved = redo[(sets != certified[redo]).any(axis=1)]
             certified[redo] = sets
-        if record_rounds:
-            _record(records, t, live, tested, ids, risks, merged_lw, evals, pvals, certified)
+        if observer is not None:
+            observer(t, rows, ids, risks, moved, *views)
         if len(moved):
-            if round_hook is not None:
-                round_hook(t, moved, certified)
             # A set below d_stop that did not change is still below it.
             done = moved[certified[moved].sum(axis=1) >= cfg.d_stop]
             if len(done):
@@ -403,9 +389,9 @@ def run_block(
     selected = np.split(np.nonzero(certified)[1], np.cumsum(certified.sum(axis=1))[:-1])
     reasons = [StopReason.REACHED_D if r else StopReason.REACHED_T_MAX for r in reached_d.tolist()]
     return [
-        RunResult(frozenset(sel.tolist()), T, reason, tuple(recs), tuple(w), tuple(p), queries)
-        for sel, T, reason, recs, w, p, queries in zip(
-            selected, stop_t.tolist(), reasons, records, wealths.tolist(), pvals.tolist(), n_queries.tolist()
+        RunResult(frozenset(sel.tolist()), T, reason, tuple(w), tuple(p), queries)
+        for sel, T, reason, w, p, queries in zip(
+            selected, stop_t.tolist(), reasons, wealths.tolist(), pvals.tolist(), n_queries.tolist()
         )
     ]
 
@@ -438,34 +424,24 @@ def _advance(state: np.ndarray, pairs, risks: np.ndarray, metrics, bounds, bspec
     return lw
 
 
-def _record(records, t, live, tested, ids, risks, merged_lw, evals, pvals, certified) -> None:
-    """Append each live row's RoundRecord, as ``_run`` builds it."""
-    cuts = np.cumsum(tested.sum(axis=1))[:-1]
-    for row, row_ids, row_risks in zip(live, np.split(ids, cuts), np.split(risks, cuts)):
-        wealth = evals[row] if evals is not None else _exps(merged_lw[row])
-        risks_row = row_risks[:, 0].tolist() if risks.shape[1] == 1 else map(tuple, row_risks.tolist())
-        records[row].append(
-            RoundRecord(
-                t,
-                tuple(row_ids.tolist()),
-                tuple(risks_row),
-                tuple(wealth.tolist()),
-                tuple(pvals[row].tolist()),
-                frozenset(np.flatnonzero(certified[row]).tolist()),
-            )
-        )
-
-
 def run_altt(
     cfg: CalibrationConfig,
     source: RiskSource,
     *,
     trial: int = 0,
-    record_rounds: bool = True,
+    observer=None,
     round_hook=None,
 ) -> RunResult:
-    """Adaptive loop: per-round selection, stop at d_stop or t_max."""
-    return _run(cfg, source, trial, cfg.t_max, True, record_rounds, round_hook)
+    """Adaptive loop: per-round selection, stop at d_stop or t_max.
+
+    ``observer`` is ``_run``'s; ``round_hook`` is called after it every
+    round, with the same arguments."""
+    # round_hook stays only for perfbench/harness.py, whose wrapper of
+    # cli.run_altt stamps each round through it beside the command's observer.
+    if round_hook is not None:
+        first = observer
+        observer = round_hook if first is None else lambda *args: (first(*args), round_hook(*args))
+    return _run(cfg, source, trial, cfg.t_max, True, observer)
 
 
 def run_ltt(
@@ -474,8 +450,7 @@ def run_ltt(
     T: int,
     *,
     trial: int = 0,
-    record_rounds: bool = True,
-    round_hook=None,
+    observer=None,
 ) -> RunResult:
     """Non-adaptive baseline: T rounds, then the selection rule applied once.
 
@@ -486,4 +461,4 @@ def run_ltt(
         raise InvalidConfig(["run_ltt requires a non-adaptive acquisition policy"])
     if T < 0:
         raise InvalidConfig(["T must be >= 0"])
-    return _run(cfg, source, trial, T, False, record_rounds, round_hook)
+    return _run(cfg, source, trial, T, False, observer)

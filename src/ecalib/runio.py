@@ -12,6 +12,10 @@ A run directory holds:
 - ``summary.csv``: per-round curves t, tpr, fwer, fdr, mean_set_size.
 - ``final.json``: the headline numbers (selected set / stop reason / T for
   single runs; metric estimates and the pass verdict for validation runs).
+
+A single run's observer, ``RunLog``, keeps per round only what rounds.csv and
+summary.csv need; ``write_run`` writes both after the run, so no row is
+formatted inside a round.  Replay checks each round's cells as it ends.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from . import __version__
 from .core import AcquisitionSpec, CalibrationConfig, ErrorMetric, validate_config
 from .errors import EcalibError, InvalidConfig, OracleError
 from .oracle import DEFAULT_TIMEOUT, command_argv
-from .orchestrator import RoundRecord, RunResult, run_altt
+from .orchestrator import RunResult, run_altt
 from .rng import MIXER_ID
 from .simharness import Bernoulli, Beta, CompositeSyntheticSpec, PointMass, SyntheticSpec, derive_reliable
 
@@ -357,7 +361,8 @@ def write_manifest(
         "trials": trials,
         "config": config_to_dict(plan),
     }
-    (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    # Compact: with an indent, json runs its pure-Python encoder.
+    (out_dir / "manifest.json").write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
 def read_manifest(run_dir: Path) -> dict:
@@ -382,19 +387,34 @@ def _risk_cell(risks_row, multi_metric: bool) -> str:
     return ";".join(fmt17(r) for r in risks_row)
 
 
-def _outcome_cells(rec: RoundRecord) -> list[str]:
-    """The wealths and selected_ids cells of rec's row in rounds.csv."""
-    return [";".join([fmt17(rec.wealth[i]) for i in rec.tested]), _ids(sorted(rec.selected))]
+def _outcome_cells(wealths, selected: frozenset[int]) -> list[str]:
+    """The wealths and selected_ids cells of a round's row in rounds.csv,
+    from the tested ids' wealths and the certified set."""
+    return [";".join([fmt17(x) for x in wealths]), _ids(sorted(selected))]
 
 
-def write_rounds_csv(out_dir: Path, result: RunResult, multi_metric: bool) -> None:
+class RunLog:
+    """``run_altt``'s observer for a logged run: per round the tested ids,
+    their risks and wealths, and the certified set (one frozenset until the
+    engine re-selects), for ``write_run``."""
+
+    def __init__(self):
+        self.rows: list[tuple] = []  # (tested ids, risks row, their wealths)
+        self.sets: list[frozenset[int]] = []
+
+    def __call__(self, t: int, tested, risks, wealth, anytime_p, certified: frozenset[int]) -> None:
+        self.rows.append((tested, risks, [wealth[i] for i in tested]))
+        self.sets.append(certified)
+
+
+def write_rounds_csv(out_dir: Path, log: RunLog, multi_metric: bool) -> None:
     # No cell holds anything but digits, '.', 'e', '+', '-', 'inf', ';' and
     # '|', so csv.writer quotes none, and replay splits each line on ','.
     with open(out_dir / "rounds.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(ROUNDS_HEADER)
-        for rec in result.records:
-            w.writerow([0, rec.t, _ids(rec.tested), _risk_cell(rec.risks, multi_metric), *_outcome_cells(rec)])
+        for t, ((tested, risks, wealths), selected) in enumerate(zip(log.rows, log.sets), 1):
+            w.writerow([0, t, _ids(tested), _risk_cell(risks, multi_metric), *_outcome_cells(wealths, selected)])
 
 
 def write_summary_csv(
@@ -435,25 +455,17 @@ def read_summary_csv(run_dir: Path) -> list[list[str]]:
     return _read_rows(run_dir / "summary.csv", SUMMARY_HEADER, EcalibError)
 
 
-def realized_curves(result: RunResult, reliable: frozenset[int] | None):
-    """Single-trial curves over the recorded rounds; ground-truth columns are
-    NaN when no reliable set is known (external oracle runs)."""
-    nan = float("nan")
-    tpr, fwer, fdr, sizes = [], [], [], []
-    for rec in result.records:
-        sel = rec.selected
-        sizes.append(float(len(sel)))
-        if reliable is None:
-            tpr.append(nan)
-            fwer.append(nan)
-            fdr.append(nan)
-            continue
-        n_rel = len(reliable)
-        hits = len(sel & reliable)
-        false = len(sel) - hits
-        tpr.append(hits / n_rel if n_rel else nan)
-        fwer.append(1.0 if false else 0.0)
-        fdr.append(false / len(sel) if sel else 0.0)
+def realized_curves(sets: Sequence[frozenset[int]], reliable: frozenset[int] | None):
+    """Single-trial curves over a run's certified sets, one per round;
+    ground-truth columns are NaN when no reliable set is known (external
+    oracle runs)."""
+    sizes = [float(len(sel)) for sel in sets]
+    if reliable is None:
+        return [math.nan] * len(sizes), [math.nan] * len(sizes), [math.nan] * len(sizes), sizes
+    hits = [len(sel & reliable) for sel in sets]
+    tpr = [h / len(reliable) if reliable else math.nan for h in hits]
+    fwer = [1.0 if h < size else 0.0 for h, size in zip(hits, sizes)]
+    fdr = [(size - h) / size if size else 0.0 for h, size in zip(hits, sizes)]
     return tpr, fwer, fdr, sizes
 
 
@@ -461,13 +473,14 @@ def write_final_json(out_dir: Path, doc: dict) -> None:
     (out_dir / "final.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def write_run(out_dir: Path, plan: RunPlan, result: RunResult, *, rounds: bool = True) -> None:
-    """rounds.csv (if rounds), summary.csv and final.json of one logged run;
-    the summary's ground truth is unknown for an oracle source."""
+def write_run(out_dir: Path, plan: RunPlan, result: RunResult, log: RunLog, *, rounds: bool = True) -> None:
+    """rounds.csv (if rounds), summary.csv and final.json of one logged run,
+    from its result and log; the summary's ground truth is unknown for an
+    oracle source."""
     if rounds:
-        write_rounds_csv(out_dir, result, bool(plan.cfg.extra_metrics))
+        write_rounds_csv(out_dir, log, bool(plan.cfg.extra_metrics))
     reliable = None if isinstance(plan.source, OracleSpec) else derive_reliable(plan.cfg, plan.source)
-    write_summary_csv(out_dir, *realized_curves(result, reliable))
+    write_summary_csv(out_dir, *realized_curves(log.sets, reliable))
     write_final_json(out_dir, {"selected": sorted(result.selected), "stop_reason": result.stop_reason.value,
                                "T": result.T, "n_queries": result.n_queries})
 
@@ -533,22 +546,28 @@ def _first_difference(name: str, got: str, logged: str, tested: str) -> str:
 
 def replay_check(run_dir: str | Path, manifest: dict | None = None) -> int:
     """Re-run trial 0 from the logged risks: each round's wealths and
-    selected_ids cells must equal the log's, and the re-written summary.csv
-    and final.json the run directory's bytes.  Returns the number of rounds;
-    ReplayMismatch names the first difference.  Writes nothing to run_dir.
-    ``manifest`` is run_dir's manifest.json, when the caller has read it."""
+    selected_ids cells must equal the log's, checked as the round ends, and
+    the re-written summary.csv and final.json the run directory's bytes.
+    Returns the number of rounds; ReplayMismatch names the first difference,
+    and no round after it runs.  Writes nothing to run_dir.  ``manifest`` is
+    run_dir's manifest.json, when the caller has read it."""
     run_dir = Path(run_dir)
     plan = parse_config((read_manifest(run_dir) if manifest is None else manifest)["config"])
     path, rows = run_dir / "rounds.csv", _parse_rounds_csv(run_dir)
-    result = run_altt(plan.cfg, ReplaySource(path, rows, bool(plan.cfg.extra_metrics)), trial=0, record_rounds=True)
-    if len(result.records) != len(rows):
-        raise ReplayMismatch(f"{path}: replay produced {len(result.records)} rounds, log has {len(rows)}")
-    for rec, row in zip(result.records, rows):
-        for name, got, logged in zip(ROUNDS_HEADER[4:], _outcome_cells(rec), row[4:]):
+    log = RunLog()  # keeps only the certified sets, for summary.csv
+
+    def check(t: int, tested, risks, wealth, anytime_p, certified: frozenset[int]) -> None:
+        row = rows[t - 1]  # ReplaySource has served round t from it
+        for name, got, logged in zip(ROUNDS_HEADER[4:], _outcome_cells([wealth[i] for i in tested], certified), row[4:]):
             if got != logged:
-                raise ReplayMismatch(f"{path} line {rec.t + 1}: {_first_difference(name, got, logged, row[2])}")
+                raise ReplayMismatch(f"{path} line {t + 1}: {_first_difference(name, got, logged, row[2])}")
+        log.sets.append(certified)
+
+    result = run_altt(plan.cfg, ReplaySource(path, rows, bool(plan.cfg.extra_metrics)), trial=0, observer=check)
+    if result.T != len(rows):
+        raise ReplayMismatch(f"{path}: replay produced {result.T} rounds, log has {len(rows)}")
     with tempfile.TemporaryDirectory() as tmp:
-        write_run(Path(tmp), plan, result, rounds=False)
+        write_run(Path(tmp), plan, result, log, rounds=False)
         for name in ("summary.csv", "final.json"):
             _same_bytes(run_dir / name, Path(tmp) / name)
     return len(rows)

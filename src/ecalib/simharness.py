@@ -328,7 +328,7 @@ class MetricsSummary:
 
 
 def _make_hook(rel_hits, unrel_hits, sizes, reliable: frozenset[int], unreliable: frozenset[int]):
-    def hook(t: int, tested, selected: frozenset[int]) -> None:
+    def hook(t: int, tested, risks, wealth, anytime_p, selected: frozenset[int]) -> None:
         idx = t - 1
         rel_hits[idx] = len(selected & reliable)
         unrel_hits[idx] = len(selected & unreliable)
@@ -437,11 +437,9 @@ def _one_trial(args) -> tuple[int, RunResult, np.ndarray, np.ndarray, np.ndarray
     rel_hits, unrel_hits, sizes = (np.zeros(cfg.t_max, dtype=np.int32) for _ in range(3))
     hook = _make_hook(rel_hits, unrel_hits, sizes, reliable, unreliable)
     source = spec.make_source(base_seed, trial)
-    result = run_altt(cfg, source, trial=trial, record_rounds=False, round_hook=hook)
+    result = run_altt(cfg, source, trial=trial, observer=hook)
     # Drop the heavyweight fields before results cross a process boundary.
-    slim = RunResult(
-        result.selected, result.T, result.stop_reason, (), (), (), result.n_queries
-    )
+    slim = RunResult(result.selected, result.T, result.stop_reason, (), (), result.n_queries)
     return trial, slim, rel_hits, unrel_hits, sizes
 
 
@@ -457,21 +455,23 @@ def _trial_block(args) -> tuple[list[RunResult], np.ndarray]:
     # holds them; the accumulator's float64 arithmetic on them is exact.
     curves = np.zeros((3, len(trials), cfg.t_max), dtype=np.min_scalar_type(cfg.n_candidates))
 
-    # The hook sees only the rows whose set changed; a row's counts hold
-    # until its next change, and past its stopping round they are 0.
+    # Counts are recorded only for the rows whose set moved; a row's counts
+    # hold until its next change, and past its stopping round they are 0.
     changes = np.zeros((len(trials), cfg.t_max), dtype=bool)
 
-    def hook(t: int, rows: np.ndarray, certified: np.ndarray) -> None:
-        sel = certified[rows]
+    def observe(t: int, rows, ids, risks, moved: np.ndarray, merged_lw, anytime_p, certified: np.ndarray) -> None:
+        if not len(moved):
+            return
+        sel = certified[moved]
         rel = (sel & in_rel).sum(axis=1)
         size = sel.sum(axis=1)
-        curves[0, rows, t - 1] = rel
-        curves[1, rows, t - 1] = size - rel
-        curves[2, rows, t - 1] = size
-        changes[rows, t - 1] = True
+        curves[0, moved, t - 1] = rel
+        curves[1, moved, t - 1] = size - rel
+        curves[2, moved, t - 1] = size
+        changes[moved, t - 1] = True
 
     block = spec.make_block(base_seed, trials, cfg.t_max)
-    results = run_block(cfg, block, trials, cfg.t_max, True, round_hook=hook)
+    results = run_block(cfg, block, trials, cfg.t_max, True, observer=observe)
     stops = np.array([r.T for r in results])
     early = np.flatnonzero(stops < cfg.t_max)
     changes[early, stops[early]] = True
@@ -480,7 +480,7 @@ def _trial_block(args) -> tuple[list[RunResult], np.ndarray]:
     np.maximum.accumulate(latest, axis=1, out=latest)
     curves = curves[:, np.arange(len(trials))[:, None], latest]
     # Drop the heavyweight fields before results cross a process boundary.
-    slim = [RunResult(r.selected, r.T, r.stop_reason, (), (), (), r.n_queries) for r in results]
+    slim = [RunResult(r.selected, r.T, r.stop_reason, (), (), r.n_queries) for r in results]
     return slim, curves
 
 

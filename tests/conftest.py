@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from ecalib.core import (
     Direction,
     SelectionRuleName,
 )
-from ecalib.orchestrator import run_block
+from ecalib.orchestrator import RunResult, _exps, run_block
 from ecalib.simharness import Bernoulli, SyntheticSpec
 
 CRITERIA_LABELS = {
@@ -52,6 +53,61 @@ def one_run_layout(layout: str):
         yield
 
 
+@dataclass
+class RoundRecord:
+    """One round of a run, as the tests compare runs: the tested ids, their
+    risks as the one-run engine receives them (a float per id, or a
+    K-tuple), every candidate's merged wealth and anytime p-value, and the
+    certified set."""
+
+    t: int
+    tested: tuple[int, ...]
+    risks: tuple
+    wealth: tuple[float, ...]
+    anytime_p: tuple[float, ...]
+    selected: frozenset[int]
+
+
+@dataclass
+class Recorded(RunResult):
+    """A RunResult with the RoundRecord of each round it ran."""
+
+    records: tuple[RoundRecord, ...] = ()
+
+
+def recorded(run, *args, **kwargs) -> Recorded:
+    """``run(*args, **kwargs)``, ``run_altt`` or ``run_ltt``, with an
+    observer that records every round."""
+    records = []
+
+    def observe(t, tested, risks, wealth, anytime_p, certified):
+        records.append(RoundRecord(t, tested, risks, tuple(map(float, wealth)), tuple(map(float, anytime_p)), certified))
+
+    result = run(*args, observer=observe, **kwargs)
+    return Recorded(**vars(result), records=tuple(records))
+
+
+def recorded_block(cfg, source, trials, *args, **kwargs) -> list[Recorded]:
+    """``run_block``, each row with its rounds recorded as ``recorded``
+    records them from the one-run engine."""
+    records = [[] for _ in trials]
+
+    def observe(t, rows, ids, risks, moved, merged_lw, anytime_p, certified):
+        cuts = np.flatnonzero(np.diff(rows)) + 1
+        for row, row_ids, row_risks in zip(rows[np.r_[0, cuts]], np.split(ids, cuts), np.split(risks, cuts)):
+            records[row].append(RoundRecord(
+                t,
+                tuple(row_ids.tolist()),
+                tuple(row_risks[:, 0].tolist() if risks.shape[1] == 1 else map(tuple, row_risks.tolist())),
+                tuple(_exps(merged_lw[row]).tolist()),
+                tuple(anytime_p[row].tolist()),
+                frozenset(np.flatnonzero(certified[row]).tolist()),
+            ))
+
+    results = run_block(cfg, source, trials, *args, observer=observe, **kwargs)
+    return [Recorded(**vars(result), records=tuple(recs)) for result, recs in zip(results, records)]
+
+
 @pytest.fixture
 def single_arm():
     """Trials of one Bernoulli(mean) arm tested in each of ``rounds`` rounds.
@@ -59,10 +115,11 @@ def single_arm():
     The runs are trials 0..trials-1 of an N=1 config on the trial-batched
     engine, non-adaptive as ``run_ltt`` runs, so no run stops at its first
     certification and each final p-value is 1 / the running max over every
-    round.  Returns (config, one RunResult per trial).
+    round.  Returns (config, one RunResult per trial, with its rounds
+    recorded if ``record``).
     """
 
-    def run(mean, alpha, betting, rounds, trials, seed, record_rounds=False):
+    def run(mean, alpha, betting, rounds, trials, seed, record=False):
         cfg = CalibrationConfig(
             n_candidates=1,
             alpha=alpha,
@@ -77,7 +134,7 @@ def single_arm():
         )
         ids = np.arange(trials)
         source = SyntheticSpec((Bernoulli(mean),)).make_block(seed, ids)
-        return cfg, run_block(cfg, source, ids, rounds, False, record_rounds=record_rounds)
+        return cfg, (recorded_block if record else run_block)(cfg, source, ids, rounds, False)
 
     return run
 

@@ -147,8 +147,8 @@ def test_criterion_04_deferred_selection_equivalence(criterion):
     )
     mismatches = 0
     for trial in range(50):
-        adaptive = run_altt(cfg, BENCH_SPEC.make_source(BENCH_SEED, trial), trial=trial, record_rounds=False)
-        one_shot = run_ltt(cfg, BENCH_SPEC.make_source(BENCH_SEED, trial), 500, trial=trial, record_rounds=False)
+        adaptive = run_altt(cfg, BENCH_SPEC.make_source(BENCH_SEED, trial), trial=trial)
+        one_shot = run_ltt(cfg, BENCH_SPEC.make_source(BENCH_SEED, trial), 500, trial=trial)
         assert adaptive.stop_reason is StopReason.REACHED_T_MAX
         if adaptive.selected != one_shot.selected:
             mismatches += 1

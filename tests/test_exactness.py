@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import LAYOUTS, one_run_layout
+from conftest import LAYOUTS, one_run_layout, recorded, recorded_block
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,7 +53,7 @@ from ecalib.core import (
 from ecalib.eprocess import bet_bound, update, updates
 from ecalib.errors import BetOutOfBounds
 from ecalib import orchestrator
-from ecalib.orchestrator import ARRAY_BATCH, CHUNK_ROUNDS, run_altt, run_block, run_ltt
+from ecalib.orchestrator import ARRAY_BATCH, CHUNK_ROUNDS, run_altt, run_ltt
 from ecalib.rng import (
     TAG_RISK,
     TAG_SHARED,
@@ -272,8 +272,8 @@ class TestSourcesDrawTheDocumentedKeys:
             want = [spec.make_source(5, trials[r]).query(t, [i], "")[0] for r, i in zip(rows.tolist(), ids.tolist())]
             assert _hex(got[:, 0]) == _hex(want)
         cfg = small_config(SelectionRuleName.BH, 3, t_max=20)
-        assert_same_run(run_altt(cfg, composite.make_source(5, 1), trial=1),
-                        run_altt(cfg, spec.make_source(5, 1), trial=1))
+        assert_same_run(recorded(run_altt, cfg, composite.make_source(5, 1), trial=1),
+                        recorded(run_altt, cfg, spec.make_source(5, 1), trial=1))
 
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("horizon", [None, 7])
@@ -334,7 +334,7 @@ class TestEngine:
         assert cfg.error_metric is metric
         for trial in range(8):
             with one_run_layout(layout):
-                result = run_altt(cfg, SMALL_SPEC.make_source(cfg.seed, trial), trial=trial)
+                result = recorded(run_altt, cfg, SMALL_SPEC.make_source(cfg.seed, trial), trial=trial)
             order = tuple(range(cfg.n_candidates))
             for rec in result.records:
                 if rule is SelectionRuleName.BONFERRONI:
@@ -528,14 +528,14 @@ def chunk_rounds(sizes):
 CHUNKS = [(CHUNK_ROUNDS, KEY_ROUNDS), (1, 3), (3, 1)]
 
 
-def one_run(cfg, spec, trial, layout, horizon=None, record_rounds=True):
+def one_run(cfg, spec, trial, layout, horizon=None):
     """``run_altt`` of ``trial``, or ``run_ltt`` for ``horizon`` rounds, in
-    the one-run engine's ``layout``."""
+    the one-run engine's ``layout``, with its rounds recorded."""
     source = spec.make_source(cfg.seed, trial)
     with one_run_layout(layout):
         if horizon is None:
-            return run_altt(cfg, source, trial=trial, record_rounds=record_rounds)
-        return run_ltt(cfg, source, horizon, trial=trial, record_rounds=record_rounds)
+            return recorded(run_altt, cfg, source, trial=trial)
+        return recorded(run_ltt, cfg, source, horizon, trial=trial)
 
 
 # The chunks shape run_block and the layout the run_altt it is compared
@@ -549,8 +549,7 @@ class TestBatchedEngine:
     def test_row_m_is_run_altt_of_trial_m(self, chunk, layout, case):
         cfg, spec, trials = case
         with chunk_rounds(chunk):
-            rows = run_block(cfg, spec.make_block(cfg.seed, trials), trials, cfg.t_max, True,
-                             record_rounds=True)
+            rows = recorded_block(cfg, spec.make_block(cfg.seed, trials), trials, cfg.t_max, True)
         for trial, got in zip(trials, rows):
             assert_same_run(got, one_run(cfg, spec, trial, layout))
 
@@ -560,8 +559,7 @@ class TestBatchedEngine:
         cfg, spec, trials = case
         horizon = data.draw(st.integers(0, cfg.t_max))
         with chunk_rounds(chunk):
-            rows = run_block(cfg, spec.make_block(cfg.seed, trials, horizon), trials, horizon, False,
-                             record_rounds=True)
+            rows = recorded_block(cfg, spec.make_block(cfg.seed, trials, horizon), trials, horizon, False)
         for trial, got in zip(trials, rows):
             assert_same_run(got, one_run(cfg, spec, trial, layout, horizon))
 
@@ -586,8 +584,7 @@ class TestBatchedEngine:
                 extra_metrics=(MetricSpec(0.4, direction),) if j % 4 == 3 else (),
             )
             with chunk_rounds(chunk):
-                rows = run_block(cfg, spec.make_block(cfg.seed, trials), trials, cfg.t_max, True,
-                                 record_rounds=True)
+                rows = recorded_block(cfg, spec.make_block(cfg.seed, trials), trials, cfg.t_max, True)
             for trial, got in zip(trials, rows):
                 assert_same_run(got, one_run(cfg, spec, trial, layout))
 
@@ -595,8 +592,7 @@ class TestBatchedEngine:
         cfg = small_config(SelectionRuleName.BH, SMALL_SPEC.n, d_stop=3)
         trials = list(range(12))
         with chunk_rounds(chunk):
-            rows = run_block(cfg, SMALL_SPEC.make_block(cfg.seed, trials), trials, cfg.t_max, True,
-                             record_rounds=True)
+            rows = recorded_block(cfg, SMALL_SPEC.make_block(cfg.seed, trials), trials, cfg.t_max, True)
         assert len({row.T for row in rows if row.T < cfg.t_max}) > 3
         for trial, got in zip(trials, rows):
             assert_same_run(got, one_run(cfg, SMALL_SPEC, trial, layout))
@@ -611,8 +607,7 @@ class TestBatchedEngine:
                            acquisition=AcquisitionSpec(policy, epsilon=0.5, batch_size=batch))
         trials = list(range(10))
         with chunk_rounds(chunk):
-            rows = run_block(cfg, SMALL_SPEC.make_block(cfg.seed, trials, cfg.t_max), trials, cfg.t_max, True,
-                             record_rounds=True)
+            rows = recorded_block(cfg, SMALL_SPEC.make_block(cfg.seed, trials, cfg.t_max), trials, cfg.t_max, True)
         # Rows stop at different rounds, some in the middle of a chunk of 3.
         stops = {row.T for row in rows if row.T < cfg.t_max}
         assert len(stops) > 2 and any(T % 3 for T in stops)
@@ -681,17 +676,6 @@ class TestOneRunLayouts:
                            acquisition=AcquisitionSpec(policy, epsilon=0.3, batch_size=batch_size))
         run_altt(cfg, SyntheticSpec((Bernoulli(0.2),) * n).make_source(cfg.seed, 0))
         assert calls == ([1] * 3 if arrays else [])
-
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_records_share_the_floats_of_untested_ids(self, layout):
-        # A round makes new floats only for the ids it tests, so a logged
-        # run's records grow by about a batch of floats per round.
-        cfg = small_config(SelectionRuleName.EBH, 60, t_max=20, d_stop=60,
-                           acquisition=AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.3, batch_size=25))
-        records = one_run(cfg, SyntheticSpec(ARMS4 * 15), 0, layout).records
-        for prev, rec in zip(records, records[1:]):
-            for i in set(range(60)) - set(rec.tested):
-                assert rec.wealth[i] is prev.wealth[i] and rec.anytime_p[i] is prev.anytime_p[i]
 
 
 wealth_rows = st.integers(1, 12).flatmap(lambda n: st.lists(

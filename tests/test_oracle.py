@@ -16,6 +16,7 @@ import warnings
 from unittest import mock
 
 import pytest
+from conftest import recorded
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,8 +110,8 @@ class TestHappyPath:
             betting=BettingSpec(BettingStrategy.AGRAPA),
         )
         with oracle_client(demo_argv("0.2,0.5,0.8", "--seed", "7"), cfg) as source:
-            via_oracle = run_altt(cfg, source)
-        via_mirror = run_altt(cfg, Mirror())
+            via_oracle = recorded(run_altt, cfg, source)
+        via_mirror = recorded(run_altt, cfg, Mirror())
         assert via_oracle.records == via_mirror.records
         assert via_oracle.selected == via_mirror.selected
 

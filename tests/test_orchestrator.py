@@ -6,7 +6,7 @@ import dataclasses
 import math
 
 import pytest
-from conftest import LAYOUTS, one_run_layout
+from conftest import LAYOUTS, one_run_layout, recorded
 
 from ecalib.core import (
     AcquisitionPolicy,
@@ -56,7 +56,7 @@ class TestSingleArmWalkthrough:
     """Perfect arm, near-boundary bet: wealth doubles until p crosses delta."""
 
     def test_wealth_and_p_trajectory(self):
-        result = run_altt(config_n1(), ConstantSource([0.0]))
+        result = recorded(run_altt, config_n1(), ConstantSource([0.0]))
         mu = 2.0 * (1.0 - 1e-6)
         factor = 1.0 + 0.5 * mu
         assert result.T == 5
@@ -116,8 +116,8 @@ class TestDeterminismAndIsolation:
 
     def test_identical_runs_are_bit_identical(self):
         cfg, spec = self.small_instance()
-        a = run_altt(cfg, spec.make_source(3, 0), trial=0)
-        b = run_altt(cfg, spec.make_source(3, 0), trial=0)
+        a = recorded(run_altt, cfg, spec.make_source(3, 0), trial=0)
+        b = recorded(run_altt, cfg, spec.make_source(3, 0), trial=0)
         assert a.selected == b.selected
         assert a.T == b.T
         assert a.records == b.records
@@ -125,7 +125,7 @@ class TestDeterminismAndIsolation:
 
     def test_untested_ids_keep_their_exact_wealth(self):
         cfg, spec = self.small_instance()
-        result = run_altt(cfg, spec.make_source(3, 1), trial=1)
+        result = recorded(run_altt, cfg, spec.make_source(3, 1), trial=1)
         prev = (1.0,) * cfg.n_candidates
         for rec in result.records:
             for i in range(cfg.n_candidates):
@@ -136,7 +136,7 @@ class TestDeterminismAndIsolation:
     def test_fwer_certified_sets_never_shrink(self):
         cfg, spec = self.small_instance()
         for trial in range(5):
-            result = run_altt(cfg, spec.make_source(9, trial), trial=trial)
+            result = recorded(run_altt, cfg, spec.make_source(9, trial), trial=trial)
             prev = frozenset()
             for rec in result.records:
                 assert rec.selected >= prev
@@ -144,8 +144,8 @@ class TestDeterminismAndIsolation:
 
     def test_different_seeds_differ(self):
         cfg, spec = self.small_instance()
-        a = run_altt(cfg, spec.make_source(3, 0), trial=0)
-        b = run_altt(dataclasses.replace(cfg, seed=12), spec.make_source(4, 0), trial=0)
+        a = recorded(run_altt, cfg, spec.make_source(3, 0), trial=0)
+        b = recorded(run_altt, dataclasses.replace(cfg, seed=12), spec.make_source(4, 0), trial=0)
         assert a.records != b.records
 
 
@@ -212,7 +212,7 @@ class TestCompositeMetrics:
             def query(self, round_index, ids, token):
                 return [(0.0, 1.0) for _ in ids]
 
-        result = run_altt(cfg, TwoMetricSource())
+        result = recorded(run_altt, cfg, TwoMetricSource())
         assert result.stop_reason is StopReason.REACHED_T_MAX
         assert result.selected == frozenset()
         for t, rec in enumerate(result.records, start=1):
@@ -262,7 +262,7 @@ class TestAnytimeP:
         for cfg, spec in self.runs():
             seen_dip = seen_cap = False
             for trial in range(3):
-                result = run_altt(cfg, spec.make_source(cfg.seed, trial), trial=trial)
+                result = recorded(run_altt, cfg, spec.make_source(cfg.seed, trial), trial=trial)
                 run_max = [1.0] * cfg.n_candidates
                 for rec in result.records:
                     for i in range(cfg.n_candidates):
@@ -372,14 +372,67 @@ class TestMalformedAnswers:
 
 
 class TestRoundHook:
+    """``run_altt``'s observer and the round hook the benchmark harness passes
+    beside it, and ``run_block``'s observer."""
+
     def test_hook_sees_every_round_and_the_final_set(self):
         calls = []
         run_altt(
             config_n1(),
             ConstantSource([0.0]),
-            record_rounds=False,
-            round_hook=lambda t, tested, sel: calls.append((t, tested, sel)),
+            round_hook=lambda t, tested, risks, wealth, anytime_p, sel: calls.append((t, tested, risks, sel)),
         )
         assert [c[0] for c in calls] == [1, 2, 3, 4, 5]
-        assert calls[-1][2] == frozenset({0})
-        assert all(c[1] == (0,) for c in calls)
+        assert calls[-1][3] == frozenset({0})
+        assert all(c[1] == (0,) and c[2] == (0.0,) for c in calls)
+
+    def config(self):
+        return CalibrationConfig(
+            n_candidates=24,
+            alpha=0.3,
+            delta=0.1,
+            direction=Direction.RISK_BELOW,
+            selection_rule=SelectionRuleName.BH,
+            acquisition=AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.3, batch_size=20),
+            betting=BettingSpec(BettingStrategy.AGRAPA),
+            t_max=40,
+            d_stop=24,
+            seed=5,
+        )
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_observer_then_hook_once_per_round(self, layout):
+        # As perfbench/harness.py substitutes cli.run_altt: the command
+        # passes its observer, the wrapper adds the round hook.
+        cfg = self.config()
+        calls = []
+
+        def hooked(*args, **kwargs):
+            return run_altt(*args, round_hook=lambda t, *_: calls.append(("hook", t)), **kwargs)
+
+        with one_run_layout(layout):
+            result = hooked(cfg, SyntheticSpec((Bernoulli(0.5),) * 24).make_source(cfg.seed, 0), trial=0,
+                            observer=lambda t, *_: calls.append(("observer", t)))
+        assert result.T == cfg.t_max
+        assert calls == [(who, t) for t in range(1, cfg.t_max + 1) for who in ("observer", "hook")]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_hook_alone(self, layout):
+        cfg = self.config()
+        stamps = []
+        with one_run_layout(layout):
+            result = run_altt(cfg, SyntheticSpec((Bernoulli(0.5),) * 24).make_source(cfg.seed, 0),
+                              round_hook=lambda *_: stamps.append(1))
+        assert len(stamps) == result.T == cfg.t_max
+
+    def test_block_observer_hears_every_round(self):
+        cfg = dataclasses.replace(self.config(), d_stop=2, t_max=120)
+        spec = SyntheticSpec((Bernoulli(0.05),) * 2 + (Bernoulli(0.5),) * 22)
+        trials = list(range(4))
+        calls = []
+        results = run_block(cfg, spec.make_block(cfg.seed, trials), trials, cfg.t_max, True,
+                            observer=lambda t, rows, ids, risks, moved, *_: calls.append((t, len(moved))))
+        stops = [r.T for r in results]
+        assert len(set(stops)) > 1 and max(stops) < cfg.t_max
+        assert [t for t, _ in calls] == list(range(1, max(stops) + 1))
+        assert any(not moved for _, moved in calls)

@@ -780,6 +780,27 @@ class TestEarlierRunDirectories:
             assert (out / artifact).read_bytes() == (RUNS / name / artifact).read_bytes()
         assert parse_config(read_manifest(out)["config"]) == plan
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("name, k", [("simulate", 1), ("simulate", 17), ("ebh_wide", 23)])
+    def test_replay_stops_at_the_first_mismatch(self, tmp_path, monkeypatch, name, k, layout):
+        # Round k's wealths cell is checked as round k ends, so round k + 1
+        # is never served.
+        run = tmp_path / name
+        shutil.copytree(RUNS / name, run)
+        cells = (run / "rounds.csv").read_text(encoding="utf-8").splitlines()[k].split(",")
+        tested, wealths = cells[2].split(";"), cells[4].split(";")
+        edited = fmt17(float(wealths[0]) * 1.0001)
+        edit_rounds(run, k, 4, ";".join([edited, *wealths[1:]]))
+        served = []
+        query = runio.ReplaySource.query
+        monkeypatch.setattr(runio.ReplaySource, "query",
+                            lambda self, t, ids, token: served.append(t) or query(self, t, ids, token))
+        with one_run_layout(layout), pytest.raises(ReplayMismatch) as mismatch:
+            replay_check(run)
+        assert str(mismatch.value) == (f"{run / 'rounds.csv'} line {k + 1}: wealths entry 0 (id {tested[0]}): "
+                                       f"{wealths[0]} != logged {edited}")
+        assert served == list(range(1, k + 1))
+
 
     @pytest.mark.parametrize("name", ["simulate", "calibrate"])
     @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import recorded
 
 from ecalib import simharness
 from ecalib.core import (
@@ -284,10 +285,10 @@ class TestSingleArmLane:
     )
     def test_paths_match_the_scalar_engine(self, single_arm, strategy):
         mean, alpha, rounds, seed = 0.35, 0.5, 120, 41
-        cfg, runs = single_arm(mean, alpha, BettingSpec(strategy), rounds, 3, seed, record_rounds=True)
+        cfg, runs = single_arm(mean, alpha, BettingSpec(strategy), rounds, 3, seed, record=True)
         spec = SyntheticSpec((Bernoulli(mean),))
         for trial, run in enumerate(runs):
-            result = run_ltt(cfg, spec.make_source(seed, trial), rounds, trial=trial)
+            result = recorded(run_ltt, cfg, spec.make_source(seed, trial), rounds, trial=trial)
             assert len(run.records) == rounds
             for got, want in zip(run.records, result.records):
                 assert got.risks == want.risks
@@ -296,7 +297,7 @@ class TestSingleArmLane:
             assert run.selected == result.selected
 
     def test_summary_arrays_are_consistent(self, single_arm):
-        _, runs = single_arm(0.4, 0.5, BettingSpec(BettingStrategy.ONS), 200, 50, 7, record_rounds=True)
+        _, runs = single_arm(0.4, 0.5, BettingSpec(BettingStrategy.ONS), 200, 50, 7, record=True)
         for run in runs:
             assert run.T == 200
             assert run.final_wealth == run.records[-1].wealth
