@@ -65,6 +65,8 @@ def _prepare_out(path: str) -> Path:
 def _override_seed(plan: RunPlan, seed: int | None) -> RunPlan:
     if seed is None:
         return plan
+    if not 0 <= seed < 2**64:
+        raise EcalibError(f"--seed must be in [0, 2**64), got {seed}")
     return RunPlan(dataclasses.replace(plan.cfg, seed=seed), plan.source, plan.sweep)
 
 

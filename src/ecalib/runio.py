@@ -134,7 +134,7 @@ def _schema(cls) -> dict:
 
 @functools.cache
 def _reader(kind):
-    """The function ``read(value, name, bad, defaults)`` that returns value
+    """The function ``read(value, name, bad)`` that returns value
     as ``kind`` if it has the matching JSON shape, else None with a violation
     in bad.  An enum takes one of its values, a spec its object, a tuple a
     list, an optional also null, and a tagged union the object of the member
@@ -145,7 +145,7 @@ def _reader(kind):
     if dataclasses.is_dataclass(kind):
         return functools.partial(_spec_from_dict, kind)
     if isinstance(kind, enum.EnumMeta):
-        def read(value, name, bad, defaults):
+        def read(value, name, bad):
             try:
                 return kind(value)
             except ValueError:
@@ -153,30 +153,30 @@ def _reader(kind):
     elif get_origin(kind) is tuple:
         item = _reader(args[0])
 
-        def read(value, name, bad, defaults):
+        def read(value, name, bad):
             if _check(list, value, name, bad) is not None:
-                return tuple(item(v, f"{name}[{j}]", bad, defaults) for j, v in enumerate(value))
+                return tuple(item(v, f"{name}[{j}]", bad) for j, v in enumerate(value))
     elif type(None) in args:
         inner = _reader(Union[tuple(a for a in args if a is not type(None))])
 
-        def read(value, name, bad, defaults):
-            return None if value is None else inner(value, name, bad, defaults)
+        def read(value, name, bad):
+            return None if value is None else inner(value, name, bad)
     else:
         key = _TAG_OF[args[0]][0]
         noun, classes = _TAGS[key]
 
-        def read(value, name, bad, defaults):
+        def read(value, name, bad):
             if not isinstance(value, dict):
                 return _check(dict, value, name, bad)
             tag = value.get(key)
             if not isinstance(tag, str) or classes.get(tag) not in args:
                 bad.append(f"unknown {noun} {tag!r} at {name}")
                 return None
-            return _spec_from_dict(classes[tag], value, name, bad, defaults)
+            return _spec_from_dict(classes[tag], value, name, bad)
     return read
 
 
-def _check(kind, value, name: str, bad: list[str], defaults=None):
+def _check(kind, value, name: str, bad: list[str]):
     """value if it has the JSON type kind, else None with a violation in bad.
     An integer is a valid float (returned as one), a boolean only a boolean."""
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
@@ -185,12 +185,11 @@ def _check(kind, value, name: str, bad: list[str], defaults=None):
     return float(value) if kind is float else value
 
 
-def _spec_from_dict(cls, d, name: str, bad: list[str], defaults: dict):
+def _spec_from_dict(cls, d, name: str, bad: list[str]):
     """cls from its JSON object, each field read by its type's reader and
-    checked against its domain; a missing field takes its default, from
-    defaults[cls] first.  None, with the violations in bad, unless every
-    key is a field or the tag of cls, and every field is valid and cls
-    accepts them."""
+    checked against its domain; a missing field takes its default.  None,
+    with the violations in bad, unless every key is a field or the tag of
+    cls, and every field is valid and cls accepts them."""
     if not isinstance(d, dict):
         return _check(dict, d, name, bad)
     n_bad = len(bad)
@@ -198,13 +197,11 @@ def _spec_from_dict(cls, d, name: str, bad: list[str], defaults: dict):
     schema = _schema(cls)
     tag = _TAG_OF.get(cls, (None,))[0]
     bad += [f"unknown config field {prefix + key!r}" for key in d if key not in schema and key != tag]
-    given = defaults.get(cls, {})
     values = {}
     for key, (read, default) in schema.items():
         path = prefix + key
-        default = given.get(key, default)
         if key in d or default is _OBJECT:
-            v = read(d.get(key, {}), path, bad, defaults)
+            v = read(d.get(key, {}), path, bad)
         elif default is _REQUIRED:
             bad.append(f"missing config field {path!r}")
             v = None
@@ -248,7 +245,7 @@ def _replace_path(spec, path: list[str], value, name: str, bad: list[str]):
     """spec with the field at path set to value, read by the field's reader."""
     key, *rest = path
     read = _schema(type(spec))[key][0]
-    new = _replace_path(getattr(spec, key), rest, value, name, bad) if rest else read(value, name, bad, {})
+    new = _replace_path(getattr(spec, key), rest, value, name, bad) if rest else read(value, name, bad)
     return dataclasses.replace(spec, **{key: new})
 
 
@@ -280,9 +277,12 @@ def parse_config(d: dict) -> RunPlan:
         raise InvalidConfig(["config must be a JSON object"])
     bad: list[str] = []
     own = _schema(_Document)
-    doc = _spec_from_dict(_Document, {k: v for k, v in d.items() if k in own}, "", bad, {})
-    batch = {AcquisitionSpec: {"batch_size": doc.batch_size}} if doc else {}
-    cfg = _spec_from_dict(CalibrationConfig, {k: v for k, v in d.items() if k not in own}, "", bad, batch)
+    doc = _spec_from_dict(_Document, {k: v for k, v in d.items() if k in own}, "", bad)
+    rest = {k: v for k, v in d.items() if k not in own}
+    acquisition = rest.get("acquisition", {})
+    if doc and isinstance(acquisition, dict) and "batch_size" not in acquisition:
+        rest["acquisition"] = {**acquisition, "batch_size": doc.batch_size}
+    cfg = _spec_from_dict(CalibrationConfig, rest, "", bad)
     sweep = (doc.sweep if doc else None) or {}
     if not set(sweep) <= set(SWEEP_AXES):
         bad.append(f"sweep axes must be a subset of {sorted(SWEEP_AXES)}")

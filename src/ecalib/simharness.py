@@ -4,9 +4,10 @@ Sampling is inverse-CDF on keyed uniforms (one stream per (seed, trial,
 round, id, metric)), so trials replay identically no matter how they are
 scheduled.  ``shared_draw`` pushes one latent uniform per round through every
 id's inverse CDF, which makes a round's risks perfectly dependent.  Each
-distribution family has one array sampler; ``SyntheticSpec.draw`` applies
-it to a whole round's ids, for the one-run sources and the block sources of
-the trial-batched engine alike.
+distribution family has one array sampler, ``sample``; ``SyntheticSpec.draw``
+applies it to a whole round's ids.  ``SyntheticBlock`` draws the keyed risks
+of a block of trials, and ``SyntheticSource`` is the block over one trial;
+``sample_risk``, one key hashed in scalar Python, is their reference.
 
 run_trials estimates the error-rate metrics over M independent trials:
 family-wise error as the fraction of trials whose final certified set touches
@@ -35,12 +36,12 @@ from .core import CalibrationConfig, GroundTruth, reliable_set
 from .eprocess import quantile_transform
 from .errors import InvalidConfig
 from .orchestrator import RunResult, run_altt, run_block
-from .rng import TAG_RISK, TAG_SHARED, mix64, mix64_from, unit_uniform, unit_uniform_from
+from .rng import TAG_RISK, TAG_SHARED, unit_uniform
 from .rng_np import mix64_from_np, mix64_np, unit_uniform_from_np
 
 
 # Each family's ``sample(u, *params)`` is its inverse CDF over arrays, with
-# the dataclass fields as parameters; ``draw`` is the same map at one point.
+# the dataclass fields as parameters.
 # Beta imports scipy.special where it calls it, so a run without a Beta arm
 # never loads scipy.
 
@@ -56,9 +57,6 @@ class Bernoulli:
     @staticmethod
     def sample(u, p):
         return np.where(u >= 1.0 - p, 1.0, 0.0)
-
-    def draw(self, u: float) -> float:
-        return float(self.sample(u, self.p))
 
     def cdf_at(self, x: float) -> float:
         if x < 0.0:
@@ -83,9 +81,6 @@ class Beta:
 
         return betaincinv(a, b, u)
 
-    def draw(self, u: float) -> float:
-        return float(self.sample(u, self.a, self.b))
-
     def cdf_at(self, x: float) -> float:
         if x <= 0.0:
             return 0.0
@@ -107,9 +102,6 @@ class PointMass:
     @staticmethod
     def sample(u, value):
         return np.broadcast_to(np.asarray(value, dtype=np.float64), np.shape(u))
-
-    def draw(self, u: float) -> float:
-        return float(self.sample(u, self.value))
 
     def cdf_at(self, x: float) -> float:
         return 1.0 if self.value <= x else 0.0
@@ -176,8 +168,8 @@ class SyntheticSpec:
     def make_source(self, base_seed: int, trial: int) -> "SyntheticSource":
         return SyntheticSource(self.metrics, base_seed, trial)
 
-    def make_block(self, base_seed: int, trials: np.ndarray, horizon: int | None = None) -> "SyntheticBlock":
-        return SyntheticBlock(self.metrics, base_seed, trials, horizon)
+    def make_block(self, base_seed: int, trials: np.ndarray) -> "SyntheticBlock":
+        return SyntheticBlock(self.metrics, base_seed, trials)
 
 
 def sample_risk(
@@ -192,35 +184,21 @@ def sample_risk(
 
 
 class SyntheticSource:
-    """RiskSource over K metric specs, bound to one (base_seed, trial).
-
-    Metric k of id i in round t is drawn on the stream keyed by (tag, seed,
-    trial, t, i, k), or (tag, seed, trial, t, k) under a shared draw, so
-    metric 0 draws what ``sample_risk`` draws.  The (tag, seed, trial)
-    prefixes are hashed once here and continued with the round in scalar
-    Python; a query folds all its ids in one array pass (``rng_np``), as
-    ``SyntheticBlock`` does, so ``sample_risk``, which hashes each key in
-    scalar Python, is its reference.  A query returns one float per id for
-    K = 1, one K-tuple otherwise.
+    """RiskSource over K metric specs, bound to one (base_seed, trial): the
+    SyntheticBlock over that one trial, so both engines draw their risks in
+    one place.  Metric 0 draws what ``sample_risk`` draws.  A query returns
+    one float per id for K = 1, one K-tuple otherwise.
     """
 
     reads_token = False
 
     def __init__(self, metrics: tuple[SyntheticSpec, ...], base_seed: int, trial: int):
-        self.metrics = metrics
-        self._prefixes = [mix64(TAG_SHARED if m.shared_draw else TAG_RISK, base_seed, trial) for m in metrics]
+        self._block = SyntheticBlock(metrics, base_seed, [trial])
 
     def query(self, round_index: int, ids: Sequence[int], token: str) -> list:
-        ids_arr = np.asarray(ids, dtype=np.intp)
-        draws = []
-        for k, (spec, prefix) in enumerate(zip(self.metrics, self._prefixes)):
-            if spec.shared_draw:
-                us = [unit_uniform_from(prefix, round_index, k)] * len(ids)
-            else:
-                # A one-element prefix keeps every operation on arrays.
-                us = unit_uniform_from_np(np.array([mix64_from(prefix, round_index)], dtype=np.uint64), ids_arr, k)
-            draws.append(spec.draw(ids_arr, np.asarray(us, dtype=np.float64)).tolist())
-        return draws[0] if len(draws) == 1 else list(zip(*draws))
+        ids = np.asarray(ids, dtype=np.intp)
+        risks = self._block.query(round_index, np.zeros(len(ids), dtype=np.intp), ids)
+        return risks[:, 0].tolist() if risks.shape[1] == 1 else list(map(tuple, risks.tolist()))
 
 
 # Rounds of (trial, round) keys a SyntheticBlock hashes in one array pass;
@@ -229,21 +207,21 @@ KEY_ROUNDS = 64
 
 
 class SyntheticBlock:
-    """The risks SyntheticSource draws, for a block of trials at once.
+    """The keyed risks of K metric specs, for a block of trials at once.
 
+    Metric k of id i in round t of trial m is drawn on the stream keyed by
+    (tag, seed, m, t, i, k), or (tag, seed, m, t, k) under a shared draw.
     ``query(t, rows, ids)`` returns the round-t risks of id ids[j] in trial
     trials[rows[j]] as row j of a (P, K) array, column k holding metric k.
     The (trial, round) keys do not depend on what is queried, so a query in
     a round outside the last chunk hashes every trial's keys for a chunk of
-    KEY_ROUNDS rounds from it, no further than ``horizon``.
+    KEY_ROUNDS rounds from it.
     """
 
-    def __init__(self, metrics: tuple[SyntheticSpec, ...], base_seed: int, trials: np.ndarray,
-                 horizon: int | None = None):
+    def __init__(self, metrics: tuple[SyntheticSpec, ...], base_seed: int, trials: np.ndarray):
         self.metrics = metrics
         trials = np.asarray(trials, dtype=np.uint64)
         self._prefixes = [mix64_np([TAG_SHARED if m.shared_draw else TAG_RISK, base_seed, trials]) for m in metrics]
-        self._horizon = horizon
         self._rounds, self._keys = range(0), []
 
     def query(self, round_index: int, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -263,11 +241,8 @@ class SyntheticBlock:
         """Hash the chunk from ``round_index``, laid out (round, trial): per
         metric the (trial, round) keys, or under a shared draw the round's
         uniform itself."""
-        last = round_index + KEY_ROUNDS
-        if self._horizon is not None:
-            last = min(last, max(self._horizon, round_index) + 1)
-        self._rounds = range(round_index, last)
-        rounds = np.arange(round_index, last, dtype=np.uint64)[:, None]
+        self._rounds = range(round_index, round_index + KEY_ROUNDS)
+        rounds = np.array(self._rounds, dtype=np.uint64)[:, None]
         self._keys = [
             unit_uniform_from_np(mix64_from_np(prefix, rounds), k) if spec.shared_draw
             else mix64_from_np(prefix, rounds)
@@ -470,7 +445,7 @@ def _trial_block(args) -> tuple[list[RunResult], np.ndarray]:
         curves[2, moved, t - 1] = size
         changes[moved, t - 1] = True
 
-    block = spec.make_block(base_seed, trials, cfg.t_max)
+    block = spec.make_block(base_seed, trials)
     results = run_block(cfg, block, trials, cfg.t_max, True, observer=observe)
     stops = np.array([r.T for r in results])
     early = np.flatnonzero(stops < cfg.t_max)

@@ -24,6 +24,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -207,14 +208,22 @@ def _query_ids(size, t):
     return sorted(np.random.default_rng(t).choice(60, size, replace=False).tolist())
 
 
+def _sample_at(arm, u):
+    """``arm``'s family ``sample`` at one uniform ``u``."""
+    return float(arm.sample(u, *dataclasses.astuple(arm)))
+
+
 class TestSourcesDrawTheDocumentedKeys:
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("threshold", [None, 0.4])
     @pytest.mark.parametrize("size", SOURCE_SIZES)
-    def test_synthetic_source_equals_sample_risk(self, shared, threshold, size):
+    def test_synthetic_source_equals_sample_risk(self, monkeypatch, shared, threshold, size):
+        # Chunks of 3 rounds, and rounds that go back and repeat, make the
+        # source hash its keys again.
+        monkeypatch.setattr("ecalib.simharness.KEY_ROUNDS", 3)
         spec = SyntheticSpec(ARMS4 * 15, shared_draw=shared, quantile_threshold=threshold)
         source = spec.make_source(17, 3)
-        for t in (1, 2, 50):
+        for t in (50, 1, 2, 50):
             ids = _query_ids(size, t)
             assert source.query(t, ids, "") == [sample_risk(spec, i, t, 17, 3) for i in ids]
 
@@ -241,7 +250,7 @@ class TestSourcesDrawTheDocumentedKeys:
         arms = tuple(Beta(a, b) for a, b in rng.uniform(0.3, 9.0, size=(400, 2)).tolist())
         u = rng.random(400)
         got = SyntheticSpec(arms).draw(np.arange(400), u)
-        assert [x.hex() for x in got.tolist()] == [arm.draw(x).hex() for arm, x in zip(arms, u.tolist())]
+        assert [x.hex() for x in got.tolist()] == [_sample_at(arm, x).hex() for arm, x in zip(arms, u.tolist())]
 
     def test_composite_source_keys(self):
         m0 = SyntheticSpec((Beta(2.0, 3.0), Bernoulli(0.4)))
@@ -250,8 +259,8 @@ class TestSourcesDrawTheDocumentedKeys:
         for t in (1, 7):
             expected = [
                 (
-                    m0.arms[i].draw(unit_uniform(TAG_RISK, 9, 2, t, i, 0)),
-                    m1.arms[i].draw(unit_uniform(TAG_SHARED, 9, 2, t, 1)),
+                    _sample_at(m0.arms[i], unit_uniform(TAG_RISK, 9, 2, t, i, 0)),
+                    _sample_at(m1.arms[i], unit_uniform(TAG_SHARED, 9, 2, t, 1)),
                 )
                 for i in (0, 1)
             ]
@@ -266,30 +275,29 @@ class TestSourcesDrawTheDocumentedKeys:
         trials = [3, 4]
         rows, ids = np.array([0, 1, 1]), np.array([0, 1, 2])
         for t in (1, 4):
-            assert composite.make_source(5, 1).query(t, [0, 2], "") == spec.make_source(5, 1).query(t, [0, 2], "")
+            assert composite.make_source(5, 1).query(t, [0, 2], "") == [sample_risk(spec, i, t, 5, 1) for i in (0, 2)]
             got = composite.make_block(5, trials).query(t, rows, ids)
             assert got.shape == (3, 1)
-            want = [spec.make_source(5, trials[r]).query(t, [i], "")[0] for r, i in zip(rows.tolist(), ids.tolist())]
+            want = [sample_risk(spec, i, t, 5, trials[r]) for r, i in zip(rows.tolist(), ids.tolist())]
             assert _hex(got[:, 0]) == _hex(want)
         cfg = small_config(SelectionRuleName.BH, 3, t_max=20)
         assert_same_run(recorded(run_altt, cfg, composite.make_source(5, 1), trial=1),
                         recorded(run_altt, cfg, spec.make_source(5, 1), trial=1))
 
     @pytest.mark.parametrize("shared", [False, True])
-    @pytest.mark.parametrize("horizon", [None, 7])
-    def test_block_answers_any_sequence_of_queries(self, monkeypatch, shared, horizon):
+    def test_block_answers_any_sequence_of_queries(self, monkeypatch, shared):
         # The block hashes a chunk of rounds at a time; empty queries and
-        # rounds that go back or pass the horizon get the trial sources'
-        # draws all the same.
+        # rounds that go back or skip ahead get each trial's keyed draws
+        # all the same.
         monkeypatch.setattr("ecalib.simharness.KEY_ROUNDS", 3)
         spec = SyntheticSpec((Bernoulli(0.3), Beta(2.0, 3.0), PointMass(0.25)), shared_draw=shared)
         trials = [8, 2, 5, 11]
-        block = spec.make_block(6, trials, horizon)
+        block = spec.make_block(6, trials)
         queries = [(1, [1, 3]), (2, [0, 1, 3]), (3, []), (4, [3]), (5, [2, 3]), (2, [1]), (9, [0, 0]), (7, [2])]
         for t, rows in queries:
             ids = np.arange(len(rows)) % spec.n
             got = block.query(t, np.array(rows, dtype=np.intp), ids)
-            want = [spec.make_source(6, trials[r]).query(t, [i], "")[0] for r, i in zip(rows, ids.tolist())]
+            want = [sample_risk(spec, i, t, 6, trials[r]) for r, i in zip(rows, ids.tolist())]
             assert _hex(got[:, 0]) == _hex(want)
 
 
@@ -559,7 +567,7 @@ class TestBatchedEngine:
         cfg, spec, trials = case
         horizon = data.draw(st.integers(0, cfg.t_max))
         with chunk_rounds(chunk):
-            rows = recorded_block(cfg, spec.make_block(cfg.seed, trials, horizon), trials, horizon, False)
+            rows = recorded_block(cfg, spec.make_block(cfg.seed, trials), trials, horizon, False)
         for trial, got in zip(trials, rows):
             assert_same_run(got, one_run(cfg, spec, trial, layout, horizon))
 
@@ -607,7 +615,7 @@ class TestBatchedEngine:
                            acquisition=AcquisitionSpec(policy, epsilon=0.5, batch_size=batch))
         trials = list(range(10))
         with chunk_rounds(chunk):
-            rows = recorded_block(cfg, SMALL_SPEC.make_block(cfg.seed, trials, cfg.t_max), trials, cfg.t_max, True)
+            rows = recorded_block(cfg, SMALL_SPEC.make_block(cfg.seed, trials), trials, cfg.t_max, True)
         # Rows stop at different rounds, some in the middle of a chunk of 3.
         stops = {row.T for row in rows if row.T < cfg.t_max}
         assert len(stops) > 2 and any(T % 3 for T in stops)

@@ -911,6 +911,19 @@ class TestValidateReportSweep:
         assert "M must be" not in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "validate", "sweep"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_rejected(self, tmp_path, caplog, command, seed):
+        doc = self.validate_doc()
+        doc["sweep"] = {"epsilon": [0.2]}
+        out = tmp_path / "s"
+        argv = [command, "--config", write_doc(tmp_path, doc), "--out", str(out), "--seed", seed]
+        if command != "simulate":
+            argv += ["--trials", "2"]
+        assert main(argv) == 1
+        assert error_lines(caplog) == [f"ERROR ecalib: --seed must be in [0, 2**64), got {seed}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "sweep, axis",
         [
