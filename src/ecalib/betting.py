@@ -14,18 +14,24 @@ strategies are clipped to cap = clip_fraction * mu_max * (1 - max_bet_epsilon).
 - ONS: online Newton step on the log-wealth gradient with step size
   2 / (2 - ln 3).
 
-The recursions serve both engines: a BettingState holds floats for one
-candidate, or numpy arrays with one element per (trial, candidate) pair for
-the trial-batched engine.  Every step is elementwise IEEE arithmetic, so an
-array element equals the float the same inputs give.
+``bind`` fixes a strategy to one metric's BetBound (alpha, direction and
+mu_max, hence the cap) once per run.  The bound strategy's bet and its fold
+of one payoff into the statistics are elementwise functions of the
+statistics: over floats for one process, as ``_run``'s per-id layout keeps
+them in flat lists, or over numpy arrays with one element per (trial,
+candidate) pair, as the array layouts keep them.  Every step is IEEE
+arithmetic, so an array element equals the float the same inputs give.
+``next_bet`` and ``observe`` are the same functions over a BettingState.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy import ndarray  # a global: np.ndarray's lookup was half of _clip's float path
 
 from .core import BettingSpec, BettingStrategy
 from .eprocess import BetBound, Payoff
@@ -64,7 +70,7 @@ def bet_cap(spec: BettingSpec, bound: BetBound) -> float:
 
 
 def _clip(x, hi: float):
-    if isinstance(x, np.ndarray):
+    if isinstance(x, ndarray):
         return np.where(x < 0.0, 0.0, np.where(x > hi, hi, x))
     if x < 0.0:
         return 0.0
@@ -75,45 +81,68 @@ def _clip(x, hi: float):
 
 def _positive(x):
     """x, or the least positive normal float where x <= 0."""
-    if isinstance(x, np.ndarray):
+    if isinstance(x, ndarray):
         return np.where(x <= 0.0, sys.float_info.min, x)
     return sys.float_info.min if x <= 0.0 else x
 
 
-def next_bet(spec: BettingSpec, state: BettingState, bound: BetBound) -> float:
+def _fold(t, sum_g, sum_sq_dev, ons_mu, ons_curvature, g, mu):
+    """The statistics after payoff g: the squared deviation is taken against
+    the regularized mean from before it; the ONS fields pass through."""
+    dev = g - (0.5 + sum_g) / (t + 1)
+    return t + 1, sum_g + g, sum_sq_dev + dev * dev, ons_mu, ons_curvature
+
+
+class BoundStrategy(NamedTuple):
+    """A BettingSpec bound to one metric's BetBound.
+
+    ``bet(t, sum_g, sum_sq_dev, ons_mu)`` is the next bet, and
+    ``fold(t, sum_g, sum_sq_dev, ons_mu, ons_curvature, g, mu)`` the tuple of
+    the five statistics after payoff g at the bet mu, in BettingState's
+    order.  Both are elementwise over floats or arrays.  A named tuple, as
+    next_bet and observe bind one per call.
+    """
+
+    bound: BetBound
+    bet: Callable
+    fold: Callable
+
+
+def bind(spec: BettingSpec, bound: BetBound) -> BoundStrategy:
+    """spec's strategy for one metric, with bound's cap and mu_max fixed."""
+    cap = bet_cap(spec, bound)
     strategy = spec.strategy
-    if strategy is BettingStrategy.UNIT:
-        return min(1.0, bet_cap(spec, bound))
-    if strategy is BettingStrategy.MAX:
-        return bound.mu_max * (1.0 - spec.max_bet_epsilon)
+    fold = _fold
     if strategy is BettingStrategy.AGRAPA:
-        m = state.reg_mean
-        return _clip(m / (state.reg_var + m * m), bet_cap(spec, bound))
-    return state.ons_mu  # ONS
+        def bet(t, sum_g, sum_sq_dev, ons_mu):
+            m = (0.5 + sum_g) / (t + 1)
+            return _clip(m / ((0.25 + sum_sq_dev) / (t + 1) + m * m), cap)
+    elif strategy is BettingStrategy.ONS:
+        def bet(t, sum_g, sum_sq_dev, ons_mu):
+            return ons_mu
+
+        def fold(t, sum_g, sum_sq_dev, ons_mu, ons_curvature, g, mu):
+            # z = -g / (1 + mu g) is the gradient of -log(1 + mu g) at the bet
+            # placed; a denominator <= 0 is reachable only through rounding
+            # at the bet boundary.
+            z = -g / _positive(1.0 + mu * g)
+            curvature = ons_curvature + z * z
+            return _fold(t, sum_g, sum_sq_dev, _clip(ons_mu - ONS_STEP * z / curvature, cap), curvature, g, mu)
+    else:
+        constant = min(1.0, cap) if strategy is BettingStrategy.UNIT else bound.mu_max * (1.0 - spec.max_bet_epsilon)
+
+        def bet(t, sum_g, sum_sq_dev, ons_mu):
+            return constant
+    return BoundStrategy(bound, bet, fold)
+
+
+def next_bet(spec: BettingSpec, state: BettingState, bound: BetBound) -> float:
+    return bind(spec, bound).bet(state.t, state.sum_g, state.sum_sq_dev, state.ons_mu)
 
 
 def observe(
     spec: BettingSpec, state: BettingState, g: Payoff, mu_used: float, bound: BetBound
 ) -> BettingState:
-    """Fold one observed payoff into the statistics.
-
-    The squared deviation uses the regularized mean from before this
-    observation.  ONS accumulates z = -g / (1 + mu_used * g), the gradient of
-    -log(1 + mu g) at the bet actually placed.
-    """
-    mean_before = state.reg_mean
-    dev = g - mean_before
-    new_t = state.t + 1
-    new_sum_g = state.sum_g + g
-    new_ssd = state.sum_sq_dev + dev * dev
-
-    if spec.strategy is BettingStrategy.ONS:
-        # denom <= 0 is reachable only through rounding at the bet boundary.
-        denom = _positive(1.0 + mu_used * g)
-        z = -g / denom
-        curvature = state.ons_curvature + z * z
-        raw = state.ons_mu - ONS_STEP * z / curvature
-        ons_mu = _clip(raw, bet_cap(spec, bound))
-        return BettingState(new_t, new_sum_g, new_ssd, ons_mu, curvature)
-
-    return BettingState(new_t, new_sum_g, new_ssd, state.ons_mu, state.ons_curvature)
+    """Fold one observed payoff into the statistics (``BoundStrategy.fold``)."""
+    return BettingState(*bind(spec, bound).fold(
+        state.t, state.sum_g, state.sum_sq_dev, state.ons_mu, state.ons_curvature, g, mu_used))

@@ -31,8 +31,10 @@ The Monte Carlo harness runs on it; ``_run`` serves single logged runs.
 (N under full_batch, else min(batch_size, N)).  From ARRAY_BATCH ids up it
 keeps the betting state in (6, K, N) arrays and advances a round's ids with
 ``_advance``, the update run_block makes, and the p- and e-values are
-arrays too; below, where a per-id Python loop is cheaper, it keeps one
-BettingState per (id, metric) and the values in lists of floats.
+arrays too.  Below, it keeps the same state of each (id, metric) process in
+flat lists of floats, advances each tested id in a Python loop through the
+metrics' strategies, bound once per run (``betting.bind``), and keeps the
+values in lists of floats.
 
 Each engine keeps no history: it calls one observer once per round, after
 selection, and the observer keeps what it needs (``runio``'s run log and
@@ -54,7 +56,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import acquisition, selection
-from .betting import BettingState, next_bet, observe
+from .betting import BettingState, bind, next_bet, observe
 from .core import (
     AcquisitionPolicy,
     CalibrationConfig,
@@ -74,8 +76,11 @@ _EXP_MAX = 709.0
 CHUNK_ROUNDS = 64
 
 # The least per-round batch at which ``_run`` advances its wealths as arrays.
-# Pinned to one CPU, the array update of b ids costs 45-66 us at any b <= 50,
-# the per-id loop 16.9 us at b = 4, 32.4 at 12, 45.2 at 16 and 58.0 at 20.
+# Pinned to one CPU, the array update of b ids costs 50-67 us at any b <= 50,
+# the per-id loop 7.0 us at b = 4, 19.6 at 12, 32.6 at 20 and 58.2 at 36.
+# The update alone crosses over near 36-40 ids, but whole runs at 24 and 30
+# ids on 1,000 e-BH arms tie: the per-id layout's list of values is made an
+# array at each re-selection.  So the constant stays where it was measured.
 ARRAY_BATCH = 20
 
 
@@ -177,31 +182,37 @@ def _run(
             evals[ids] = e
             return changed
     else:
-        lws = [[0.0] * n_metrics for _ in range(n)]  # per-metric log wealths
-        bstates = [[BettingState() for _ in range(n_metrics)] for _ in range(n)]
+        # The log wealth and BettingState fields of each (id, metric)
+        # process, flat at id * K + k.
+        fresh = BettingState()
+        size = n * n_metrics
+        lws = [0.0] * size
+        ts, sum_gs, sum_sq_devs = [fresh.t] * size, [fresh.sum_g] * size, [fresh.sum_sq_dev] * size
+        ons_mus, ons_curvatures = [fresh.ons_mu] * size, [fresh.ons_curvature] * size
+        # Per metric: the payoff's alpha and direction, the bet bound, and the
+        # bet and fold of the strategy bound to it.
+        strategies = [(s.bound.alpha, s.bound.direction, s.bound, s.bet, s.fold)
+                      for s in (bind(bspec, b) for b in bounds)]
         merged_lrm = [0.0] * n  # running max of merged log wealth
         pvals = [1.0] * n
         evals = [1.0] * n  # merged wealth, linear
 
         def advance(t: int, batch: tuple[int, ...], risks_row: tuple) -> bool:
-            rows = [(r,) for r in risks_row] if n_metrics == 1 else risks_row
             changed = False
-            for pos, i in enumerate(batch):
-                row = rows[pos]
-                lw_i = lws[i]
-                b_i = bstates[i]
-                for k in range(n_metrics):
-                    r = row[k]
+            for i, row in zip(batch, zip(risks_row) if n_metrics == 1 else risks_row):
+                j = i * n_metrics
+                lw = math.inf  # the min over metrics
+                for r, (alpha_k, dir_k, bound, bet, fold) in zip(row, strategies):
                     if not 0.0 <= r <= 1.0:
                         raise SourceFailure(f"round {t}: risk {r!r} for id {i} out of [0,1]")
-                    alpha_k, dir_k = metrics[k]
-                    bound = bounds[k]
-                    bs = b_i[k]
-                    mu = next_bet(bspec, bs, bound)
+                    mu = bet(ts[j], sum_gs[j], sum_sq_devs[j], ons_mus[j])
                     g = payoff(r, alpha_k, dir_k)
-                    lw_i[k] = update(lw_i[k], g, mu, bound)
-                    b_i[k] = observe(bspec, bs, g, mu, bound)
-                lw = min(lw_i)
+                    lw_k = lws[j] = update(lws[j], g, mu, bound)
+                    ts[j], sum_gs[j], sum_sq_devs[j], ons_mus[j], ons_curvatures[j] = fold(
+                        ts[j], sum_gs[j], sum_sq_devs[j], ons_mus[j], ons_curvatures[j], g, mu)
+                    if lw_k < lw:
+                        lw = lw_k
+                    j += 1
                 merged_lw[i] = lw
                 if lw > merged_lrm[i]:
                     merged_lrm[i] = lw
@@ -241,9 +252,9 @@ def _run(
                     f"round {t}: source returned {len(values)} values for {len(batch)} ids"
                 )
             if n_metrics == 1:
-                risks_row = tuple(float(v) for v in values)
+                risks_row = tuple(map(float, values))
             else:
-                risks_row = tuple(tuple(float(x) for x in v) for v in values)
+                risks_row = tuple(tuple(map(float, v)) for v in values)
                 for row in risks_row:
                     if len(row) != n_metrics:
                         raise SourceFailure(f"round {t}: expected {n_metrics} metrics per id")
@@ -252,7 +263,11 @@ def _run(
         changed = advance(t, batch, risks_row)
         n_queries += len(batch)
         if adaptive and changed:
-            certified = select()
+            # An equal set keeps its object, so that observers can tell a
+            # changed set by identity.
+            selected = select()
+            if selected != certified:
+                certified = selected
         if observer is not None:
             observer(t, batch, risks_row, evals, pvals, certified)
         if adaptive and len(certified) >= cfg.d_stop:

@@ -220,13 +220,25 @@ def _spec_from_dict(cls, d, name: str, bad: list[str]):
         return None
 
 
+@functools.cache
+def _spec_fields(kind):
+    """The tag entry (empty if it has none) and the field names, in order, of
+    a spec class; None for any other class.  A config holds many values of a
+    few classes, so each is looked up once."""
+    if not dataclasses.is_dataclass(kind):
+        return None
+    tag = _TAG_OF.get(kind)
+    return ({tag[0]: tag[1]} if tag else {}), tuple(_schema(kind))
+
+
 def _to_json(value):
     """value as JSON: a spec as its tag, if it has one, and every field in
     order (None as null); an enum member by value; a tuple as a list."""
-    if dataclasses.is_dataclass(value):
-        tag = _TAG_OF.get(type(value))
-        out = {tag[0]: tag[1]} if tag else {}
-        out.update((key, _to_json(getattr(value, key))) for key in _schema(type(value)))
+    spec = _spec_fields(type(value))
+    if spec is not None:
+        out = spec[0].copy()
+        for key in spec[1]:
+            out[key] = _to_json(getattr(value, key))
         return out
     if isinstance(value, enum.Enum):
         return value.value
@@ -387,16 +399,27 @@ def _risk_cell(risks_row, multi_metric: bool) -> str:
     return ";".join(fmt17(r) for r in risks_row)
 
 
-def _outcome_cells(wealths, selected: frozenset[int]) -> list[str]:
-    """The wealths and selected_ids cells of a round's row in rounds.csv,
-    from the tested ids' wealths and the certified set."""
-    return [";".join([fmt17(x) for x in wealths]), _ids(sorted(selected))]
+def _wealth_cell(wealths) -> str:
+    return ";".join([fmt17(x) for x in wealths])
+
+
+class _SetCell:
+    """The selected_ids cell of a certified set, formatted once per set
+    object: the engine hands on one frozenset until its set changes."""
+
+    def __init__(self):
+        self.selected, self.cell = None, ""
+
+    def __call__(self, selected: frozenset[int]) -> str:
+        if selected is not self.selected:
+            self.selected, self.cell = selected, _ids(sorted(selected))
+        return self.cell
 
 
 class RunLog:
     """``run_altt``'s observer for a logged run: per round the tested ids,
     their risks and wealths, and the certified set (one frozenset until the
-    engine re-selects), for ``write_run``."""
+    set changes), for ``write_run``."""
 
     def __init__(self):
         self.rows: list[tuple] = []  # (tested ids, risks row, their wealths)
@@ -413,8 +436,9 @@ def write_rounds_csv(out_dir: Path, log: RunLog, multi_metric: bool) -> None:
     with open(out_dir / "rounds.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(ROUNDS_HEADER)
+        set_cell = _SetCell()
         for t, ((tested, risks, wealths), selected) in enumerate(zip(log.rows, log.sets), 1):
-            w.writerow([0, t, _ids(tested), _risk_cell(risks, multi_metric), *_outcome_cells(wealths, selected)])
+            w.writerow([0, t, _ids(tested), _risk_cell(risks, multi_metric), _wealth_cell(wealths), set_cell(selected)])
 
 
 def write_summary_csv(
@@ -555,10 +579,12 @@ def replay_check(run_dir: str | Path, manifest: dict | None = None) -> int:
     plan = parse_config((read_manifest(run_dir) if manifest is None else manifest)["config"])
     path, rows = run_dir / "rounds.csv", _parse_rounds_csv(run_dir)
     log = RunLog()  # keeps only the certified sets, for summary.csv
+    set_cell = _SetCell()
 
     def check(t: int, tested, risks, wealth, anytime_p, certified: frozenset[int]) -> None:
         row = rows[t - 1]  # ReplaySource has served round t from it
-        for name, got, logged in zip(ROUNDS_HEADER[4:], _outcome_cells([wealth[i] for i in tested], certified), row[4:]):
+        cells = (_wealth_cell([wealth[i] for i in tested]), set_cell(certified))
+        for name, got, logged in zip(ROUNDS_HEADER[4:], cells, row[4:]):
             if got != logged:
                 raise ReplayMismatch(f"{path} line {t + 1}: {_first_difference(name, got, logged, row[2])}")
         log.sets.append(certified)

@@ -467,6 +467,14 @@ def _blocks(M: int, workers: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_trials(
     cfg: CalibrationConfig,
     spec,
@@ -479,11 +487,12 @@ def run_trials(
     """M independent adaptive runs, scored against ground truth.
 
     Trials run in lock-step in contiguous blocks (``_blocks``), spread over
-    ``workers`` processes, at most one per CPU; outcomes are added in trial
-    order, so neither the blocks nor the worker count changes a bit of the
-    summary.  ``reliable`` overrides the derived reliable set for instances
-    where the requirement does not reduce to cfg.alpha on spec.means(); when
-    it is empty the TPR is NaN.
+    ``workers`` processes, at most one per CPU the process may run on
+    (``_usable_cpus``); outcomes are added in trial order, so neither the
+    blocks nor the worker count changes a bit of the summary.  ``reliable``
+    overrides the derived reliable set for instances where the requirement
+    does not reduce to cfg.alpha on spec.means(); when it is empty the TPR
+    is NaN.
     """
     if M < 1:
         raise InvalidConfig(["M must be >= 1"])
@@ -494,7 +503,7 @@ def run_trials(
 
     acc = TrialAccumulator(reliable, cfg.n_candidates, cfg.t_max)
     tasks = [(cfg, spec, base_seed, start, stop, reliable) for start, stop in _blocks(M, workers)]
-    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    processes = min(workers, len(tasks), _usable_cpus())
     if processes > 1 and any(type(arm) is Beta for metric in spec.metrics for arm in metric.arms):
         # Beta draws need scipy.special: forked workers inherit one import
         # here instead of each importing it.

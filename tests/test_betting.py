@@ -3,13 +3,18 @@ from-scratch recurrences."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecalib.core import BettingSpec, BettingStrategy, Direction
-from ecalib.betting import ONS_STEP, BettingState, bet_cap, next_bet, observe
+from ecalib.betting import ONS_STEP, BettingState, bet_cap, bind, next_bet, observe
 from ecalib.eprocess import bet_bound
 
 
@@ -175,3 +180,100 @@ class TestBetRanges:
 
 def payoff_sample(rng: random.Random, alpha: float) -> float:
     return alpha - (1.0 if rng.random() < 0.4 else 0.0)
+
+
+def reference_bet(spec, state, bound):
+    """The bet of each strategy, written out per strategy on floats."""
+    cap = bet_cap(spec, bound)
+    if spec.strategy is BettingStrategy.UNIT:
+        return min(1.0, cap)
+    if spec.strategy is BettingStrategy.MAX:
+        return bound.mu_max * (1.0 - spec.max_bet_epsilon)
+    if spec.strategy is BettingStrategy.AGRAPA:
+        m = state.reg_mean
+        raw = m / (state.reg_var + m * m)
+        return 0.0 if raw < 0.0 else cap if raw > cap else raw
+    return state.ons_mu
+
+
+def reference_observe(spec, state, g, mu, bound):
+    """The statistics after one payoff, written out on floats."""
+    dev = g - state.reg_mean
+    folded = [state.t + 1, state.sum_g + g, state.sum_sq_dev + dev * dev, state.ons_mu, state.ons_curvature]
+    if spec.strategy is BettingStrategy.ONS:
+        denom = 1.0 + mu * g
+        z = -g / (sys.float_info.min if denom <= 0.0 else denom)
+        curvature = state.ons_curvature + z * z
+        raw = state.ons_mu - ONS_STEP * z / curvature
+        cap = bet_cap(spec, bound)
+        folded[3:] = 0.0 if raw < 0.0 else cap if raw > cap else raw, curvature
+    return BettingState(*folded)
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def betting_states(draw, cap):
+    t = draw(st.integers(0, 500))
+    return BettingState(
+        t,
+        draw(st.sampled_from([0.0, -0.5, -2.0]) | st.floats(-3.0 * (t + 1), 3.0 * (t + 1))),
+        draw(st.sampled_from([0.0]) | st.floats(0.0, 4.0 * (t + 1))),
+        draw(st.sampled_from([0.0, cap]) | st.floats(0.0, cap)),
+        draw(st.sampled_from([1.0]) | st.floats(1.0, 1e4)),
+    )
+
+
+class TestBoundStrategy:
+    """``bind``'s bet and fold are next_bet and observe, on floats and
+    elementwise on arrays, bit for bit, and both are the recursion written
+    out per strategy."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_bound_bet_and_fold_are_next_bet_and_observe(self, data):
+        spec = spec_for(data.draw(st.sampled_from(BettingStrategy)))
+        direction = data.draw(st.sampled_from(Direction))
+        alpha = data.draw(st.sampled_from([0.2, 0.5]) | st.floats(0.01, 0.99))
+        bound = bet_bound(alpha, direction)
+        cap = bet_cap(spec, bound)
+        # The payoff range of the direction: its worst payoff at the bet
+        # mu_max makes 1 + mu g zero, where ONS's floor applies.
+        worst, best = (alpha - 1.0, alpha) if direction is Direction.RISK_BELOW else (-alpha, 1.0 - alpha)
+        size = data.draw(st.integers(1, 8))
+        states = [data.draw(betting_states(cap)) for _ in range(size)]
+        gs = [data.draw(st.sampled_from([worst, best, 0.0]) | st.floats(worst, best)) for _ in range(size)]
+        mus = [data.draw(st.sampled_from([0.0, cap, bound.mu_max]) | st.floats(0.0, bound.mu_max))
+               for _ in range(size)]
+        # A fresh state (AGRAPA's prior bet clipped at small alpha), one that
+        # bets at the floor of 0, and the worst payoff at mu_max.
+        states += [BettingState(), BettingState(3, -2.0, 1.0, 0.0, 1.0)]
+        gs += [worst, worst]
+        mus += [bound.mu_max, bound.mu_max]
+
+        strategy = bind(spec, bound)
+        assert strategy.bound is bound
+        bets, folds = [], []
+        for state, g, mu in zip(states, gs, mus):
+            fields = dataclasses.astuple(state)
+            bet = strategy.bet(*fields[:4])
+            assert bet.hex() == next_bet(spec, state, bound).hex() == reference_bet(spec, state, bound).hex()
+            fold = strategy.fold(*fields, g, mu)
+            assert _hexes(fold) == _hexes(dataclasses.astuple(observe(spec, state, g, mu, bound)))
+            assert _hexes(fold) == _hexes(dataclasses.astuple(reference_observe(spec, state, g, mu, bound)))
+            bets.append(bet)
+            folds.append(fold)
+
+        # As the array layouts hold them: one element per process, the
+        # tested count as a float.
+        columns = BettingState(*(np.array(c, dtype=np.float64) for c in zip(*map(dataclasses.astuple, states))))
+        g, mu = np.array(gs), np.array(mus)
+        array_bets = np.broadcast_to(next_bet(spec, columns, bound), len(states))
+        assert _hexes(array_bets.tolist()) == _hexes(bets)
+        assert _hexes(np.broadcast_to(strategy.bet(*dataclasses.astuple(columns)[:4]), len(states))) == _hexes(bets)
+        with np.errstate(over="ignore"):  # past the floor z * z is inf, as on floats
+            folded = dataclasses.astuple(observe(spec, columns, g, mu, bound))
+        for k, field in enumerate(folded):
+            assert _hexes(np.broadcast_to(field, len(states)).tolist()) == _hexes(f[k] for f in folds)

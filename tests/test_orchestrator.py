@@ -436,3 +436,16 @@ class TestRoundHook:
         assert len(set(stops)) > 1 and max(stops) < cfg.t_max
         assert [t for t, _ in calls] == list(range(1, max(stops) + 1))
         assert any(not moved for _, moved in calls)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_an_unchanged_set_keeps_its_object(self, layout):
+        # e-BH re-selects whenever an e-value moves, nearly every round; a
+        # re-selection that returns an equal set hands on the same frozenset,
+        # so that the run log formats each distinct set once.
+        cfg = dataclasses.replace(self.config(), selection_rule=SelectionRuleName.EBH, t_max=120)
+        spec = SyntheticSpec((Bernoulli(0.05),) * 8 + (Bernoulli(0.5),) * 16)
+        sets = []
+        with one_run_layout(layout):
+            run_altt(cfg, spec.make_source(cfg.seed, 0), observer=lambda *args: sets.append(args[-1]))
+        assert len(set(sets)) > 2
+        assert all((a is b) == (a == b) for a, b in zip(sets, sets[1:]))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import enum
+import importlib.util
 import json
 import math
 import random
@@ -200,12 +202,62 @@ def plans(draw) -> RunPlan:
     return RunPlan(validate_config(cfg), source, sweep)
 
 
+def reference_to_json(value):
+    """The config echo as a generic walk of the value: a spec as its tag, if
+    it has one, and every field in order; an enum member by value; a tuple
+    as a list."""
+    if dataclasses.is_dataclass(value):
+        tag = runio._TAG_OF.get(type(value))
+        out = {tag[0]: tag[1]} if tag else {}
+        out.update((key, reference_to_json(getattr(value, key))) for key in runio._schema(type(value)))
+        return out
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [reference_to_json(v) for v in value]
+    return value
+
+
+def reference_echo(plan: RunPlan) -> str:
+    doc = runio._Document(plan.cfg.error_metric, plan.source, plan.cfg.acquisition.batch_size, plan.sweep or None)
+    return json.dumps({**reference_to_json(plan.cfg), **reference_to_json(doc)})
+
+
+def _workload_configs() -> dict:
+    """The benchmark's generated configs, by workload, kind and seed."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # for its dataclass
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return {f"{name}-{kind}-{seed}": getattr(make(seed), kind)
+            for name, make in workloads.WORKLOADS.items()
+            for kind in ("mc_config", "logged_config") for seed in (7, 11)}
+
+
+# Every checked-in run directory's config, and the benchmark's.
+ECHOED_CONFIGS = {
+    **{f"run-{path.parent.name}": json.loads(path.read_text(encoding="utf-8"))["config"]
+       for path in sorted((Path(__file__).resolve().parent / "data" / "runs").glob("*/manifest.json"))},
+    **_workload_configs(),
+}
+
+
 class TestPlanRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(plan=plans())
     def test_echo_parses_back_to_the_plan(self, plan):
+        assert json.dumps(config_to_dict(plan)) == reference_echo(plan)
         doc = json.loads(json.dumps(config_to_dict(plan)))
         assert parse_config(doc) == plan
+
+    @pytest.mark.parametrize("name", ECHOED_CONFIGS)
+    def test_echo_is_the_generic_walk(self, name):
+        plan = parse_config(ECHOED_CONFIGS[name])
+        assert json.dumps(config_to_dict(plan)) == reference_echo(plan)
 
     def test_echo_writes_every_field(self):
         doc = config_to_dict(parse_config(base_config_doc()))

@@ -238,8 +238,15 @@ class TestMetricOrderings:
         parallel = run_trials(cfg, spec, M=6, base_seed=11, workers=2)
         assert serial == parallel
 
-    @pytest.mark.parametrize("cpus", [3, None])
-    def test_pool_has_at_most_one_process_per_cpu(self, monkeypatch, cpus):
+    # The CPUs are the process's affinity set where the platform has one
+    # (None: it has none), else the machine's count (None: unknown).
+    @pytest.mark.parametrize("affinity, cpus, size", [
+        ({0, 1, 2}, 64, 3),
+        ({0}, 64, None),
+        (None, 3, 3),
+        (None, None, None),
+    ])
+    def test_pool_has_at_most_one_process_per_cpu(self, monkeypatch, affinity, cpus, size):
         # A stand-in pool records its size and maps in process, so no
         # process starts however many workers are asked for.
         sizes = []
@@ -261,9 +268,13 @@ class TestMetricOrderings:
         cfg = full_batch_config(3, alpha=0.4, delta=0.1, t_max=20, d_stop=3)
         serial = run_trials(cfg, spec, M=40, base_seed=2)
         monkeypatch.setattr(simharness, "ProcessPoolExecutor", InProcessPool)
+        if affinity is None:
+            monkeypatch.delattr(simharness.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(simharness.os, "sched_getaffinity", lambda pid: affinity, raising=False)
         monkeypatch.setattr(simharness.os, "cpu_count", lambda: cpus)
         assert run_trials(cfg, spec, M=40, base_seed=2, workers=1000) == serial
-        assert sizes == ([3] if cpus else [])
+        assert sizes == ([size] if size else [])
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):
