@@ -45,7 +45,7 @@ from .runio import (
     write_run,
     write_summary_csv,
 )
-from .simharness import run_trials
+from .simharness import check_t_max, run_trials
 
 logger = logging.getLogger("ecalib")
 
@@ -75,11 +75,16 @@ def _require_synthetic(plan: RunPlan, command: str) -> None:
         raise EcalibError(f"{command} needs a synthetic source (ground truth required)")
 
 
-def _check_counts(args) -> None:
-    """--trials and --workers of validate and sweep, before anything is made."""
+def _monte_carlo_plan(args, command: str) -> RunPlan:
+    """The plan of validate and sweep, with --trials, --workers and t_max
+    checked before anything is made."""
     for flag, value in (("--trials", args.trials), ("--workers", args.workers)):
         if value < 1:
             raise EcalibError(f"{flag} must be >= 1, got {value}")
+    plan = _override_seed(load_config(args.config), args.seed)
+    _require_synthetic(plan, command)
+    check_t_max(plan.cfg.t_max)
+    return plan
 
 
 def _monte_carlo(cfg, source, args):
@@ -109,9 +114,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _check_counts(args)
-    plan = _override_seed(load_config(args.config), args.seed)
-    _require_synthetic(plan, "validate")
+    plan = _monte_carlo_plan(args, "validate")
     out = _prepare_out(args.out)
     cfg = plan.cfg
     started = utc_now()
@@ -198,9 +201,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_counts(args)
-    plan = _override_seed(load_config(args.config), args.seed)
-    _require_synthetic(plan, "sweep")
+    plan = _monte_carlo_plan(args, "sweep")
     if not plan.sweep:
         raise EcalibError("config has no sweep block")
     out = _prepare_out(args.out)

@@ -21,20 +21,22 @@ p- and e-values are 1, where every rule selects nothing.  Both engines
 select with ``selection.select_rows``; ``_run`` passes its one row.
 
 run_block is the same engine for a block of M trials advancing in
-lock-step: its state is (M, N, K) arrays, one row per trial, and a row
-stops at its own d_stop.  Row m of its result equals ``_run`` on trial m,
-bit for bit, round by round: every step is the same elementwise IEEE
-arithmetic, and log1p and exp are math's, taken one element at a time.
-The Monte Carlo harness runs on it; ``_run`` serves single logged runs.
+lock-step: one process per (trial, candidate) pair, and a row of M stops
+at its own d_stop.  Row m of its result equals ``_run`` on trial m, bit for
+bit, round by round: every step is the same elementwise IEEE arithmetic,
+and log1p and exp are math's, taken one element at a time.  The Monte
+Carlo harness runs on it; ``_run`` serves single logged runs.
 
+The array layout is one state, ``_ArrayState`` (the (6, K, P) betting state
+of P processes and each one's merged log wealth, running max, p- and
+e-value), and one round, ``_advance``.  run_block keeps its pairs in it.
 ``_run`` picks its layout once per run from the batch its policy implies
-(N under full_batch, else min(batch_size, N)).  From ARRAY_BATCH ids up it
-keeps the betting state in (6, K, N) arrays and advances a round's ids with
-``_advance``, the update run_block makes, and the p- and e-values are
-arrays too.  Below, it keeps the same state of each (id, metric) process in
-flat lists of floats, advances each tested id in a Python loop through the
-metrics' strategies, bound once per run (``betting.bind``), and keeps the
-values in lists of floats.
+(N under full_batch, else min(batch_size, N)): from ARRAY_BATCH ids up it
+keeps its N ids in the same state and advances them with the same round.
+Below, it keeps the state of each (id, metric) process in flat lists of
+floats, advances each tested id in a Python loop through the metrics'
+strategies, bound once per run (``betting.bind``), and keeps the values in
+lists of floats.
 
 Each engine keeps no history: it calls one observer once per round, after
 selection, and the observer keeps what it needs (``runio``'s run log and
@@ -150,38 +152,22 @@ def _run(
     bounds = [bet_bound(a, d) for a, d in metrics]
     bspec = cfg.betting
     seed = cfg.seed
-
-    merged_lw = np.zeros(n)  # log of min-over-metrics wealth, for acquisition
     on_evals = cfg.selection_rule is SelectionRuleName.EBH
     acq = cfg.acquisition
     arrays = (n if acq.policy is AcquisitionPolicy.FULL_BATCH else min(acq.batch_size, n)) >= ARRAY_BATCH
 
     if arrays:
-        # As run_block's state, one column per id.
-        state = np.zeros((6, n_metrics, n))
-        state[5] = BettingState().ons_curvature
-        merged_lrm = np.zeros(n)
-        pvals = np.ones(n)
-        evals = np.ones(n)  # merged wealth, linear
+        # run_block's state, one process per id, keeping the merged wealths.
+        arr = _ArrayState(cfg, n, True)
+        merged_lw, pvals, evals = arr.lw, arr.p, arr.e
 
         def advance(t: int, batch: tuple[int, ...], risks_row: tuple) -> bool:
             ids = np.array(batch, dtype=np.intp)
             risks = np.array(risks_row, dtype=np.float64).reshape(len(batch), n_metrics)
-            _check_risks(t, risks, batch)
-            lw = _advance(state, ids, risks, metrics, bounds, bspec)
-            merged_lw[ids] = lw
-            rose = lw > merged_lrm[ids]
-            changed = bool(rose.any())
-            if changed:
-                risen = ids[rose]
-                merged_lrm[risen] = lw[rose]
-                pvals[risen] = each(math.exp, -lw[rose])
-            e = _exps(lw)
-            if on_evals:
-                changed |= bool((e != evals[ids]).any())
-            evals[ids] = e
-            return changed
+            rose, e_moved = _advance(arr, t, ids, ids, risks)
+            return bool(rose.any()) or e_moved is not None and bool(e_moved.any())
     else:
+        merged_lw = np.zeros(n)  # log of min-over-metrics wealth, for acquisition
         # The log wealth and BettingState fields of each (id, metric)
         # process, flat at id * K + k.
         fresh = BettingState()
@@ -312,26 +298,16 @@ def run_block(
     """
     validate_config(cfg)
     m, n = len(trials), cfg.n_candidates
-    metrics = cfg.requirements
-    n_metrics = len(metrics)
-    bounds = [bet_bound(a, d) for a, d in metrics]
-    bspec = cfg.betting
+    n_metrics = len(cfg.requirements)
     rule = cfg.selection_rule
     on_evals = rule is SelectionRuleName.EBH
     order = cfg.fixed_sequence_order
 
-    # Per metric and (trial, candidate) pair, flattened as row * n + id: the
-    # log wealth, then the BettingState fields (the tested count as a float).
-    state = np.zeros((6, n_metrics, m * n))
-    state[5] = BettingState().ons_curvature
-    merged_lw = np.zeros((m, n))
-    merged_lrm = np.zeros((m, n))
-    pvals = np.ones((m, n))
-    evals = np.ones((m, n)) if on_evals else None
+    # One process per (trial, candidate) pair, flattened as row * n + id.
+    arr = _ArrayState(cfg, m * n, on_evals)
+    merged_lw, pvals = arr.lw.reshape(m, n), arr.p.reshape(m, n)
+    evals = arr.e.reshape(m, n) if on_evals else None
     certified = np.zeros((m, n), dtype=bool)
-    # Flat views of the (M, N) arrays, indexed by pair.
-    flat_lw, flat_lrm, flat_p = merged_lw.reshape(-1), merged_lrm.reshape(-1), pvals.reshape(-1)
-    flat_e = evals.reshape(-1) if on_evals else None
     views = [a.view() for a in (merged_lw, pvals, certified)]
     for view in views:
         view.flags.writeable = False
@@ -354,8 +330,7 @@ def run_block(
         rows = live[pos]
         # When the whole block is tested, as under full_batch, pairs is the
         # identity and a slice spares the gathers.
-        every = len(ids) == m * n
-        pairs = slice(None) if every else rows * n + ids
+        pairs = slice(None) if len(ids) == m * n else rows * n + ids
         answer = source.query(t, rows, ids)
         try:
             risks = np.asarray(answer, dtype=np.float64)
@@ -363,20 +338,9 @@ def run_block(
             raise SourceFailure(f"round {t}: malformed answer: {exc}") from None
         if risks.shape != (len(ids), n_metrics):
             raise SourceFailure(f"round {t}: expected {n_metrics} metrics per id")
-        _check_risks(t, risks, ids)
-        lw = _advance(state, pairs, risks, metrics, bounds, bspec)
-        flat_lw[pairs] = lw
+        rose, e_moved = _advance(arr, t, ids, pairs, risks)
         changed = np.zeros(m, dtype=bool)
-        rose = lw > flat_lrm[pairs]
-        if rose.any():
-            risen = np.flatnonzero(rose) if every else pairs[rose]
-            flat_lrm[risen] = lw[rose]
-            flat_p[risen] = each(math.exp, -lw[rose])
-            changed[rows[rose]] = True
-        if on_evals:
-            e = _exps(lw)
-            changed[rows[e != flat_e[pairs]]] = True
-            flat_e[pairs] = e
+        changed[rows[rose if e_moved is None else rose | e_moved]] = True
         redo = np.flatnonzero(changed) if adaptive else np.array([], dtype=np.intp)
         moved = redo
         if len(redo):
@@ -400,7 +364,7 @@ def run_block(
             rule, evals if on_evals else pvals, cfg.delta, cfg.literal_set, order
         )
     wealths = evals if on_evals else _exps(merged_lw)
-    n_queries = state[1, 0].reshape(m, n).sum(axis=1).astype(np.int64)
+    n_queries = arr.state[1, 0].reshape(m, n).sum(axis=1).astype(np.int64)
     selected = np.split(np.nonzero(certified)[1], np.cumsum(certified.sum(axis=1))[:-1])
     reasons = [StopReason.REACHED_D if r else StopReason.REACHED_T_MAX for r in reached_d.tolist()]
     return [
@@ -411,32 +375,60 @@ def run_block(
     ]
 
 
-def _check_risks(t: int, risks: np.ndarray, ids) -> None:
-    """SourceFailure naming the first risk outside [0, 1] of a (P, K) array
-    whose row j answers for id ``ids[j]``, in the order the per-id loop
-    checks them."""
+class _ArrayState:
+    """The array layout's state of ``size`` processes of ``cfg``: per metric,
+    the log wealth and BettingState fields (the tested count as a float) in
+    the (6, K, size) ``state``; per process, the merged log wealth ``lw``,
+    its running max ``lrm``, the anytime p-value ``p`` and, with ``evals``,
+    the merged wealth ``e``."""
+
+    def __init__(self, cfg: CalibrationConfig, size: int, evals: bool):
+        self.metrics = cfg.requirements
+        self.bounds = [bet_bound(a, d) for a, d in self.metrics]
+        self.bspec = cfg.betting
+        self.on_evals = cfg.selection_rule is SelectionRuleName.EBH
+        self.state = np.zeros((6, len(self.metrics), size))
+        self.state[5] = BettingState().ons_curvature
+        self.lw, self.lrm, self.p = np.zeros(size), np.zeros(size), np.ones(size)
+        self.e = np.ones(size) if evals else None
+
+
+def _advance(arr: _ArrayState, t: int, ids: np.ndarray, pairs, risks: np.ndarray):
+    """Round ``t`` of the processes ``pairs`` of ``arr`` (an index array, or
+    slice(None) for all of them) on the (P, K) ``risks``, row j answering for
+    id ``ids[j]``: check the risks, advance the bets and wealths, and record
+    the merged log wealth, running max, anytime p-value and, where ``arr``
+    keeps it, merged wealth.  Returns the mask of the processes whose running
+    max rose and, under ebh, of those whose e-value moved (else None)."""
     if not (risks.min(initial=0.0) >= 0.0 and risks.max(initial=1.0) <= 1.0):
+        # The first risk out of range, in the order the per-id loop checks them.
         j, k = np.argwhere(~((risks >= 0.0) & (risks <= 1.0)))[0]
         raise SourceFailure(f"round {t}: risk {float(risks[j, k])!r} for id {int(ids[j])} out of [0,1]")
-
-
-def _advance(state: np.ndarray, pairs, risks: np.ndarray, metrics, bounds, bspec) -> np.ndarray:
-    """One betting round of the columns ``pairs`` of ``state``, the (6, K, .)
-    log wealths and BettingState fields (the tested count as a float), on
-    the (P, K) ``risks``; returns their merged log wealth, the min over
-    metrics."""
-    for k, (alpha_k, dir_k) in enumerate(metrics):
-        bound = bounds[k]
+    state = arr.state
+    for k, (alpha_k, dir_k) in enumerate(arr.metrics):
+        bound = arr.bounds[k]
         lw, *stats = state[:, k, pairs]
         bs = BettingState(*stats)
-        mu = next_bet(bspec, bs, bound)
+        mu = next_bet(arr.bspec, bs, bound)
         g = payoffs(risks[:, k], alpha_k, dir_k)
         lw = updates(lw, g, mu, bound)
-        bs = observe(bspec, bs, g, mu, bound)
+        bs = observe(arr.bspec, bs, g, mu, bound)
         state[:, k, pairs] = (lw, bs.t, bs.sum_g, bs.sum_sq_dev, bs.ons_mu, bs.ons_curvature)
-    if len(metrics) > 1:
+    if len(arr.metrics) > 1:
         lw = state[0][:, pairs].min(axis=0)
-    return lw
+    arr.lw[pairs] = lw
+    rose = lw > arr.lrm[pairs]
+    if rose.any():
+        risen = np.flatnonzero(rose) if isinstance(pairs, slice) else pairs[rose]
+        arr.lrm[risen] = lw[rose]
+        arr.p[risen] = each(math.exp, -lw[rose])
+    e_moved = None
+    if arr.e is not None:
+        e = _exps(lw)
+        if arr.on_evals:
+            e_moved = e != arr.e[pairs]
+        arr.e[pairs] = e
+    return rose, e_moved
 
 
 def run_altt(

@@ -283,6 +283,17 @@ def derive_reliable(cfg: CalibrationConfig, spec) -> frozenset[int]:
 # Trials per block; a block's curves hold 3 * BLOCK_TRIALS * t_max counts.
 BLOCK_TRIALS = 512
 
+# The largest t_max that run_trials accepts: a full block's 3 * BLOCK_TRIALS
+# * t_max counts stay below 2**31, and _trial_block indexes rounds as int32.
+MAX_T_MAX = (2**31 - 1) // (3 * BLOCK_TRIALS)
+
+
+def check_t_max(t_max: int) -> None:
+    """InvalidConfig for a t_max above MAX_T_MAX, which the Monte Carlo
+    arrays cannot hold."""
+    if t_max > MAX_T_MAX:
+        raise InvalidConfig([f"t_max must be <= {MAX_T_MAX} for Monte Carlo trials, got {t_max}"])
+
 
 @dataclass
 class MetricsSummary:
@@ -498,6 +509,7 @@ def run_trials(
         raise InvalidConfig(["M must be >= 1"])
     if workers < 1:
         raise InvalidConfig([f"workers must be >= 1, got {workers}"])
+    check_t_max(cfg.t_max)
     if reliable is None:
         reliable = derive_reliable(cfg, spec)
 

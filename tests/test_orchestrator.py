@@ -437,6 +437,22 @@ class TestRoundHook:
         assert [t for t, _ in calls] == list(range(1, max(stops) + 1))
         assert any(not moved for _, moved in calls)
 
+    @pytest.mark.parametrize("rule", [SelectionRuleName.EBH, SelectionRuleName.BH])
+    def test_block_observer_views_are_read_only(self, rule):
+        cfg = dataclasses.replace(self.config(), selection_rule=rule, t_max=3)
+        trials = [0, 1]
+        refused = []
+
+        def observe(t, rows, ids, risks, moved, *views):
+            for view in views:
+                with pytest.raises(ValueError, match="read-only"):
+                    view[0, 0] = view[0, 0]
+                refused.append(t)
+
+        run_block(cfg, SyntheticSpec((Bernoulli(0.5),) * 24).make_block(cfg.seed, trials), trials, cfg.t_max,
+                  True, observer=observe)
+        assert refused == [t for t in range(1, cfg.t_max + 1) for _ in range(3)]
+
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_an_unchanged_set_keeps_its_object(self, layout):
         # e-BH re-selects whenever an e-value moves, nearly every round; a

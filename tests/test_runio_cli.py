@@ -50,7 +50,15 @@ from ecalib.runio import (
     replay_check,
     write_manifest,
 )
-from ecalib.simharness import Bernoulli, Beta, CompositeSyntheticSpec, PointMass, SyntheticSpec
+from ecalib.simharness import (
+    MAX_T_MAX,
+    Bernoulli,
+    Beta,
+    CompositeSyntheticSpec,
+    PointMass,
+    SyntheticSpec,
+    check_t_max,
+)
 
 
 def base_config_doc() -> dict:
@@ -962,6 +970,27 @@ class TestValidateReportSweep:
         assert f"--trials must be >= 1, got {trials}" in caplog.text
         assert "M must be" not in caplog.text
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    @pytest.mark.parametrize("t_max", [10**30, MAX_T_MAX + 1])
+    def test_t_max_beyond_the_monte_carlo_arrays_rejected(self, tmp_path, caplog, command, t_max):
+        doc = self.validate_doc()
+        doc["t_max"] = t_max
+        doc["sweep"] = {"epsilon": [0.2]}
+        out = tmp_path / "t"
+        argv = [command, "--config", write_doc(tmp_path, doc), "--trials", "1", "--out", str(out)]
+        assert main(argv) == 1
+        assert error_lines(caplog) == [
+            f"ERROR ecalib: t_max must be <= {MAX_T_MAX} for Monte Carlo trials, got {t_max}"
+        ]
+        assert not out.exists()
+
+    def test_t_max_at_the_limit_is_accepted(self, tmp_path):
+        doc = self.validate_doc()
+        doc["t_max"] = MAX_T_MAX
+        plan = load_config(write_doc(tmp_path, doc))
+        assert plan.cfg.t_max == MAX_T_MAX
+        check_t_max(plan.cfg.t_max)
 
     @pytest.mark.parametrize("command", ["simulate", "validate", "sweep"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -283,6 +283,13 @@ class TestMetricOrderings:
         with pytest.raises(InvalidConfig, match=f"workers must be >= 1, got {workers}"):
             run_trials(cfg, spec, M=2, workers=workers)
 
+    @pytest.mark.parametrize("t_max", [simharness.MAX_T_MAX + 1, 10**30])
+    def test_t_max_beyond_the_monte_carlo_arrays_rejected(self, t_max):
+        spec = SyntheticSpec(tuple(Bernoulli(p) for p in (0.1, 0.3, 0.7)))
+        cfg = full_batch_config(3, alpha=0.4, delta=0.1, t_max=t_max, d_stop=3)
+        with pytest.raises(InvalidConfig, match=f"t_max must be <= {simharness.MAX_T_MAX} .* got {t_max}"):
+            run_trials(cfg, spec, M=1)
+
 
 class TestSingleArmLane:
     """One arm on the trial-batched engine, as criteria 5 and 7 run it."""
