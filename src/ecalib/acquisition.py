@@ -6,7 +6,7 @@ ordering of ``wealths`` matters, so callers may pass wealths on any monotone
 scale (the engines pass log wealth).
 
 ``select_batch`` serves one run; ``select_rows`` serves a block of trials
-advancing in lock-step, one row per trial, and marks in row r exactly the
+advancing in lock-step, one row per trial, and pairs row r with exactly the
 ids ``select_batch`` returns for row r's wealths, certified set and stream.
 Its keyed draws do not depend on the run's state, so they can be hashed
 ahead (``round_draws``), for any number of rounds in one array pass.
@@ -117,76 +117,81 @@ def select_rows(
     certified: np.ndarray,
     draws: Draws,
     round_index: int,
-) -> np.ndarray:
-    """Row-wise ``select_batch``: the (R, N) mask of each row's tested ids.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``select_batch``: the tested (row, id) pairs as two arrays,
+    ordered by row and then by id.
 
     ``wealths`` and ``certified`` are (R, N) arrays; ``draws`` holds row
     r's round-``round_index`` draws at index r of each field, as
     ``round_draws(spec, N, prefixes, round_index)`` gives them.  Eps-greedy
     rows differ in pool size, so the pool is the explicit mask ~certified,
     never a sentinel wealth: an uncertified candidate may be bankrupt at
-    -inf itself.
+    -inf itself.  A row whose pool is empty tests nothing.
     """
     r, n = wealths.shape
     policy = spec.policy
-    tested = np.zeros((r, n), dtype=bool)
-    if policy is AcquisitionPolicy.FULL_BATCH:
-        tested[:] = True
-        return tested
     b = min(spec.batch_size, n)
-    if policy is AcquisitionPolicy.ROUND_ROBIN:
-        start = ((round_index - 1) * b) % n
-        tested[:, (start + np.arange(b)) % n] = True
-        return tested
-    if policy is AcquisitionPolicy.UNIFORM_ALL:
-        pool = np.tile(np.arange(n), (r, 1))
-        _fisher_yates(tested, pool, np.full(r, n), np.full(r, b), draws.states, 1)
-        return tested
-
-    # EPS_GREEDY
-    free = ~certified
-    explore = draws.explore
-    if b == 1:
+    if policy is AcquisitionPolicy.EPS_GREEDY and b == 1:
         # The first pool id holding the pool's top wealth, or when exploring
         # the pool id of rank randbelow(pool size).  argmax finds the first
         # top; it lands on a certified id only when every pool wealth is
         # -inf, and then the first pool id is the pick.
+        free = ~certified
+        explore = draws.explore
         rows = np.arange(r)
         pool_w = np.where(free, wealths, -np.inf)
         pick = pool_w.argmax(axis=1)
         floor = pool_w[rows, pick] == -np.inf
-        if floor.any():
+        floored = floor.any()
+        if floored:
             pick[floor] = free[floor].argmax(axis=1)
         if explore.any():
             f = free[explore]
             rank = randbelow_np(draws.rank_u64[explore], f.sum(axis=1))
             pick[explore] = (f.cumsum(axis=1) == rank[:, None] + 1).argmax(axis=1)
-        tested[rows, pick] = free[rows, pick]  # an empty pool tests nothing
-        return tested
-    pool_size = np.count_nonzero(free, axis=1)
-    if explore.any():
-        rows = np.flatnonzero(explore)
-        # Row j of pool lists row j's uncertified ids first, ascending.
-        pool = np.argsort(certified[rows], axis=1, kind="stable")
-        sizes = pool_size[rows]
-        sub = np.zeros(pool.shape, dtype=bool)
-        _fisher_yates(sub, pool, sizes, np.minimum(b, sizes), draws.states[rows], 2)
-        tested[rows] = sub
-    exploit = np.flatnonzero(~explore)
-    if len(exploit):
-        w, f = wealths[exploit], free[exploit]
-        sizes = pool_size[exploit]
-        # The b-th largest pool wealth: -inf fills the certified slots, which
-        # rank below every pool wealth, so they cannot change its value.  A
-        # pool smaller than the batch is taken whole (threshold -inf).
-        thr = np.partition(np.where(f, w, -np.inf), n - b, axis=1)[:, n - b]
-        thr[sizes < b] = -np.inf
-        above = f & (w > thr[:, None])
-        tied = f & (w == thr[:, None])
-        # Fill the rest of the batch with the lowest-id ties.
-        room = np.minimum(b, sizes) - np.count_nonzero(above, axis=1)
-        tested[exploit] = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
-    return tested
+        if floored:
+            # Only a floor row's pool can be empty: its pick is certified,
+            # and it tests nothing.
+            keep = free[rows, pick]
+            return rows[keep], pick[keep]
+        return rows, pick
+    tested = np.zeros((r, n), dtype=bool)
+    if policy is AcquisitionPolicy.FULL_BATCH:
+        tested[:] = True
+    elif policy is AcquisitionPolicy.ROUND_ROBIN:
+        start = ((round_index - 1) * b) % n
+        tested[:, (start + np.arange(b)) % n] = True
+    elif policy is AcquisitionPolicy.UNIFORM_ALL:
+        pool = np.tile(np.arange(n), (r, 1))
+        _fisher_yates(tested, pool, np.full(r, n), np.full(r, b), draws.states, 1)
+    else:  # EPS_GREEDY
+        free = ~certified
+        explore = draws.explore
+        pool_size = np.count_nonzero(free, axis=1)
+        if explore.any():
+            rows = np.flatnonzero(explore)
+            # Row j of pool lists row j's uncertified ids first, ascending.
+            pool = np.argsort(certified[rows], axis=1, kind="stable")
+            sizes = pool_size[rows]
+            sub = np.zeros(pool.shape, dtype=bool)
+            _fisher_yates(sub, pool, sizes, np.minimum(b, sizes), draws.states[rows], 2)
+            tested[rows] = sub
+        exploit = np.flatnonzero(~explore)
+        if len(exploit):
+            w, f = wealths[exploit], free[exploit]
+            sizes = pool_size[exploit]
+            # The b-th largest pool wealth: -inf fills the certified slots,
+            # which rank below every pool wealth, so they cannot change its
+            # value.  A pool smaller than the batch is taken whole
+            # (threshold -inf).
+            thr = np.partition(np.where(f, w, -np.inf), n - b, axis=1)[:, n - b]
+            thr[sizes < b] = -np.inf
+            above = f & (w > thr[:, None])
+            tied = f & (w == thr[:, None])
+            # Fill the rest of the batch with the lowest-id ties.
+            room = np.minimum(b, sizes) - np.count_nonzero(above, axis=1)
+            tested[exploit] = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+    return np.nonzero(tested)
 
 
 def _fisher_yates(

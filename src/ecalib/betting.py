@@ -19,9 +19,11 @@ mu_max, hence the cap) once per run.  The bound strategy's bet and its fold
 of one payoff into the statistics are elementwise functions of the
 statistics: over floats for one process, as ``_run``'s per-id layout keeps
 them in flat lists, or over numpy arrays with one element per (trial,
-candidate) pair, as the array layouts keep them.  Every step is IEEE
-arithmetic, so an array element equals the float the same inputs give.
-``next_bet`` and ``observe`` are the same functions over a BettingState.
+candidate) pair, as the array layout's state keeps them.  Both engines call
+the bound strategies.  Every step is IEEE arithmetic, so an array element
+equals the float the same inputs give.  ``next_bet`` and ``observe`` are
+the same functions over a BettingState, the public per-state API; neither
+engine calls them.
 """
 
 from __future__ import annotations
@@ -71,7 +73,9 @@ def bet_cap(spec: BettingSpec, bound: BetBound) -> float:
 
 def _clip(x, hi: float):
     if isinstance(x, ndarray):
-        return np.where(x < 0.0, 0.0, np.where(x > hi, hi, x))
+        # The same bits as the float path, -0.0 and NaN included; the method
+        # skips np.clip's dispatch.
+        return x.clip(0.0, hi)
     if x < 0.0:
         return 0.0
     if x > hi:
@@ -115,8 +119,9 @@ def bind(spec: BettingSpec, bound: BetBound) -> BoundStrategy:
     fold = _fold
     if strategy is BettingStrategy.AGRAPA:
         def bet(t, sum_g, sum_sq_dev, ons_mu):
-            m = (0.5 + sum_g) / (t + 1)
-            return _clip(m / ((0.25 + sum_sq_dev) / (t + 1) + m * m), cap)
+            n = t + 1
+            m = (0.5 + sum_g) / n
+            return _clip(m / ((0.25 + sum_sq_dev) / n + m * m), cap)
     elif strategy is BettingStrategy.ONS:
         def bet(t, sum_g, sum_sq_dev, ons_mu):
             return ons_mu

@@ -45,7 +45,7 @@ from .runio import (
     write_run,
     write_summary_csv,
 )
-from .simharness import check_t_max, run_trials
+from .simharness import MAX_TRIALS, check_t_max, run_trials
 
 logger = logging.getLogger("ecalib")
 
@@ -81,6 +81,8 @@ def _monte_carlo_plan(args, command: str) -> RunPlan:
     for flag, value in (("--trials", args.trials), ("--workers", args.workers)):
         if value < 1:
             raise EcalibError(f"{flag} must be >= 1, got {value}")
+    if args.trials > MAX_TRIALS:
+        raise EcalibError(f"--trials must be <= {MAX_TRIALS}, got {args.trials}")
     plan = _override_seed(load_config(args.config), args.seed)
     _require_synthetic(plan, command)
     check_t_max(plan.cfg.t_max)

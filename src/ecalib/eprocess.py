@@ -101,6 +101,8 @@ def updates(log_wealth: np.ndarray, g: np.ndarray, mu, bound: BetBound) -> np.nd
         out_of_bounds = ~((mus >= 0.0) & (mus < bound.mu_max))
         raise BetOutOfBounds(f"mu {float(mus[out_of_bounds][0])!r} outside [0, {bound.mu_max!r})")
     x = mu * g
+    if x.min(initial=0.0) > -1.0:  # no factor reaches ruin (a NaN takes the masked path)
+        return log_wealth + each(math.log1p, x)
     ruined = x <= -1.0
     out = log_wealth + each(math.log1p, np.where(ruined, 0.0, x))
     out[ruined] = -math.inf

@@ -29,14 +29,16 @@ Carlo harness runs on it; ``_run`` serves single logged runs.
 
 The array layout is one state, ``_ArrayState`` (the (6, K, P) betting state
 of P processes and each one's merged log wealth, running max, p- and
-e-value), and one round, ``_advance``.  run_block keeps its pairs in it.
-``_run`` picks its layout once per run from the batch its policy implies
-(N under full_batch, else min(batch_size, N)): from ARRAY_BATCH ids up it
-keeps its N ids in the same state and advances them with the same round.
-Below, it keeps the state of each (id, metric) process in flat lists of
-floats, advances each tested id in a Python loop through the metrics'
-strategies, bound once per run (``betting.bind``), and keeps the values in
-lists of floats.
+e-value, with each metric's strategy bound once per run by
+``betting.bind``), and one round, ``_advance``, which calls each metric's
+bound bet and fold on one (6, P) block of the tested processes.  run_block
+keeps its pairs in it.  ``_run`` picks its layout once per run from the
+batch its policy implies (N under full_batch, else min(batch_size, N)):
+from ARRAY_BATCH ids up it keeps its N ids in the same state and advances
+them with the same round.  Below, it keeps the state of each (id, metric)
+process in flat lists of floats, advances each tested id in a Python loop
+through the same bound strategies, and keeps the values in lists of
+floats.
 
 Each engine keeps no history: it calls one observer once per round, after
 selection, and the observer keeps what it needs (``runio``'s run log and
@@ -45,7 +47,9 @@ replay check, the Monte Carlo harness's curves).
 A run_block round does only the work that depends on the state.  The keyed
 draws that do not, each trial's acquisition stream state, explore coin and
 batch-1 rank draw, are hashed for CHUNK_ROUNDS rounds at a time in one
-array pass (``acquisition.round_draws``).
+array pass (``acquisition.round_draws``).  Acquisition returns the tested
+(row, id) pairs, and while every row runs the round reads the rows through
+a slice, copying none.
 """
 
 from __future__ import annotations
@@ -58,7 +62,10 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import acquisition, selection
-from .betting import BettingState, bind, next_bet, observe
+from .betting import BettingState, bind
+# next_bet and observe are the public per-state API; neither engine calls
+# them.  perfbench's tracer substitutes these two bindings, so they stay.
+from .betting import next_bet, observe  # noqa: F401
 from .core import (
     AcquisitionPolicy,
     CalibrationConfig,
@@ -78,11 +85,12 @@ _EXP_MAX = 709.0
 CHUNK_ROUNDS = 64
 
 # The least per-round batch at which ``_run`` advances its wealths as arrays.
-# Pinned to one CPU, the array update of b ids costs 50-67 us at any b <= 50,
-# the per-id loop 7.0 us at b = 4, 19.6 at 12, 32.6 at 20 and 58.2 at 36.
-# The update alone crosses over near 36-40 ids, but whole runs at 24 and 30
-# ids on 1,000 e-BH arms tie: the per-id layout's list of values is made an
-# array at each re-selection.  So the constant stays where it was measured.
+# Pinned to one CPU, the array update of b ids costs 42-63 us at any b <= 50,
+# the per-id loop 7.6 us at b = 4, 23.5 at 12, 33.6 at 20 and 66.4 at 36.
+# The update alone crosses over near 28-32 ids, but whole runs of 20, 24 and
+# 30 ids on 1,000 e-BH arms tie or favour the arrays: the per-id layout's
+# list of values is made an array at each re-selection.  So the constant
+# stays where it was measured.
 ARRAY_BATCH = 20
 
 
@@ -149,12 +157,9 @@ def _run(
     n = cfg.n_candidates
     metrics = cfg.requirements
     n_metrics = len(metrics)
-    bounds = [bet_bound(a, d) for a, d in metrics]
-    bspec = cfg.betting
     seed = cfg.seed
     on_evals = cfg.selection_rule is SelectionRuleName.EBH
-    acq = cfg.acquisition
-    arrays = (n if acq.policy is AcquisitionPolicy.FULL_BATCH else min(acq.batch_size, n)) >= ARRAY_BATCH
+    arrays = _round_batch(cfg) >= ARRAY_BATCH
 
     if arrays:
         # run_block's state, one process per id, keeping the merged wealths.
@@ -175,10 +180,7 @@ def _run(
         lws = [0.0] * size
         ts, sum_gs, sum_sq_devs = [fresh.t] * size, [fresh.sum_g] * size, [fresh.sum_sq_dev] * size
         ons_mus, ons_curvatures = [fresh.ons_mu] * size, [fresh.ons_curvature] * size
-        # Per metric: the payoff's alpha and direction, the bet bound, and the
-        # bet and fold of the strategy bound to it.
-        strategies = [(s.bound.alpha, s.bound.direction, s.bound, s.bet, s.fold)
-                      for s in (bind(bspec, b) for b in bounds)]
+        strategies = _strategies(cfg)
         merged_lrm = [0.0] * n  # running max of merged log wealth
         pvals = [1.0] * n
         evals = [1.0] * n  # merged wealth, linear
@@ -314,6 +316,9 @@ def run_block(
 
     acq_prefix = mix64_np([TAG_ACQ, cfg.seed, np.asarray(trials, dtype=np.uint64)])
     chunk = CHUNK_ROUNDS
+    # A row tests each id at most once a round, so at batch 1 its tested
+    # rows are distinct.
+    one_per_row = _round_batch(cfg) == 1
     stop_t = np.full(m, horizon)
     reached_d = np.zeros(m, dtype=bool)
     live = np.arange(m)
@@ -325,9 +330,13 @@ def run_block(
         if not c:
             rounds = np.arange(t, min(t + chunk, horizon + 1), dtype=np.uint64)
             draws = acquisition.round_draws(cfg.acquisition, n, acq_prefix, rounds[:, None])
-        tested = acquisition.select_rows(cfg.acquisition, merged_lw[live], certified[live], draws.at(c, live), t)
-        pos, ids = np.divmod(np.flatnonzero(tested), n)
-        rows = live[pos]
+        # While every row runs, a slice spares the gathers of the live rows.
+        running = slice(None) if len(live) == m else live
+        rows, ids = acquisition.select_rows(
+            cfg.acquisition, merged_lw[running], certified[running], draws.at(c, running), t
+        )
+        if len(live) < m:
+            rows = live[rows]
         # When the whole block is tested, as under full_batch, pairs is the
         # identity and a slice spares the gathers.
         pairs = slice(None) if len(ids) == m * n else rows * n + ids
@@ -339,9 +348,10 @@ def run_block(
         if risks.shape != (len(ids), n_metrics):
             raise SourceFailure(f"round {t}: expected {n_metrics} metrics per id")
         rose, e_moved = _advance(arr, t, ids, pairs, risks)
-        changed = np.zeros(m, dtype=bool)
-        changed[rows[rose if e_moved is None else rose | e_moved]] = True
-        redo = np.flatnonzero(changed) if adaptive else np.array([], dtype=np.intp)
+        # The rows to re-select, ascending as the tested rows are.
+        redo = rows[rose if e_moved is None else rose | e_moved] if adaptive else rows[:0]
+        if not one_per_row and len(redo) > 1:
+            redo = redo[np.concatenate(([True], redo[1:] != redo[:-1]))]
         moved = redo
         if len(redo):
             sets = selection.select_rows(
@@ -375,19 +385,31 @@ def run_block(
     ]
 
 
+def _round_batch(cfg: CalibrationConfig) -> int:
+    """The most ids a run of cfg tests in one round."""
+    acq, n = cfg.acquisition, cfg.n_candidates
+    return n if acq.policy is AcquisitionPolicy.FULL_BATCH else min(acq.batch_size, n)
+
+
+def _strategies(cfg: CalibrationConfig) -> list[tuple]:
+    """Per metric: the payoff's alpha and direction, the bet bound, and the
+    bet and fold of cfg's strategy bound to it (``betting.bind``)."""
+    strategies = (bind(cfg.betting, bet_bound(a, d)) for a, d in cfg.requirements)
+    return [(s.bound.alpha, s.bound.direction, s.bound, s.bet, s.fold) for s in strategies]
+
+
 class _ArrayState:
     """The array layout's state of ``size`` processes of ``cfg``: per metric,
     the log wealth and BettingState fields (the tested count as a float) in
     the (6, K, size) ``state``; per process, the merged log wealth ``lw``,
     its running max ``lrm``, the anytime p-value ``p`` and, with ``evals``,
-    the merged wealth ``e``."""
+    the merged wealth ``e``.  ``strategies`` are ``_strategies(cfg)``, bound
+    once per run."""
 
     def __init__(self, cfg: CalibrationConfig, size: int, evals: bool):
-        self.metrics = cfg.requirements
-        self.bounds = [bet_bound(a, d) for a, d in self.metrics]
-        self.bspec = cfg.betting
+        self.strategies = _strategies(cfg)
         self.on_evals = cfg.selection_rule is SelectionRuleName.EBH
-        self.state = np.zeros((6, len(self.metrics), size))
+        self.state = np.zeros((6, len(self.strategies), size))
         self.state[5] = BettingState().ons_curvature
         self.lw, self.lrm, self.p = np.zeros(size), np.zeros(size), np.ones(size)
         self.e = np.ones(size) if evals else None
@@ -404,24 +426,25 @@ def _advance(arr: _ArrayState, t: int, ids: np.ndarray, pairs, risks: np.ndarray
         # The first risk out of range, in the order the per-id loop checks them.
         j, k = np.argwhere(~((risks >= 0.0) & (risks <= 1.0)))[0]
         raise SourceFailure(f"round {t}: risk {float(risks[j, k])!r} for id {int(ids[j])} out of [0,1]")
-    state = arr.state
-    for k, (alpha_k, dir_k) in enumerate(arr.metrics):
-        bound = arr.bounds[k]
-        lw, *stats = state[:, k, pairs]
-        bs = BettingState(*stats)
-        mu = next_bet(arr.bspec, bs, bound)
+    every = isinstance(pairs, slice)
+    for k, (alpha_k, dir_k, bound, bet, fold) in enumerate(arr.strategies):
+        state = arr.state[:, k]
+        # One (6, P) block of the statistics: gathered, or with every
+        # process a view of the state itself.  So the block is written back
+        # once, after every input of the write has been read.
+        lw, *stats = state[:, pairs] if every else state.take(pairs, axis=1)
+        mu = bet(*stats[:4])
         g = payoffs(risks[:, k], alpha_k, dir_k)
         lw = updates(lw, g, mu, bound)
-        bs = observe(arr.bspec, bs, g, mu, bound)
-        state[:, k, pairs] = (lw, bs.t, bs.sum_g, bs.sum_sq_dev, bs.ons_mu, bs.ons_curvature)
-    if len(arr.metrics) > 1:
-        lw = state[0][:, pairs].min(axis=0)
+        state[:, pairs] = (lw, *fold(*stats, g, mu))
+    if len(arr.strategies) > 1:
+        lw = arr.state[0][:, pairs].min(axis=0)
     arr.lw[pairs] = lw
     rose = lw > arr.lrm[pairs]
     if rose.any():
-        risen = np.flatnonzero(rose) if isinstance(pairs, slice) else pairs[rose]
-        arr.lrm[risen] = lw[rose]
-        arr.p[risen] = each(math.exp, -lw[rose])
+        risen, lw_risen = (np.flatnonzero(rose) if every else pairs[rose]), lw[rose]
+        arr.lrm[risen] = lw_risen
+        arr.p[risen] = each(math.exp, -lw_risen)
     e_moved = None
     if arr.e is not None:
         e = _exps(lw)

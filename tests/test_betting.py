@@ -10,11 +10,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecalib.core import BettingSpec, BettingStrategy, Direction
-from ecalib.betting import ONS_STEP, BettingState, bet_cap, bind, next_bet, observe
+from ecalib.betting import ONS_STEP, BettingState, _clip, bet_cap, bind, next_bet, observe
 from ecalib.eprocess import bet_bound
 
 
@@ -226,32 +226,61 @@ def betting_states(draw, cap):
     )
 
 
+def _payoff_range(alpha, direction):
+    """The payoff range of the direction: its worst payoff at the bet mu_max
+    makes 1 + mu g zero, where ONS's floor applies."""
+    return (alpha - 1.0, alpha) if direction is Direction.RISK_BELOW else (-alpha, 1.0 - alpha)
+
+
+@st.composite
+def bound_cases(draw):
+    """A strategy, direction and alpha, and up to 8 processes: a state, a
+    payoff and the bet placed."""
+    strategy = draw(st.sampled_from(BettingStrategy))
+    direction = draw(st.sampled_from(Direction))
+    alpha = draw(st.sampled_from([0.2, 0.5]) | st.floats(0.01, 0.99))
+    bound = bet_bound(alpha, direction)
+    cap = bet_cap(spec_for(strategy), bound)
+    worst, best = _payoff_range(alpha, direction)
+    size = draw(st.integers(1, 8))
+    states = [draw(betting_states(cap)) for _ in range(size)]
+    gs = [draw(st.sampled_from([worst, best, 0.0]) | st.floats(worst, best)) for _ in range(size)]
+    mus = [draw(st.sampled_from([0.0, cap, bound.mu_max]) | st.floats(0.0, bound.mu_max)) for _ in range(size)]
+    return strategy, direction, alpha, states, gs, mus
+
+
+# Inputs of _clip at its edges; the strings name the cap and its neighbours.
+CLIP_EDGES = [-0.0, 0.0, math.nan, math.inf, -math.inf, "cap", "below cap", "above cap"]
+
+
+def clip_edge_examples(test):
+    """An ``@example`` of each edge input of _clip, for AGRAPA and ONS, on a
+    case of no drawn processes."""
+    for strategy in (BettingStrategy.AGRAPA, BettingStrategy.ONS):
+        for edge in CLIP_EDGES:
+            test = example(case=(strategy, Direction.RISK_BELOW, 0.2, [], [], []), clip_at=edge)(test)
+    return test
+
+
 class TestBoundStrategy:
     """``bind``'s bet and fold are next_bet and observe, on floats and
     elementwise on arrays, bit for bit, and both are the recursion written
-    out per strategy."""
+    out per strategy.  _clip's array path gives its float path's bits."""
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_bound_bet_and_fold_are_next_bet_and_observe(self, data):
-        spec = spec_for(data.draw(st.sampled_from(BettingStrategy)))
-        direction = data.draw(st.sampled_from(Direction))
-        alpha = data.draw(st.sampled_from([0.2, 0.5]) | st.floats(0.01, 0.99))
+    @given(case=bound_cases(), clip_at=st.sampled_from(CLIP_EDGES) | st.floats())
+    @clip_edge_examples
+    def test_bound_bet_and_fold_are_next_bet_and_observe(self, case, clip_at):
+        kind, direction, alpha, states, gs, mus = case
+        spec = spec_for(kind)
         bound = bet_bound(alpha, direction)
         cap = bet_cap(spec, bound)
-        # The payoff range of the direction: its worst payoff at the bet
-        # mu_max makes 1 + mu g zero, where ONS's floor applies.
-        worst, best = (alpha - 1.0, alpha) if direction is Direction.RISK_BELOW else (-alpha, 1.0 - alpha)
-        size = data.draw(st.integers(1, 8))
-        states = [data.draw(betting_states(cap)) for _ in range(size)]
-        gs = [data.draw(st.sampled_from([worst, best, 0.0]) | st.floats(worst, best)) for _ in range(size)]
-        mus = [data.draw(st.sampled_from([0.0, cap, bound.mu_max]) | st.floats(0.0, bound.mu_max))
-               for _ in range(size)]
+        worst, best = _payoff_range(alpha, direction)
         # A fresh state (AGRAPA's prior bet clipped at small alpha), one that
         # bets at the floor of 0, and the worst payoff at mu_max.
-        states += [BettingState(), BettingState(3, -2.0, 1.0, 0.0, 1.0)]
-        gs += [worst, worst]
-        mus += [bound.mu_max, bound.mu_max]
+        states = [*states, BettingState(), BettingState(3, -2.0, 1.0, 0.0, 1.0)]
+        gs = [*gs, worst, worst]
+        mus = [*mus, bound.mu_max, bound.mu_max]
 
         strategy = bind(spec, bound)
         assert strategy.bound is bound
@@ -277,3 +306,7 @@ class TestBoundStrategy:
             folded = dataclasses.astuple(observe(spec, columns, g, mu, bound))
         for k, field in enumerate(folded):
             assert _hexes(np.broadcast_to(field, len(states)).tolist()) == _hexes(f[k] for f in folds)
+
+        near = {"cap": cap, "below cap": math.nextafter(cap, -math.inf), "above cap": math.nextafter(cap, math.inf)}
+        x = near.get(clip_at, clip_at)
+        assert _clip(np.array([x]), cap)[0].hex() == _clip(x, cap).hex()

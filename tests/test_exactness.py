@@ -698,40 +698,59 @@ value_rows = st.one_of(st.integers(20, 60), st.integers(1, 20)).flatmap(lambda n
     min_size=1, max_size=4))
 
 
+def ids_per_row(pairs, r: int) -> list[tuple[int, ...]]:
+    """Each of r rows' tested ids, from ``select_rows``' (row, id) pairs,
+    which must come ordered by row and then by id, each pair once."""
+    got = list(zip(*(a.tolist() for a in pairs)))
+    assert got == sorted(set(got))
+    return [tuple(i for row, i in got if row == j) for j in range(r)]
+
+
 class TestRowWiseLayers:
     @settings(max_examples=250, deadline=None)
     @given(w=wealth_rows, data=st.data())
     def test_select_rows_is_select_batch_per_row(self, w, data):
-        # Uncertified ids bankrupt at -inf must stay in the pool.
+        # Uncertified ids bankrupt at -inf must stay in the pool, and the
+        # last row certifies every id: under eps-greedy its pool is empty.
+        n = len(w[0])
+        w = [*w, [1.0] * n]
         wealths = np.array(w)
-        r, n = wealths.shape
+        r = len(w)
         certified = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
-                                                min_size=r, max_size=r)))
+                                                min_size=r - 1, max_size=r - 1)) + [[True] * n])
         spec = AcquisitionSpec(data.draw(st.sampled_from(AcquisitionPolicy)),
                                epsilon=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
                                batch_size=data.draw(st.integers(1, n)))
         t = data.draw(st.integers(1, 50))
         prefixes = [mix64(TAG_RISK, j, 3) for j in range(r)]
         got = select_rows(spec, wealths, certified, round_draws(spec, n, np.array(prefixes, dtype=np.uint64), t), t)
+        per_row = ids_per_row(got, r)
         for j in range(r):
             cert = frozenset(np.flatnonzero(certified[j]).tolist())
             want = select_batch(spec, w[j], cert, MixStream.from_prefix(prefixes[j], t), t)
-            assert tuple(np.flatnonzero(got[j]).tolist()) == want
+            assert per_row[j] == want
+        if spec.policy is AcquisitionPolicy.EPS_GREEDY:
+            assert r - 1 not in got[0].tolist()
 
-    def test_batch_one_pick_of_a_pool_all_at_minus_inf(self):
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0])
+    def test_batch_one_pick_of_a_pool_all_at_minus_inf(self, epsilon):
         # The top of a pool whose wealths are all -inf ties with the -inf that
-        # fills certified slots; the pick is still the first pool id.
+        # fills certified slots; the pick is still the first pool id.  The
+        # last row's pool is empty: it tests nothing, exploring or not, and
+        # is in no pair.
         inf = float("inf")
         wealths = [[5.0, -inf, -inf, -inf], [-inf] * 4, [0.0, 1.0, 1.0, 0.5], [1.0] * 4]
         certified = np.array([[True, False, True, False], [False] * 4, [False, True, False, False], [True] * 4])
-        spec = AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.0, batch_size=1)
+        spec = AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=epsilon, batch_size=1)
         prefixes = np.array([mix64(TAG_RISK, j, 3) for j in range(4)], dtype=np.uint64)
         got = select_rows(spec, np.array(wealths), certified, round_draws(spec, 4, prefixes, 1), 1)
-        assert [tuple(np.flatnonzero(row).tolist()) for row in got] == [(1,), (0,), (2,), ()]
+        per_row = ids_per_row(got, 4)
+        assert got[0].tolist() == [0, 1, 2]
+        if not epsilon:
+            assert per_row == [(1,), (0,), (2,), ()]
         for j in range(4):
             cert = frozenset(np.flatnonzero(certified[j]).tolist())
-            assert select_batch(spec, wealths[j], cert, MixStream.from_prefix(int(prefixes[j]), 1), 1) == \
-                tuple(np.flatnonzero(got[j]).tolist())
+            assert select_batch(spec, wealths[j], cert, MixStream.from_prefix(int(prefixes[j]), 1), 1) == per_row[j]
 
     @settings(max_examples=200, deadline=None)
     @given(v=value_rows, data=st.data(), literal=st.booleans())
@@ -769,11 +788,11 @@ class TestRowWiseLayers:
         for spec in (AcquisitionSpec(AcquisitionPolicy.UNIFORM_ALL, batch_size=batch),
                      AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=1.0, batch_size=batch)):
             draws = round_draws(spec, n, np.array(prefixes, dtype=np.uint64), t)
-            got = select_rows(spec, np.zeros((r, n)), certified, draws, t)
+            per_row = ids_per_row(select_rows(spec, np.zeros((r, n)), certified, draws, t), r)
             for j in range(r):
                 cert = frozenset(np.flatnonzero(certified[j]).tolist())
                 want = select_batch(spec, [0.0] * n, cert, MixStream.from_prefix(prefixes[j], t), t)
-                assert tuple(np.flatnonzero(got[j]).tolist()) == want
+                assert per_row[j] == want
 
     @given(n=st.integers(1, 3000), delta=deltas)
     def test_step_up_thresholds_are_monotone_in_rank(self, n, delta):

@@ -52,6 +52,7 @@ from ecalib.runio import (
 )
 from ecalib.simharness import (
     MAX_T_MAX,
+    MAX_TRIALS,
     Bernoulli,
     Beta,
     CompositeSyntheticSpec,
@@ -983,6 +984,17 @@ class TestValidateReportSweep:
         assert error_lines(caplog) == [
             f"ERROR ecalib: t_max must be <= {MAX_T_MAX} for Monte Carlo trials, got {t_max}"
         ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**12])
+    def test_trials_beyond_the_limit_rejected(self, tmp_path, caplog, command, trials):
+        doc = self.validate_doc()
+        doc["sweep"] = {"epsilon": [0.2]}
+        out = tmp_path / "t"
+        argv = [command, "--config", write_doc(tmp_path, doc), "--trials", str(trials), "--out", str(out)]
+        assert main(argv) == 1
+        assert error_lines(caplog) == [f"ERROR ecalib: --trials must be <= {MAX_TRIALS}, got {trials}"]
         assert not out.exists()
 
     def test_t_max_at_the_limit_is_accepted(self, tmp_path):

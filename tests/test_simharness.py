@@ -290,6 +290,15 @@ class TestMetricOrderings:
         with pytest.raises(InvalidConfig, match=f"t_max must be <= {simharness.MAX_T_MAX} .* got {t_max}"):
             run_trials(cfg, spec, M=1)
 
+    @pytest.mark.parametrize("M", [simharness.MAX_TRIALS + 1, 10**12])
+    def test_trials_beyond_the_limit_rejected(self, M):
+        # Refused before any block is planned: 10**12 trials would have
+        # _blocks list about 2 * 10**9 block edges first.
+        spec = SyntheticSpec(tuple(Bernoulli(p) for p in (0.1, 0.3, 0.7)))
+        cfg = full_batch_config(3, alpha=0.4, delta=0.1, t_max=5, d_stop=3)
+        with pytest.raises(InvalidConfig, match=f"M must be <= {simharness.MAX_TRIALS}, got {M}"):
+            run_trials(cfg, spec, M=M)
+
 
 class TestSingleArmLane:
     """One arm on the trial-batched engine, as criteria 5 and 7 run it."""
