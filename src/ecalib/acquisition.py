@@ -34,9 +34,12 @@ def select_batch(
     """Return the tested ids for this round, ascending.
 
     EPS_GREEDY draws its explore/exploit coin every round, so the stream
-    consumption pattern does not depend on epsilon.  A pool smaller than the
-    batch is returned whole; an empty pool yields ().  The engine never
-    meets one: a run stops at d_stop <= N certified candidates.
+    consumption pattern does not depend on epsilon.  Exploring, it draws k
+    pool positions from the stream.  Exploiting, it takes the k highest pool
+    wealths, ties going to the lowest ids, with one cut of the pool at its
+    k-th largest wealth (``np.partition``, linear time).  A pool smaller
+    than the batch is returned whole; an empty pool yields ().  The engine
+    never meets one: a run stops at d_stop <= N certified candidates.
     """
     n = len(wealths)
     policy = spec.policy
@@ -55,17 +58,24 @@ def select_batch(
 
     # EPS_GREEDY
     pool = _pool(frozenset(certified), n)
-    if not len(pool):
+    m = len(pool)
+    if not m:
         return ()
-    k = min(b, len(pool))
+    k = min(b, m)
     if stream.uniform() < spec.epsilon:
-        ids = pool.tolist()
-        return tuple(sorted(ids[j] for j in stream.sample_without_replacement(len(ids), k)))
+        return tuple(sorted(pool[stream.sample_without_replacement(m, k)].tolist()))
     w = np.asarray(wealths, dtype=np.float64)[pool]
     if k == 1:
         return (int(pool[np.argmax(w)]),)  # the first maximum: ties go to the lowest id
-    # A stable sort on -wealth over the ascending pool breaks ties by id.
-    return tuple(sorted(pool[np.argsort(-w, kind="stable")[:k]].tolist()))
+    # Every pool wealth at or above the k-th largest, less the highest-id
+    # ties at that cut when there are more than k; the ascending pool keeps
+    # the picks ascending.
+    cut = np.partition(w, m - k)[m - k]
+    top = w >= cut
+    extra = np.count_nonzero(top) - k
+    if extra:
+        top[np.flatnonzero(w == cut)[-extra:]] = False
+    return tuple(pool[top].tolist())
 
 
 @lru_cache(maxsize=8)
@@ -91,7 +101,12 @@ class Draws(NamedTuple):
 
     def at(self, c: int, rows) -> "Draws":
         """Round c of draws laid out (rounds, rows), for the given rows."""
-        return Draws(*(None if a is None else a[c, rows] for a in self))
+        states, explore, rank_u64 = self
+        return Draws(
+            None if states is None else states[c, rows],
+            None if explore is None else explore[c, rows],
+            None if rank_u64 is None else rank_u64[c, rows],
+        )
 
 
 def round_draws(spec: AcquisitionSpec, n: int, prefixes: np.ndarray, rounds) -> Draws:

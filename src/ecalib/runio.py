@@ -28,7 +28,6 @@ import functools
 import itertools
 import json
 import math
-import tempfile
 from pathlib import Path
 from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
@@ -389,8 +388,15 @@ ROUNDS_HEADER = ["trial", "t", "tested_ids", "risks", "wealths", "selected_ids"]
 SUMMARY_HEADER = ["t", "tpr", "fwer", "fdr", "mean_set_size"]
 
 
+@functools.lru_cache(maxsize=16)
+def _joined(spec: str, n: int) -> str:
+    """The format of n ';'-joined values, each formatted by spec; one %
+    operation formats a whole cell."""
+    return ";".join([spec] * n)
+
+
 def _ids(ids) -> str:
-    return ";".join(map(str, ids))
+    return _joined("%d", len(ids)) % tuple(ids)
 
 
 def _risk_cell(risks_row, multi_metric: bool) -> str:
@@ -400,7 +406,7 @@ def _risk_cell(risks_row, multi_metric: bool) -> str:
 
 
 def _wealth_cell(wealths) -> str:
-    return ";".join([fmt17(x) for x in wealths])
+    return _joined("%.17g", len(wealths)) % tuple(wealths)
 
 
 class _SetCell:
@@ -448,11 +454,15 @@ def write_summary_csv(
     fdr: Sequence[float],
     sizes: Sequence[float],
 ) -> None:
-    with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(SUMMARY_HEADER)
-        for t in range(len(sizes)):
-            w.writerow([t + 1, fmt17(tpr[t]), fmt17(fwer[t]), fmt17(fdr[t]), fmt17(sizes[t])])
+    (out_dir / "summary.csv").write_text(_summary_text(tpr, fwer, fdr, sizes), encoding="utf-8", newline="")
+
+
+def _summary_text(tpr, fwer, fdr, sizes) -> str:
+    """summary.csv as csv.writer would write it: no cell needs quoting, and
+    each row ends in '\r\n'."""
+    row = "%d,%.17g,%.17g,%.17g,%.17g\r\n"
+    curves = zip(range(1, len(sizes) + 1), tpr, fwer, fdr, sizes)
+    return ",".join(SUMMARY_HEADER) + "\r\n" + "".join([row % values for values in curves])
 
 
 def _read_rows(path: Path, header: list[str], error) -> list[list[str]]:
@@ -494,28 +504,39 @@ def realized_curves(sets: Sequence[frozenset[int]], reliable: frozenset[int] | N
 
 
 def write_final_json(out_dir: Path, doc: dict) -> None:
-    (out_dir / "final.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    (out_dir / "final.json").write_text(_final_text(doc), encoding="utf-8")
 
 
-def write_run(out_dir: Path, plan: RunPlan, result: RunResult, log: RunLog, *, rounds: bool = True) -> None:
-    """rounds.csv (if rounds), summary.csv and final.json of one logged run,
-    from its result and log; the summary's ground truth is unknown for an
-    oracle source."""
-    if rounds:
-        write_rounds_csv(out_dir, log, bool(plan.cfg.extra_metrics))
+def _final_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _single_run_outputs(plan: RunPlan, result: RunResult, log: RunLog) -> tuple[tuple, dict]:
+    """The curves of one logged run's summary.csv and its final.json
+    document; the summary's ground truth is unknown for an oracle source."""
     reliable = None if isinstance(plan.source, OracleSpec) else derive_reliable(plan.cfg, plan.source)
-    write_summary_csv(out_dir, *realized_curves(log.sets, reliable))
-    write_final_json(out_dir, {"selected": sorted(result.selected), "stop_reason": result.stop_reason.value,
-                               "T": result.T, "n_queries": result.n_queries})
+    final = {"selected": sorted(result.selected), "stop_reason": result.stop_reason.value,
+             "T": result.T, "n_queries": result.n_queries}
+    return realized_curves(log.sets, reliable), final
 
 
-def _same_bytes(logged: Path, replayed: Path) -> None:
-    """ReplayMismatch naming the first line where the two files differ."""
+def write_run(out_dir: Path, plan: RunPlan, result: RunResult, log: RunLog) -> None:
+    """rounds.csv, summary.csv and final.json of one logged run, from its
+    result and log."""
+    write_rounds_csv(out_dir, log, bool(plan.cfg.extra_metrics))
+    curves, final = _single_run_outputs(plan, result, log)
+    write_summary_csv(out_dir, *curves)
+    write_final_json(out_dir, final)
+
+
+def _same_bytes(logged: Path, replayed: str) -> None:
+    """ReplayMismatch naming the first line where the logged file and the
+    replayed text differ."""
     try:
         old = logged.read_bytes().splitlines(keepends=True)
     except OSError as exc:
         raise ReplayMismatch(f"cannot read {logged}: {exc.strerror}") from None
-    new = replayed.read_bytes().splitlines(keepends=True)
+    new = replayed.encode("utf-8").splitlines(keepends=True)
     for n, (a, b) in enumerate(itertools.zip_longest(old, new, fillvalue=b""), 1):
         if a != b:
             raise ReplayMismatch(f"{logged} line {n}: {a!r} != replayed {b!r}")
@@ -540,7 +561,7 @@ class ReplaySource:
         try:
             if self.multi_metric:
                 return [tuple(map(float, risks.split("|"))) for risks in cells[3].split(";")]
-            return [float(risk) for risk in cells[3].split(";")]
+            return list(map(float, cells[3].split(";")))
         except ValueError as exc:
             raise ReplayMismatch(f"{where}: {exc}") from None
 
@@ -571,7 +592,7 @@ def _first_difference(name: str, got: str, logged: str, tested: str) -> str:
 def replay_check(run_dir: str | Path, manifest: dict | None = None) -> int:
     """Re-run trial 0 from the logged risks: each round's wealths and
     selected_ids cells must equal the log's, checked as the round ends, and
-    the re-written summary.csv and final.json the run directory's bytes.
+    summary.csv and final.json, rendered in memory, the run directory's bytes.
     Returns the number of rounds; ReplayMismatch names the first difference,
     and no round after it runs.  Writes nothing to run_dir.  ``manifest`` is
     run_dir's manifest.json, when the caller has read it."""
@@ -592,8 +613,7 @@ def replay_check(run_dir: str | Path, manifest: dict | None = None) -> int:
     result = run_altt(plan.cfg, ReplaySource(path, rows, bool(plan.cfg.extra_metrics)), trial=0, observer=check)
     if result.T != len(rows):
         raise ReplayMismatch(f"{path}: replay produced {result.T} rounds, log has {len(rows)}")
-    with tempfile.TemporaryDirectory() as tmp:
-        write_run(Path(tmp), plan, result, log, rounds=False)
-        for name in ("summary.csv", "final.json"):
-            _same_bytes(run_dir / name, Path(tmp) / name)
+    curves, final = _single_run_outputs(plan, result, log)
+    _same_bytes(run_dir / "summary.csv", _summary_text(*curves))
+    _same_bytes(run_dir / "final.json", _final_text(final))
     return len(rows)

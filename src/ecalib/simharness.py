@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -525,10 +524,15 @@ def run_trials(
     acc = TrialAccumulator(reliable, cfg.n_candidates, cfg.t_max)
     tasks = [(cfg, spec, base_seed, start, stop, reliable) for start, stop in _blocks(M, workers)]
     processes = min(workers, len(tasks), _usable_cpus())
-    if processes > 1 and any(type(arm) is Beta for metric in spec.metrics for arm in metric.arms):
-        # Beta draws need scipy.special: forked workers inherit one import
-        # here instead of each importing it.
-        import scipy.special  # noqa: F401
+    if processes > 1:
+        # Imported where a pool starts, so that a process that starts none
+        # loads neither concurrent.futures nor multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        if any(type(arm) is Beta for metric in spec.metrics for arm in metric.arms):
+            # Beta draws need scipy.special: forked workers inherit one
+            # import here instead of each importing it.
+            import scipy.special  # noqa: F401
     with ProcessPoolExecutor(processes) if processes > 1 else nullcontext() as pool:
         blocks = pool.map(_trial_block, tasks) if pool else map(_trial_block, tasks)
         for results, (rel_hits, unrel_hits, sizes) in blocks:

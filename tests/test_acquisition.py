@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from ecalib.core import AcquisitionPolicy, AcquisitionSpec
@@ -134,3 +135,54 @@ class TestEpsGreedy:
             assert picks == {2}  # pure greed never leaves the leader
         else:
             assert picks == {0, 1, 2}  # pure exploration hits everyone
+
+
+def reference_eps_greedy(spec, wealths, certified, stream):
+    """Eps-greedy by a stable argsort over the whole pool: the exploit
+    picks are the k highest pool wealths, ties to the lowest ids."""
+    pool = np.array([i for i in range(len(wealths)) if i not in certified], dtype=np.intp)
+    if not len(pool):
+        return ()
+    k = min(spec.batch_size, len(pool))
+    if stream.uniform() < spec.epsilon:
+        ids = pool.tolist()
+        return tuple(sorted(ids[j] for j in stream.sample_without_replacement(len(ids), k)))
+    w = np.asarray(wealths, dtype=np.float64)[pool]
+    return tuple(sorted(pool[np.argsort(-w, kind="stable")[:k]].tolist()))
+
+
+def tie_heavy_cases(seed, count):
+    """(wealths, certified, batch) with few distinct wealths, some -inf, N
+    up to 1,000 and batch up to 64; some pools are smaller than the batch,
+    and some empty."""
+    rng = np.random.default_rng(seed)
+    levels = np.array([-np.inf, -1.5, 0.0, 0.0, 0.25, 1.0, 3.0])
+    for _ in range(count):
+        n = int(rng.choice([1, 2, 5, 20, 64, 129, 300, 1000]))
+        wealths = rng.choice(levels[: rng.integers(1, len(levels) + 1)], size=n)
+        certified = frozenset(np.flatnonzero(rng.random(n) < rng.choice([0.0, 0.3, 0.9, 1.0])).tolist())
+        yield wealths.tolist(), certified, int(rng.integers(1, 65))
+
+
+class TestEpsGreedyAgainstASort:
+    """``select_batch`` cuts the pool at the k-th largest wealth; it must
+    give the picks of a stable sort, ties at the cut going to the lowest
+    ids."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3])
+    def test_picks_equal_a_stable_sort(self, epsilon):
+        for t, (wealths, certified, batch) in enumerate(tie_heavy_cases(seed=11, count=300), 1):
+            spec = AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=epsilon, batch_size=batch)
+            got = select_batch(spec, wealths, certified, stream(3, 0, t), t)
+            assert got == reference_eps_greedy(spec, wealths, certified, stream(3, 0, t)), (t, batch)
+
+    def test_ties_at_the_cut_go_to_the_lowest_ids(self):
+        # 600 ids tied at 0 below 10 leaders: the batch is the leaders and
+        # the first uncertified tied ids.
+        spec = AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.0, batch_size=50)
+        wealths = [0.0] * 600
+        for i in range(590, 600):
+            wealths[i] = 1.0
+        certified = frozenset({0, 3})
+        got = select_batch(spec, wealths, certified, stream(3, 0, 1), 1)
+        assert got == (1, 2, *range(4, 42), *range(590, 600))

@@ -430,6 +430,18 @@ GOLDEN = {
         "4cf18caa54a7ce262abb1487c39a5b6fb7199890e9d43e6883a13cd55defbf8b",
         "0191151259a3e68923b9d472f4efe14a07e9ce74de657ab7662e15d6666fd280",
     ),
+    # The benchmark's wide shape: the exploit picks of a pool of 333 to 500
+    # ids come from acquisition's partition cut, and round 1 ties every
+    # wealth at 0.
+    "ebh_wide_batch": (
+        _doc(500, "fdr", "ebh", 50, "agrapa", 60, 21, {
+            "kind": "synthetic",
+            "arms": [{"dist": "beta", "a": 2.0, "b": 2.0 * (1.0 - m) / m}
+                     for m in (0.02 + 0.58 * ((37 * i) % 500) / 500 for i in range(500))],
+        }, alpha=0.5),
+        "863496bba9a6335af3968e758590094e19e06a34c2a3d9cf79dfbd770c2b0e62",
+        "c2210ccd052d2a3274e06478a7ed0e4be78d146c13a2d151ee02d1e53304b312",
+    ),
 }
 
 

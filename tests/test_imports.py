@@ -68,6 +68,14 @@ def test_the_oracle_child_loads_neither_numpy_nor_scipy():
     assert not {m for m in loaded if m.split(".")[0] in ("numpy", "scipy")}
 
 
+def test_config_parsing_and_the_oracle_client_start_no_process_pool():
+    # What the benchmark's set-up probe imports; only run_trials with more
+    # than one worker needs concurrent.futures, and it imports it there.
+    loaded = loaded_after("import ecalib.runio, ecalib.oracle")
+    assert {"ecalib.runio", "ecalib.oracle", "ecalib.simharness"} <= loaded
+    assert not {m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")}
+
+
 # Bernoulli runs through the CLI: an oracle run, its replay and a synthetic
 # run.  Nothing in them needs scipy.
 BERNOULLI_RUNS = """

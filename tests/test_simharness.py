@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import math
 
@@ -267,7 +268,7 @@ class TestMetricOrderings:
         spec = SyntheticSpec(tuple(Bernoulli(p) for p in (0.1, 0.3, 0.7)))
         cfg = full_batch_config(3, alpha=0.4, delta=0.1, t_max=20, d_stop=3)
         serial = run_trials(cfg, spec, M=40, base_seed=2)
-        monkeypatch.setattr(simharness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         if affinity is None:
             monkeypatch.delattr(simharness.os, "sched_getaffinity", raising=False)
         else:
