@@ -162,10 +162,11 @@ class OracleClient:
         for v in values:
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise OracleMalformed(f"non-numeric risk in: {reply!r}")
-            v = float(v)
+            # Compared before float(), which an int too large for a float
+            # would fail.
             if not 0.0 <= v <= 1.0:
                 raise OracleOutOfRangeRisk(f"risk {v!r} out of [0,1] in: {reply!r}")
-            out.append(v)
+            out.append(float(v))
         return out
 
     def _shutdown(self, kill: bool) -> None:

@@ -32,13 +32,14 @@ of P processes and each one's merged log wealth, running max, p- and
 e-value, with each metric's strategy bound once per run by
 ``betting.bind``), and one round, ``_advance``, which calls each metric's
 bound bet and fold on one (6, P) block of the tested processes.  run_block
-keeps its pairs in it.  ``_run`` picks its layout once per run from the
-batch its policy implies (N under full_batch, else min(batch_size, N)):
-from ARRAY_BATCH ids up it keeps its N ids in the same state and advances
-them with the same round.  Below, it keeps the state of each (id, metric)
-process in flat lists of floats, advances each tested id in a Python loop
-through the same bound strategies, and keeps the values in lists of
-floats.
+keeps its pairs in it, and ``_run`` its N ids.  ``_run`` picks how to
+advance them once per run from the batch its policy implies (N under
+full_batch, else min(batch_size, N)): from ARRAY_BATCH ids up with the same
+round.  Below, it reads the betting statistics of each (id, metric) process
+into flat lists of floats once, advances each tested id in a Python loop
+through the same bound strategies, and writes the id's merged log wealth,
+p- and e-value into the state.  Its running max, which only the loop reads,
+stays a list.
 
 Each engine keeps no history: it calls one observer once per round, after
 selection, and the observer keeps what it needs (``runio``'s run log and
@@ -85,12 +86,7 @@ _EXP_MAX = 709.0
 CHUNK_ROUNDS = 64
 
 # The least per-round batch at which ``_run`` advances its wealths as arrays.
-# Pinned to one CPU, the array update of b ids costs 42-63 us at any b <= 50,
-# the per-id loop 7.6 us at b = 4, 23.5 at 12, 33.6 at 20 and 66.4 at 36.
-# The update alone crosses over near 28-32 ids, but whole runs of 20, 24 and
-# 30 ids on 1,000 e-BH arms tie or favour the arrays: the per-id layout's
-# list of values is made an array at each re-selection.  So the constant
-# stays where it was measured.
+# ROADMAP's "Kept on purpose" gives the timings it rests on.
 ARRAY_BATCH = 20
 
 
@@ -151,39 +147,32 @@ def _run(
     ``observer(t, tested, risks, wealth, anytime_p, certified)``, when
     given, is called once per round after selection with the tested ids,
     their risks row (a float or K-tuple per id), every candidate's merged
-    wealth and anytime p-value, the engine's own list or array, to be read
-    during the call and not kept, and the certified frozenset."""
+    wealth and anytime p-value, float64 arrays of the engine's state, to be
+    read during the call and not kept, and the certified frozenset."""
     validate_config(cfg)
     n = cfg.n_candidates
-    metrics = cfg.requirements
-    n_metrics = len(metrics)
+    n_metrics = len(cfg.requirements)
     seed = cfg.seed
     on_evals = cfg.selection_rule is SelectionRuleName.EBH
-    arrays = _round_batch(cfg) >= ARRAY_BATCH
+    # run_block's state, one process per id, keeping the merged wealths.
+    arr = _ArrayState(cfg, n, True)
+    merged_lw, pvals, evals = arr.lw, arr.p, arr.e
 
-    if arrays:
-        # run_block's state, one process per id, keeping the merged wealths.
-        arr = _ArrayState(cfg, n, True)
-        merged_lw, pvals, evals = arr.lw, arr.p, arr.e
-
+    if _round_batch(cfg) >= ARRAY_BATCH:
         def advance(t: int, batch: tuple[int, ...], risks_row: tuple) -> bool:
             ids = np.array(batch, dtype=np.intp)
             risks = np.array(risks_row, dtype=np.float64).reshape(len(batch), n_metrics)
             rose, e_moved = _advance(arr, t, ids, ids, risks)
             return bool(rose.any()) or e_moved is not None and bool(e_moved.any())
     else:
-        merged_lw = np.zeros(n)  # log of min-over-metrics wealth, for acquisition
-        # The log wealth and BettingState fields of each (id, metric)
-        # process, flat at id * K + k.
-        fresh = BettingState()
-        size = n * n_metrics
-        lws = [0.0] * size
-        ts, sum_gs, sum_sq_devs = [fresh.t] * size, [fresh.sum_g] * size, [fresh.sum_sq_dev] * size
-        ons_mus, ons_curvatures = [fresh.ons_mu] * size, [fresh.ons_curvature] * size
-        strategies = _strategies(cfg)
-        merged_lrm = [0.0] * n  # running max of merged log wealth
-        pvals = [1.0] * n
-        evals = [1.0] * n  # merged wealth, linear
+        # The log wealth and betting statistics of each (id, metric) process
+        # as flat lists of floats, at id * K + k.
+        lws, ts, sum_gs, sum_sq_devs, ons_mus, ons_curvatures = (
+            arr.state.transpose(0, 2, 1).reshape(6, -1).tolist())
+        strategies = arr.strategies
+        # Only this loop reads the running max, so it stays a list: comparing
+        # a float with a numpy element costs about 3x a list's.
+        merged_lrm = [0.0] * n
 
         def advance(t: int, batch: tuple[int, ...], risks_row: tuple) -> bool:
             changed = False
@@ -212,12 +201,11 @@ def _run(
                 evals[i] = e
             return changed
 
-    rule_values = evals if on_evals else pvals
+    rule_values = (evals if on_evals else pvals)[None]
 
     def select() -> frozenset[int]:
-        values = rule_values[None] if arrays else np.array([rule_values])
         row = selection.select_rows(
-            cfg.selection_rule, values, cfg.delta, cfg.literal_set, cfg.fixed_sequence_order
+            cfg.selection_rule, rule_values, cfg.delta, cfg.literal_set, cfg.fixed_sequence_order
         )[0]
         return frozenset(np.flatnonzero(row).tolist())
 
@@ -246,7 +234,7 @@ def _run(
                 for row in risks_row:
                     if len(row) != n_metrics:
                         raise SourceFailure(f"round {t}: expected {n_metrics} metrics per id")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SourceFailure(f"round {t}: malformed answer: {exc}") from None
         changed = advance(t, batch, risks_row)
         n_queries += len(batch)
@@ -270,8 +258,8 @@ def _run(
         selected=certified,
         T=stop_t,
         stop_reason=stop_reason,
-        final_wealth=tuple(evals.tolist() if arrays else evals),
-        final_anytime_p=tuple(pvals.tolist() if arrays else pvals),
+        final_wealth=tuple(evals.tolist()),
+        final_anytime_p=tuple(pvals.tolist()),
         n_queries=n_queries,
     )
 
@@ -343,7 +331,7 @@ def run_block(
         answer = source.query(t, rows, ids)
         try:
             risks = np.asarray(answer, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SourceFailure(f"round {t}: malformed answer: {exc}") from None
         if risks.shape != (len(ids), n_metrics):
             raise SourceFailure(f"round {t}: expected {n_metrics} metrics per id")
@@ -391,23 +379,18 @@ def _round_batch(cfg: CalibrationConfig) -> int:
     return n if acq.policy is AcquisitionPolicy.FULL_BATCH else min(acq.batch_size, n)
 
 
-def _strategies(cfg: CalibrationConfig) -> list[tuple]:
-    """Per metric: the payoff's alpha and direction, the bet bound, and the
-    bet and fold of cfg's strategy bound to it (``betting.bind``)."""
-    strategies = (bind(cfg.betting, bet_bound(a, d)) for a, d in cfg.requirements)
-    return [(s.bound.alpha, s.bound.direction, s.bound, s.bet, s.fold) for s in strategies]
-
-
 class _ArrayState:
-    """The array layout's state of ``size`` processes of ``cfg``: per metric,
-    the log wealth and BettingState fields (the tested count as a float) in
-    the (6, K, size) ``state``; per process, the merged log wealth ``lw``,
-    its running max ``lrm``, the anytime p-value ``p`` and, with ``evals``,
-    the merged wealth ``e``.  ``strategies`` are ``_strategies(cfg)``, bound
-    once per run."""
+    """The state of ``size`` processes of ``cfg``: per metric, the log
+    wealth and BettingState fields (the tested count as a float) in the
+    (6, K, size) ``state``; per process, the merged log wealth ``lw``, its
+    running max ``lrm``, the anytime p-value ``p`` and, with ``evals``, the
+    merged wealth ``e``.  ``strategies`` holds per metric the payoff's alpha
+    and direction, the bet bound, and the bet and fold of cfg's strategy
+    bound to it (``betting.bind``), once per run."""
 
     def __init__(self, cfg: CalibrationConfig, size: int, evals: bool):
-        self.strategies = _strategies(cfg)
+        bound = (bind(cfg.betting, bet_bound(a, d)) for a, d in cfg.requirements)
+        self.strategies = [(s.bound.alpha, s.bound.direction, s.bound, s.bet, s.fold) for s in bound]
         self.on_evals = cfg.selection_rule is SelectionRuleName.EBH
         self.state = np.zeros((6, len(self.strategies), size))
         self.state[5] = BettingState().ons_curvature

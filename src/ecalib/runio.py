@@ -177,11 +177,18 @@ def _reader(kind):
 
 def _check(kind, value, name: str, bad: list[str]):
     """value if it has the JSON type kind, else None with a violation in bad.
-    An integer is a valid float (returned as one), a boolean only a boolean."""
+    An integer is a valid float (returned as one) unless it is too large for
+    one; a boolean is only a boolean."""
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
         bad.append(f"{name} must be a JSON {_JSON_TYPE[kind]}, got {value!r}")
         return None
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        bad.append(f"{name} is an integer too large for a float")
+        return None
 
 
 def _spec_from_dict(cls, d, name: str, bad: list[str]):

@@ -197,6 +197,14 @@ class TestAbortPaths:
             with pytest.raises(OracleMalformed, match=f"answer for round {re.escape(echo.title())} to a round-1"):
                 client.query(1, [0, 1], "00" * 8)
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_an_int_too_large_for_a_float_is_out_of_range(self, sign):
+        answer = f'{{"type": "risks", "round": 1, "values": [0.5, {sign}1{"0" * 400}]}}\\n'
+        with oracle_client(after_hello(f"sys.stdin.readline(); os.write(1, b'{answer}'); sys.stdin.read()"),
+                           oracle_config(2)) as client:
+            with pytest.raises(OracleOutOfRangeRisk, match=f"^risk {sign}10{{400}} out of"):
+                client.query(1, [0, 1], "00" * 8)
+
     def test_a_second_answer_in_one_write_is_refused_as_the_next(self):
         answer = '{"type": "risks", "round": 1, "values": [0.5, 0.5]}\\n'
         script = f"sys.stdin.readline(); os.write(1, b'{answer}' * 2); sys.stdin.read()"

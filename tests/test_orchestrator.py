@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from conftest import LAYOUTS, one_run_layout, recorded
 
@@ -306,6 +307,9 @@ MALFORMED_ANSWERS = {
     "second_metric_out_of_range": (TWO_METRICS, [(0.1, 0.2), (0.3, 1.5), (-0.1, 0.5)],
                                    [[0.1, 0.2], [0.3, 1.5], [-0.1, 0.5]]),
     "nan": ((), [0.1, math.nan, 0.2], [[0.1], [math.nan], [0.2]]),
+    "int_too_large": ((), [0.1, 10**400, 0.2], [[0.1], [10**400], [0.2]]),
+    "int_too_large_second_metric": (TWO_METRICS, [(0.1, 0.2), (0.3, 10**400), (0.4, 0.5)],
+                                    [[0.1, 0.2], [0.3, 10**400], [0.4, 0.5]]),
     "other_engine_shape": ((), [(0.1,), (0.2,), (0.3,)], [0.1, 0.2, 0.3]),
     "floats_for_two_metrics": (TWO_METRICS, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3]),
     "one_tuples_for_two_metrics": (TWO_METRICS, [(0.1,), (0.2,), (0.3,)], [[0.1], [0.2], [0.3]]),
@@ -340,6 +344,7 @@ class TestMalformedAnswers:
         ("second_metric_out_of_range", "round 1: risk 1.5 for id 1 out of [0,1]"),
         ("too_few", "round 1: source returned 2 values for 3 ids"),
         ("one_tuples_for_two_metrics", "round 1: expected 2 metrics per id"),
+        ("int_too_large", "round 1: malformed answer: int too large to convert to float"),
     ])
     def test_the_first_bad_id_is_named(self, name, message):
         extra, answer, block_answer = MALFORMED_ANSWERS[name]
@@ -369,6 +374,24 @@ class TestMalformedAnswers:
 
         with pytest.raises(SourceFailure, match="^round 1: "):
             run_block(self.config(extra), Block(), [0], 10, True)
+
+
+class TestObserverContract:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_observer_reads_float_arrays_and_the_result_holds_floats(self, layout):
+        cfg = config_n1(n_candidates=3, d_stop=3, t_max=6)
+        seen = []
+
+        def observer(t, tested, risks, wealth, anytime_p, certified):
+            seen.extend((wealth, anytime_p))
+            assert all(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == (3,)
+                       for a in (wealth, anytime_p))
+
+        with one_run_layout(layout):
+            result = run_altt(cfg, ConstantSource([0.0, 0.5, 1.0]), observer=observer)
+        assert len(seen) == 2 * result.T
+        for values in (result.final_wealth, result.final_anytime_p):
+            assert len(values) == 3 and all(type(v) is float for v in values)
 
 
 class TestRoundHook:

@@ -539,6 +539,9 @@ MALFORMED = {
                                     "source.quantile_threshold -0.1 out of [0,1]"),
     "quantile_threshold_a_string": (changed(("source", "quantile_threshold"), "0.3"),
                                     "source.quantile_threshold must be a JSON number, got '0.3'"),
+    "alpha_an_int_too_large": (changed(("alpha",), 10**400), "alpha is an integer too large for a float"),
+    "arm_p_an_int_too_large": (changed(("source", "arms", 0, "p"), -10**400),
+                               "source.arms[0].p is an integer too large for a float"),
     "source_missing": (removed("source"), "missing config field 'source'"),
     "source_not_an_object": (changed(("source",), [1]), "source must be a JSON object, got [1]"),
     "source_kind_missing": (removed("source", "kind"), "unknown source kind None at source"),
@@ -595,6 +598,13 @@ class TestMalformedConfigs:
         assert main(["validate", "--config", write_doc(tmp_path, doc), "--trials", "2", "--out", str(out)]) == 1
         [line] = error_lines(caplog)
         assert line == "ERROR ecalib: source.quantile_threshold nan out of [0,1]"
+        assert not out.exists()
+
+    def test_simulate_refuses_an_int_too_large_for_a_float(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", write_doc(tmp_path, changed(("delta",), 10**400)), "--out", str(out)]) == 1
+        [line] = error_lines(caplog)
+        assert line == "ERROR ecalib: delta is an integer too large for a float"
         assert not out.exists()
 
 
