@@ -116,6 +116,14 @@ class CalibrationConfig:
         return ((self.alpha, self.direction), *((m.alpha, m.direction) for m in self.extra_metrics))
 
 
+# The most candidates a config may claim at one metric, and 1/K of it at K
+# metrics: what a run keeps per candidate and metric stays within 1 GiB.
+# tracemalloc measured 296-360 B per candidate in one-metric run_altt runs
+# (the engine state, the per-id layout's lists, acquisition and selection)
+# and 216-304 B per candidate and metric at two metrics; 400 B are counted.
+MAX_CANDIDATES = 2**30 // 400
+
+
 def validate_config(cfg: CalibrationConfig) -> CalibrationConfig:
     """Check every config invariant; raise InvalidConfig listing all failures."""
     bad: list[str] = []
@@ -129,8 +137,11 @@ def validate_config(cfg: CalibrationConfig) -> CalibrationConfig:
         if not isinstance(value, kind):
             bad.append(f"{name} must be a {kind.__name__} member, got {value!r}")
     n = cfg.n_candidates
+    most = MAX_CANDIDATES // (1 + len(cfg.extra_metrics))
     if not isinstance(n, int) or n < 1:
         bad.append("n_candidates must be a positive integer")
+    elif n > most:
+        bad.append(f"n_candidates must be <= {most}, got {n}")
     if not 0.0 < cfg.alpha < 1.0:
         bad.append("alpha out of (0,1)")
     if not 0.0 < cfg.delta < 1.0:

@@ -14,10 +14,12 @@ family-wise error as the fraction of trials whose final certified set touches
 the unreliable set, false-discovery both conditional on a nonempty selection
 and unconditional (empty set counts as zero), and true-positive rate as the
 mean certified fraction of the reliable set.  Trials run in lock-step on the
-trial-batched engine (``orchestrator.run_block``), in contiguous blocks; each
-trial's outcome equals its own ``run_altt`` run bit for bit, and reduction
-over trials is fixed by trial index, so any block split and any worker
-count give the same bytes.
+trial-batched engine (``orchestrator.run_block``), in contiguous blocks, one
+or more per process that runs them.  A trial's curves count its reliable hits
+and set size each round, its final set held through t_max; its outcome and
+curves equal its own ``run_altt`` run's bit for bit, and reduction over
+trials is fixed by trial index, so any block split and any worker count give
+the same bytes.
 """
 
 from __future__ import annotations
@@ -279,11 +281,12 @@ def derive_reliable(cfg: CalibrationConfig, spec) -> frozenset[int]:
     return out
 
 
-# Trials per block; a block's curves hold 3 * BLOCK_TRIALS * t_max counts.
+# Trials per block; a block's two curves hold 2 * BLOCK_TRIALS * t_max counts.
 BLOCK_TRIALS = 512
 
-# The largest t_max that run_trials accepts: a full block's 3 * BLOCK_TRIALS
-# * t_max counts stay below 2**31, and _trial_block indexes rounds as int32.
+# The largest t_max that run_trials accepts: a full block's two curves and
+# its mask of changed rounds, 3 * BLOCK_TRIALS * t_max entries together, stay
+# below 2**31, and _trial_block indexes rounds as int32.
 MAX_T_MAX = (2**31 - 1) // (3 * BLOCK_TRIALS)
 
 
@@ -319,12 +322,10 @@ class MetricsSummary:
     tpr_trials: tuple[float, ...]
 
 
-def _make_hook(rel_hits, unrel_hits, sizes, reliable: frozenset[int], unreliable: frozenset[int]):
+def _make_hook(rel_hits, sizes, reliable: frozenset[int]):
     def hook(t: int, tested, risks, wealth, anytime_p, selected: frozenset[int]) -> None:
-        idx = t - 1
-        rel_hits[idx] = len(selected & reliable)
-        unrel_hits[idx] = len(selected & unreliable)
-        sizes[idx] = len(selected)
+        rel_hits[t - 1] = len(selected & reliable)
+        sizes[t - 1] = len(selected)
 
     return hook
 
@@ -332,9 +333,8 @@ def _make_hook(rel_hits, unrel_hits, sizes, reliable: frozenset[int], unreliable
 class TrialAccumulator:
     """Streams per-trial outcomes into the summary statistics in trial order."""
 
-    def __init__(self, reliable: frozenset[int], n_candidates: int, horizon: int):
+    def __init__(self, reliable: frozenset[int], horizon: int):
         self.reliable = reliable
-        self.unreliable = frozenset(range(n_candidates)) - reliable
         self.horizon = horizon
         self.m = 0
         self.n_any_false = 0
@@ -351,28 +351,23 @@ class TrialAccumulator:
         self.sum_fdp_curve = np.zeros(horizon, dtype=np.float64)
         self.sum_size = np.zeros(horizon, dtype=np.float64)
 
-    def add(self, result: RunResult, rel_hits, unrel_hits, sizes) -> None:
-        # Pad past the stopping round with the final set: the certificate is
-        # whatever the run returned, held fixed for the rest of the horizon.
-        T = result.T
-        if T < self.horizon:
-            rel_hits[T:] = len(result.selected & self.reliable)
-            unrel_hits[T:] = len(result.selected & self.unreliable)
-            sizes[T:] = len(result.selected)
+    def add(self, result: RunResult, rel_hits, sizes) -> None:
+        """One trial's result and curves, which hold its final set through
+        the horizon; the curves are read, never written."""
+        unrel_hits = sizes - rel_hits
+        n_sel, n_false = int(sizes[-1]), int(unrel_hits[-1])
         self.m += 1
-        n_false = len(result.selected & self.unreliable)
-        n_sel = len(result.selected)
         if n_false:
             self.n_any_false += 1
         if n_sel:
             self.n_nonempty += 1
             self.sum_fdp += n_false / n_sel
         if self.reliable:
-            tp = len(result.selected & self.reliable) / len(self.reliable)
+            tp = int(rel_hits[-1]) / len(self.reliable)
             self.sum_tp += tp
             self.sum_tp_sq += tp * tp
             self.tp_trials.append(tp)
-        self.sum_T += T
+        self.sum_T += result.T
         self.sum_queries += result.n_queries
         key = result.stop_reason.value
         self.stop_counts[key] = self.stop_counts.get(key, 0) + 1
@@ -421,52 +416,46 @@ class TrialAccumulator:
         )
 
 
-def _one_trial(args) -> tuple[int, RunResult, np.ndarray, np.ndarray, np.ndarray]:
+def _one_trial(args) -> tuple[int, RunResult, np.ndarray, np.ndarray]:
     """One trial on the one-run engine: the reference ``_trial_block``'s rows
-    must equal, outcome and curves alike."""
+    must equal, outcome and curves alike, the final set held through t_max."""
     cfg, spec, base_seed, trial, reliable = args
-    unreliable = frozenset(range(cfg.n_candidates)) - reliable
-    rel_hits, unrel_hits, sizes = (np.zeros(cfg.t_max, dtype=np.int32) for _ in range(3))
-    hook = _make_hook(rel_hits, unrel_hits, sizes, reliable, unreliable)
+    rel_hits, sizes = np.zeros((2, cfg.t_max), dtype=np.int32)
     source = spec.make_source(base_seed, trial)
-    result = run_altt(cfg, source, trial=trial, observer=hook)
+    result = run_altt(cfg, source, trial=trial, observer=_make_hook(rel_hits, sizes, reliable))
+    rel_hits[result.T:] = len(result.selected & reliable)
+    sizes[result.T:] = len(result.selected)
     # Drop the heavyweight fields before results cross a process boundary.
     slim = RunResult(result.selected, result.T, result.stop_reason, (), (), result.n_queries)
-    return trial, slim, rel_hits, unrel_hits, sizes
+    return trial, slim, rel_hits, sizes
 
 
 def _trial_block(args) -> tuple[list[RunResult], np.ndarray]:
     """Trials start..stop-1 on the trial-batched engine: slim results and
-    their (3, M, t_max) curves of reliable hits, unreliable hits and set
-    sizes, each round as ``_make_hook`` records it."""
+    their (2, M, t_max) curves of reliable hits and set sizes, each round as
+    ``_make_hook`` records it and the final set held past a row's stop."""
     cfg, spec, base_seed, start, stop, reliable = args
     trials = np.arange(start, stop)
     in_rel = np.zeros(cfg.n_candidates, dtype=bool)
     in_rel[list(reliable)] = True
     # Counts are at most n_candidates, so the least unsigned type holding it
     # holds them; the accumulator's float64 arithmetic on them is exact.
-    curves = np.zeros((3, len(trials), cfg.t_max), dtype=np.min_scalar_type(cfg.n_candidates))
+    curves = np.zeros((2, len(trials), cfg.t_max), dtype=np.min_scalar_type(cfg.n_candidates))
 
     # Counts are recorded only for the rows whose set moved; a row's counts
-    # hold until its next change, and past its stopping round they are 0.
+    # hold until its next change, and from its stopping round on, to t_max.
     changes = np.zeros((len(trials), cfg.t_max), dtype=bool)
 
     def observe(t: int, rows, ids, risks, moved: np.ndarray, merged_lw, anytime_p, certified: np.ndarray) -> None:
         if not len(moved):
             return
         sel = certified[moved]
-        rel = (sel & in_rel).sum(axis=1)
-        size = sel.sum(axis=1)
-        curves[0, moved, t - 1] = rel
-        curves[1, moved, t - 1] = size - rel
-        curves[2, moved, t - 1] = size
+        curves[0, moved, t - 1] = (sel & in_rel).sum(axis=1)
+        curves[1, moved, t - 1] = sel.sum(axis=1)
         changes[moved, t - 1] = True
 
     block = spec.make_block(base_seed, trials)
     results = run_block(cfg, block, trials, cfg.t_max, True, observer=observe)
-    stops = np.array([r.T for r in results])
-    early = np.flatnonzero(stops < cfg.t_max)
-    changes[early, stops[early]] = True
     # Forward fill: each round reads the counts of its row's latest change.
     latest = np.where(changes, np.arange(cfg.t_max, dtype=np.int32), 0)
     np.maximum.accumulate(latest, axis=1, out=latest)
@@ -476,10 +465,10 @@ def _trial_block(args) -> tuple[list[RunResult], np.ndarray]:
     return slim, curves
 
 
-def _blocks(M: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous near-equal trial ranges: one per worker, more when a
-    worker's share exceeds BLOCK_TRIALS."""
-    count = min(M, max(workers, -(-M // BLOCK_TRIALS)))
+def _blocks(M: int, processes: int) -> list[tuple[int, int]]:
+    """Contiguous near-equal trial ranges: one per process that runs them,
+    more when a process's share exceeds BLOCK_TRIALS."""
+    count = min(M, max(processes, -(-M // BLOCK_TRIALS)))
     edges = [M * j // count for j in range(count + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -503,13 +492,13 @@ def run_trials(
 ) -> MetricsSummary:
     """M independent adaptive runs, scored against ground truth.
 
-    Trials run in lock-step in contiguous blocks (``_blocks``), spread over
-    ``workers`` processes, at most one per CPU the process may run on
-    (``_usable_cpus``); outcomes are added in trial order, so neither the
-    blocks nor the worker count changes a bit of the summary.  ``reliable``
-    overrides the derived reliable set for instances where the requirement
-    does not reduce to cfg.alpha on spec.means(); when it is empty the TPR
-    is NaN.
+    Trials run in lock-step in contiguous blocks (``_blocks``), one or more
+    per process that runs them: ``workers`` processes, at most one per trial
+    and one per CPU the process may run on (``_usable_cpus``).  Outcomes are
+    added in trial order, so neither the blocks nor the worker count changes
+    a bit of the summary.  ``reliable`` overrides the derived reliable set
+    for instances where the requirement does not reduce to cfg.alpha on
+    spec.means(); when it is empty the TPR is NaN.
     """
     if M < 1:
         raise InvalidConfig(["M must be >= 1"])
@@ -521,9 +510,9 @@ def run_trials(
     if reliable is None:
         reliable = derive_reliable(cfg, spec)
 
-    acc = TrialAccumulator(reliable, cfg.n_candidates, cfg.t_max)
-    tasks = [(cfg, spec, base_seed, start, stop, reliable) for start, stop in _blocks(M, workers)]
-    processes = min(workers, len(tasks), _usable_cpus())
+    acc = TrialAccumulator(reliable, cfg.t_max)
+    processes = min(workers, M, _usable_cpus())
+    tasks = [(cfg, spec, base_seed, start, stop, reliable) for start, stop in _blocks(M, processes)]
     if processes > 1:
         # Imported where a pool starts, so that a process that starts none
         # loads neither concurrent.futures nor multiprocessing.
@@ -535,7 +524,7 @@ def run_trials(
             import scipy.special  # noqa: F401
     with ProcessPoolExecutor(processes) if processes > 1 else nullcontext() as pool:
         blocks = pool.map(_trial_block, tasks) if pool else map(_trial_block, tasks)
-        for results, (rel_hits, unrel_hits, sizes) in blocks:
+        for results, (rel_hits, sizes) in blocks:
             for j, result in enumerate(results):
-                acc.add(result, rel_hits[j], unrel_hits[j], sizes[j])
+                acc.add(result, rel_hits[j], sizes[j])
     return acc.summary()

@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from ecalib.core import (
+    MAX_CANDIDATES,
     AcquisitionPolicy,
     AcquisitionSpec,
     BettingSpec,
@@ -76,6 +77,17 @@ class TestValidateConfig:
         cfg = good_config(betting=BettingSpec(BettingStrategy.UNIT, clip_fraction=1.0, max_bet_epsilon=1e-18))
         with pytest.raises(InvalidConfig):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("metrics", [1, 2])
+    def test_candidates_bounded_by_what_a_run_keeps(self, metrics):
+        # Checked on the config alone: no run allocates its state here.
+        extra = tuple(MetricSpec(alpha=0.2, direction=Direction.RISK_BELOW) for _ in range(metrics - 1))
+        most = MAX_CANDIDATES // metrics
+        cfg = good_config(n_candidates=most, extra_metrics=extra)
+        assert validate_config(cfg) is cfg
+        with pytest.raises(InvalidConfig) as exc:
+            validate_config(good_config(n_candidates=most + 1, extra_metrics=extra))
+        assert exc.value.violations == [f"n_candidates must be <= {most}, got {most + 1}"]
 
     def test_extra_metric_alpha_checked(self):
         cfg = good_config(extra_metrics=(MetricSpec(alpha=1.5, direction=Direction.RISK_BELOW),))

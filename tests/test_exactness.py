@@ -867,10 +867,10 @@ class TestRowWiseLayers:
 def reference_summary(cfg, spec, M, base_seed):
     """run_trials' summary from the scalar engine, added in trial order."""
     reliable = derive_reliable(cfg, spec)
-    acc = TrialAccumulator(reliable, cfg.n_candidates, cfg.t_max)
+    acc = TrialAccumulator(reliable, cfg.t_max)
     for trial in range(M):
-        _, result, rel_hits, unrel_hits, sizes = _one_trial((cfg, spec, base_seed, trial, reliable))
-        acc.add(result, rel_hits, unrel_hits, sizes)
+        _, result, rel_hits, sizes = _one_trial((cfg, spec, base_seed, trial, reliable))
+        acc.add(result, rel_hits, sizes)
     return acc.summary()
 
 
@@ -896,19 +896,21 @@ class TestRunTrials:
         # Uniform acquisition keeps testing certified ids, so an e-value can
         # fall and e-BH's set shrink, then grow again; rows stop at d_stop in
         # different rounds.  Counts are recorded only where a set changed and
-        # filled forward, and past a row's stop they stay 0, as _make_hook
-        # leaves them.
+        # filled forward, and from a row's stop on they hold its final set
+        # through t_max, as _one_trial pads them.
         cfg = small_config(SelectionRuleName.EBH, SMALL_SPEC.n, d_stop=3, t_max=120, delta=0.5,
                            acquisition=AcquisitionSpec(AcquisitionPolicy.UNIFORM_ALL, batch_size=3))
         reliable = derive_reliable(cfg, SMALL_SPEC)
         with chunk_rounds(chunk):
             results, curves = _trial_block((cfg, SMALL_SPEC, 5, 0, 8, reliable))
-        assert curves.shape == (3, 8, cfg.t_max)
+        assert curves.shape == (2, 8, cfg.t_max)
         regrown, stops = 0, set()
         for trial, result in enumerate(results):
-            _, want, rel_hits, unrel_hits, sizes = _one_trial((cfg, SMALL_SPEC, 5, trial, reliable))
+            _, want, rel_hits, sizes = _one_trial((cfg, SMALL_SPEC, 5, trial, reliable))
             assert (result.T, result.selected) == (want.T, want.selected)
-            assert curves[:, trial].tolist() == [rel_hits.tolist(), unrel_hits.tolist(), sizes.tolist()]
+            assert curves[:, trial].tolist() == [rel_hits.tolist(), sizes.tolist()]
+            final = [[len(want.selected & reliable)], [len(want.selected)]]
+            assert (curves[:, trial, want.T:] == np.array(final)).all()
             steps = np.diff(sizes[: want.T].astype(int))
             regrown += bool((steps < 0).any() and (steps[np.argmax(steps < 0):] > 0).any())
             stops.add(want.T)

@@ -26,6 +26,7 @@ from ecalib.core import (
     AcquisitionSpec,
     BettingSpec,
     BettingStrategy,
+    MAX_CANDIDATES,
     CalibrationConfig,
     Direction,
     ErrorMetric,
@@ -894,6 +895,19 @@ class TestEarlierRunDirectories:
         assert main(["replay", "--in", str(run)]) == 1
         [line] = error_lines(caplog)
         assert line.startswith(f"ERROR ecalib: {run / artifact} line ")
+
+
+    def test_a_claimed_candidate_count_beyond_the_bound_is_refused(self, tmp_path, caplog):
+        # An oracle config claims N without listing arms; replay refuses it
+        # before the engine allocates N processes.
+        run = tmp_path / "calibrate"
+        shutil.copytree(RUNS / "calibrate", run)
+        manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+        manifest["config"]["n_candidates"] = 10**13
+        (run / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        caplog.clear()
+        assert main(["replay", "--in", str(run)]) == 1
+        assert error_lines(caplog) == [f"ERROR ecalib: n_candidates must be <= {MAX_CANDIDATES}, got {10**13}"]
 
 
 def edit_final(run_dir, **changes) -> None:

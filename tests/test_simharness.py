@@ -239,6 +239,40 @@ class TestMetricOrderings:
         parallel = run_trials(cfg, spec, M=6, base_seed=11, workers=2)
         assert serial == parallel
 
+    def test_blocks_are_split_by_the_processes_that_run(self, monkeypatch):
+        # Four workers asked for on one usable CPU: one process runs the
+        # trials, so they run as one block, not as four one after another.
+        spec = SyntheticSpec(tuple(Bernoulli(p) for p in (0.1, 0.3, 0.7)))
+        cfg = full_batch_config(3, alpha=0.4, delta=0.1, t_max=30, d_stop=2)
+        serial = run_trials(cfg, spec, M=7, base_seed=4, workers=1)
+        blocks = []
+        trial_block = simharness._trial_block
+
+        def counted(args):
+            blocks.append(args[3:5])
+            return trial_block(args)
+
+        monkeypatch.setattr(simharness, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(simharness, "_trial_block", counted)
+        assert run_trials(cfg, spec, M=7, base_seed=4, workers=4) == serial
+        assert blocks == [(0, 7)]
+
+    def test_accumulator_leaves_the_curves_unchanged(self):
+        # Rows stop at d_stop before t_max, so the curves hold their final
+        # sets for rounds the run never reached.
+        spec = SyntheticSpec(tuple(Bernoulli(p) for p in (0.1, 0.3, 0.7)))
+        cfg = full_batch_config(3, alpha=0.5, delta=0.1, t_max=60, d_stop=1)
+        reliable = derive_reliable(cfg, spec)
+        results, curves = simharness._trial_block((cfg, spec, 0, 0, 4, reliable))
+        assert all(r.T < cfg.t_max for r in results)
+        before = curves.copy()
+        curves.setflags(write=False)
+        acc = simharness.TrialAccumulator(reliable, cfg.t_max)
+        for j, result in enumerate(results):
+            acc.add(result, curves[0, j], curves[1, j])
+        assert (curves == before).all()
+        assert acc.summary().M == 4
+
     # The CPUs are the process's affinity set where the platform has one
     # (None: it has none), else the machine's count (None: unknown).
     @pytest.mark.parametrize("affinity, cpus, size", [
