@@ -10,6 +10,7 @@ reliable sets) derives from that convention.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidConfig, InvalidOrder, OutOfRange
@@ -124,21 +125,49 @@ class CalibrationConfig:
 MAX_CANDIDATES = 2**30 // 400
 
 
+# A field's domain: the test its value passes, and how a value outside reads.
+UNIT = (lambda v: 0.0 <= v <= 1.0, "out of [0,1]")
+POSITIVE = (lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0")
+
+
+def check_domains(spec, domains: dict) -> None:
+    """InvalidConfig listing each field of spec outside its domain in
+    ``domains`` (field name -> domain), each violation led by the name."""
+    bad = [f"{name} {getattr(spec, name)!r} {reads}"
+           for name, (inside, reads) in domains.items() if not inside(getattr(spec, name))]
+    if bad:
+        raise InvalidConfig(bad)
+
+
 def validate_config(cfg: CalibrationConfig) -> CalibrationConfig:
-    """Check every config invariant; raise InvalidConfig listing all failures."""
-    bad: list[str] = []
+    """Check every config invariant; raise InvalidConfig listing all failures:
+    of the fields' types first, then, if every type is right, of the rest."""
+    acq, bet = cfg.acquisition, cfg.betting
     enums = [
         ("direction", cfg.direction, Direction),
         ("selection_rule", cfg.selection_rule, SelectionRuleName),
-        ("acquisition.policy", cfg.acquisition.policy, AcquisitionPolicy),
-        ("betting.strategy", cfg.betting.strategy, BettingStrategy),
+        ("acquisition.policy", acq.policy, AcquisitionPolicy),
+        ("betting.strategy", bet.strategy, BettingStrategy),
     ] + [(f"extra_metrics[{k}].direction", m.direction, Direction) for k, m in enumerate(cfg.extra_metrics)]
-    for name, value, kind in enums:
-        if not isinstance(value, kind):
-            bad.append(f"{name} must be a {kind.__name__} member, got {value!r}")
+    # (name, value, type, noun) of each field; a bool is no integer or number.
+    typed = [(name, value, kind, f"a {kind.__name__} member") for name, value, kind in enums]
+    typed += [("literal_set", cfg.literal_set, bool, "a boolean")]
+    typed += [(name, getattr(cfg, name), int, "an integer") for name in ("n_candidates", "t_max", "d_stop", "seed")]
+    typed += [("batch_size", acq.batch_size, int, "an integer")]
+    typed += [(f"fixed_sequence_order[{j}]", v, int, "an integer") for j, v in enumerate(cfg.fixed_sequence_order or ())]
+    typed += [(name, getattr(cfg, name), (int, float), "a number") for name in ("alpha", "delta")]
+    typed += [("acquisition.epsilon", acq.epsilon, (int, float), "a number")]
+    typed += [(f"betting.{name}", getattr(bet, name), (int, float), "a number")
+              for name in ("clip_fraction", "max_bet_epsilon")]
+    typed += [(f"extra_metrics[{k}].alpha", m.alpha, (int, float), "a number") for k, m in enumerate(cfg.extra_metrics)]
+    bad = [f"{name} must be {noun}, got {value!r}" for name, value, kind, noun in typed
+           if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)]
+    if bad:
+        raise InvalidConfig(bad)
+
     n = cfg.n_candidates
     most = MAX_CANDIDATES // (1 + len(cfg.extra_metrics))
-    if not isinstance(n, int) or n < 1:
+    if n < 1:
         bad.append("n_candidates must be a positive integer")
     elif n > most:
         bad.append(f"n_candidates must be <= {most}, got {n}")
@@ -150,20 +179,18 @@ def validate_config(cfg: CalibrationConfig) -> CalibrationConfig:
         bad.append("t_max must be >= 1")
     if cfg.d_stop < 1:
         bad.append("d_stop must be >= 1")
-    elif isinstance(n, int) and n >= 1 and cfg.d_stop > n:
+    elif n >= 1 and cfg.d_stop > n:
         bad.append("d_stop exceeds n_candidates")
     if not 0 <= cfg.seed < 2**64:
         bad.append("seed out of [0, 2**64)")
 
-    acq = cfg.acquisition
     if acq.batch_size < 1:
         bad.append("batch_size must be >= 1")
-    elif isinstance(n, int) and n >= 1 and acq.batch_size > n:
+    elif n >= 1 and acq.batch_size > n:
         bad.append("batch_size exceeds n_candidates")
     if acq.policy is AcquisitionPolicy.EPS_GREEDY and not 0.0 <= acq.epsilon <= 1.0:
         bad.append("acquisition epsilon out of [0,1]")
 
-    bet = cfg.betting
     if not 0.0 < bet.clip_fraction <= 1.0:
         bad.append("betting clip_fraction out of (0,1]")
     if not 0.0 < bet.max_bet_epsilon < 1.0:
@@ -177,7 +204,7 @@ def validate_config(cfg: CalibrationConfig) -> CalibrationConfig:
 
     if cfg.fixed_sequence_order is not None:
         try:
-            check_order(cfg.fixed_sequence_order, n if isinstance(n, int) else 0)
+            check_order(cfg.fixed_sequence_order, n)
         except InvalidOrder as exc:
             bad.append(str(exc))
 

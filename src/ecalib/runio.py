@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 from . import __version__
-from .core import AcquisitionSpec, CalibrationConfig, ErrorMetric, validate_config
+from .core import POSITIVE, AcquisitionSpec, CalibrationConfig, ErrorMetric, check_domains, validate_config
 from .errors import EcalibError, InvalidConfig, OracleError
 from .oracle import DEFAULT_TIMEOUT, command_argv
 from .orchestrator import RunResult, run_altt
@@ -48,6 +48,14 @@ class ReplayMismatch(EcalibError):
 class OracleSpec:
     command: str
     timeout: float = DEFAULT_TIMEOUT
+
+    def __post_init__(self):
+        try:
+            splits = bool(command_argv(self.command))
+        except OracleError:
+            splits = False
+        check_domains(self, {"command": (lambda _: splits, "must split, shell-style, into at least one word"),
+                             "timeout": POSITIVE})
 
 
 Source = Union[SyntheticSpec, CompositeSyntheticSpec, OracleSpec]
@@ -65,9 +73,9 @@ def fmt17(x: float) -> str:
 
 
 # A config document is the config dataclasses written out: each JSON object
-# holds the fields of its class.  Written by hand are only the tags of its
-# unions (each tag key, what its value names, and the class of each value),
-# the domains of fields, and the checks across fields.
+# holds the fields of its class, and each class checks its fields' domains.
+# Written by hand are only the tags of its unions (each tag key, what its
+# value names, and the class of each value) and the checks across fields.
 _TAGS = {
     "kind": ("source kind", {"synthetic": SyntheticSpec, "composite": CompositeSyntheticSpec, "oracle": OracleSpec}),
     "dist": ("distribution", {"bernoulli": Bernoulli, "beta": Beta, "point": PointMass}),
@@ -85,26 +93,6 @@ class _Document:
     batch_size: int = AcquisitionSpec.batch_size
     sweep: dict | None = None
 
-
-def _splits(command: str) -> bool:
-    try:
-        return bool(command_argv(command))
-    except OracleError:
-        return False
-
-
-# The domain of a field, by its class and the type of its value, and how a
-# value outside it reads.
-_UNIT = (lambda v: 0.0 <= v <= 1.0, "out of [0,1]")
-_POSITIVE = (lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0")
-_DOMAINS = {
-    (Bernoulli, float): _UNIT,
-    (PointMass, float): _UNIT,
-    (Beta, float): _POSITIVE,
-    (SyntheticSpec, float): _UNIT,
-    (OracleSpec, float): _POSITIVE,
-    (OracleSpec, str): (_splits, "must split, shell-style, into at least one word"),
-}
 
 # The two rule/metric mismatches, named by the metric the config states.
 _METRIC_RULES = {ErrorMetric.FWER: "bonferroni or fixed_sequence", ErrorMetric.FDR: "bh, by, or ebh"}
@@ -192,10 +180,11 @@ def _check(kind, value, name: str, bad: list[str]):
 
 
 def _spec_from_dict(cls, d, name: str, bad: list[str]):
-    """cls from its JSON object, each field read by its type's reader and
-    checked against its domain; a missing field takes its default.  None,
-    with the violations in bad, unless every key is a field or the tag of
-    cls, and every field is valid and cls accepts them."""
+    """cls from its JSON object, each field read by its type's reader; a
+    missing field takes its default.  None, with the violations in bad,
+    unless every key is a field or the tag of cls, and every field is valid
+    and cls accepts them (each violation of cls's own checks led by the
+    object's path)."""
     if not isinstance(d, dict):
         return _check(dict, d, name, bad)
     n_bad = len(bad)
@@ -213,16 +202,13 @@ def _spec_from_dict(cls, d, name: str, bad: list[str]):
             v = None
         else:
             v = default
-        domain = _DOMAINS.get((cls, type(v)))
-        if domain is not None and not domain[0](v):
-            bad.append(f"{path} {v!r} {domain[1]}")
         values[key] = v
     if len(bad) > n_bad:
         return None
     try:
         return cls(**values)
     except InvalidConfig as exc:
-        bad += exc.violations
+        bad += [prefix + m for m in exc.violations]
         return None
 
 

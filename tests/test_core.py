@@ -89,6 +89,36 @@ class TestValidateConfig:
             validate_config(good_config(n_candidates=most + 1, extra_metrics=extra))
         assert exc.value.violations == [f"n_candidates must be <= {most}, got {most + 1}"]
 
+    # Each wrong type is one violation, reported before any range check:
+    # ranges compare, and a bool would pass as the integer it equals.
+    @pytest.mark.parametrize(
+        "overrides, violation",
+        [
+            ({"t_max": 2.5}, "t_max must be an integer, got 2.5"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"d_stop": 1.5}, "d_stop must be an integer, got 1.5"),
+            ({"n_candidates": True}, "n_candidates must be an integer, got True"),
+            ({"acquisition": AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.25, batch_size=1.5)},
+             "batch_size must be an integer, got 1.5"),
+            ({"fixed_sequence_order": (0, 1, 2, 3, 4.0)}, "fixed_sequence_order[4] must be an integer, got 4.0"),
+            ({"alpha": "0.2"}, "alpha must be a number, got '0.2'"),
+            ({"delta": None}, "delta must be a number, got None"),
+            ({"acquisition": AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=True)},
+             "acquisition.epsilon must be a number, got True"),
+            ({"betting": BettingSpec(BettingStrategy.AGRAPA, clip_fraction="0.5")},
+             "betting.clip_fraction must be a number, got '0.5'"),
+            ({"betting": BettingSpec(BettingStrategy.AGRAPA, max_bet_epsilon=None)},
+             "betting.max_bet_epsilon must be a number, got None"),
+            ({"extra_metrics": (MetricSpec(alpha="0.5", direction=Direction.RISK_BELOW),)},
+             "extra_metrics[0].alpha must be a number, got '0.5'"),
+            ({"literal_set": 1}, "literal_set must be a boolean, got 1"),
+        ],
+    )
+    def test_wrongly_typed_field_refused(self, overrides, violation):
+        with pytest.raises(InvalidConfig) as exc:
+            validate_config(good_config(**overrides))
+        assert exc.value.violations == [violation]
+
     def test_extra_metric_alpha_checked(self):
         cfg = good_config(extra_metrics=(MetricSpec(alpha=1.5, direction=Direction.RISK_BELOW),))
         with pytest.raises(InvalidConfig) as exc:

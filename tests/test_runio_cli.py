@@ -527,9 +527,9 @@ MALFORMED = {
     "composite_metric_not_an_object": (composite_doc([5]), "source.metrics[0] must be a JSON object, got 5"),
     "composite_metrics_missing": (composite_doc(None), "missing config field 'source.metrics'"),
     "composite_metrics_a_string": (composite_doc("ab"), "source.metrics must be a JSON list, got 'ab'"),
-    "composite_metrics_empty": (composite_doc([]), "composite metrics must be nonempty and equally sized"),
+    "composite_metrics_empty": (composite_doc([]), "source.metrics must be nonempty and equally sized"),
     "composite_sizes_differ": (composite_doc([THREE_ARMS, {"kind": "synthetic", "arms": THREE_ARMS["arms"][:2]}]),
-                               "composite metrics must be nonempty and equally sized"),
+                               "source.metrics must be nonempty and equally sized"),
     "composite_metric_arm_bad": (composite_doc([THREE_ARMS, {"kind": "synthetic", "arms": [{"dist": "point"}] * 3}]),
                                  "missing config field 'source.metrics[1].arms[0].value'"),
     "quantile_threshold_nan": (changed(("source", "quantile_threshold"), math.nan),
@@ -628,6 +628,12 @@ class TestDistributionParameters:
         doc["source"]["arms"][0] = arm
         with pytest.raises(InvalidConfig, match=re.escape(field)):
             parse_config(doc)
+
+    def test_oracle_spec_checks_its_fields(self):
+        with pytest.raises(InvalidConfig) as exc:
+            OracleSpec("'unclosed", 0.0)
+        assert exc.value.violations == ["command \"'unclosed\" must split, shell-style, into at least one word",
+                                        "timeout 0.0 must be finite and > 0"]
 
     def test_composite_metric_arms_checked(self):
         doc = base_config_doc()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,21 @@ class TestDistributions:
         u = np.arange(100) / 100.0
         assert (Bernoulli.sample(u, 0.0) == 0.0).all()
         assert (Bernoulli.sample(u, 1.0) == 1.0).all()
+
+    # The library refuses what a config file refuses: each violation begins
+    # with the field's name, and parse_config prefixes the object's path.
+    @pytest.mark.parametrize("make, violations", [
+        (lambda: Bernoulli(-0.5), ["p -0.5 out of [0,1]"]),
+        (lambda: Bernoulli(2.0), ["p 2.0 out of [0,1]"]),
+        (lambda: PointMass(math.nan), ["value nan out of [0,1]"]),
+        (lambda: Beta(0.0, math.inf), ["a 0.0 must be finite and > 0", "b inf must be finite and > 0"]),
+        (lambda: SyntheticSpec((Bernoulli(0.5),), quantile_threshold=1.5), ["quantile_threshold 1.5 out of [0,1]"]),
+        (lambda: CompositeSyntheticSpec(()), ["metrics must be nonempty and equally sized"]),
+    ])
+    def test_out_of_domain_parameters_refused(self, make, violations):
+        with pytest.raises(InvalidConfig) as exc:
+            make()
+        assert exc.value.violations == violations
 
     def test_bernoulli_law(self):
         spec = SyntheticSpec((Bernoulli(0.3),))
@@ -272,6 +288,47 @@ class TestMetricOrderings:
             acc.add(result, curves[0, j], curves[1, j])
         assert (curves == before).all()
         assert acc.summary().M == 4
+
+    def test_blocks_are_capped_by_their_candidates(self, monkeypatch):
+        # Three candidates at two metrics are six pairs per trial, so a
+        # budget of 14 pairs caps a block at two trials.
+        arms = SyntheticSpec(tuple(Bernoulli(p) for p in (0.1, 0.3, 0.7)))
+        spec = CompositeSyntheticSpec((arms, arms))
+        cfg = full_batch_config(3, alpha=0.4, delta=0.1, t_max=30, d_stop=2,
+                                extra_metrics=(MetricSpec(0.5, Direction.RISK_BELOW),))
+        unsplit = run_trials(cfg, spec, M=7, base_seed=4)
+        blocks = []
+        trial_block = simharness._trial_block
+
+        def counted(args):
+            blocks.append(args[4] - args[3])
+            return trial_block(args)
+
+        monkeypatch.setattr(simharness, "BLOCK_PAIRS", 14)
+        monkeypatch.setattr(simharness, "_trial_block", counted)
+        assert run_trials(cfg, spec, M=7, base_seed=4) == unsplit
+        assert blocks == [1, 2, 2, 2]
+
+    def test_block_holds_its_curves_and_the_engine_state(self):
+        # The frozen 20-arm acceptance instance, stopping at d_stop = 3
+        # within a few thousand of its 20,000 rounds: each set change is
+        # written through to t_max, so the block holds no round-indexed
+        # array beside its two curves.
+        means = (0.05, 0.06, 0.07, 0.08, 0.11, 0.12, 0.13, 0.18) + tuple(0.25 + 0.35 * i / 11 for i in range(12))
+        spec = SyntheticSpec(tuple(Bernoulli(m) for m in means))
+        cfg = full_batch_config(20, alpha=0.2, delta=0.1, t_max=20_000, d_stop=3,
+                                acquisition=AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.25, batch_size=1),
+                                betting=BettingSpec(BettingStrategy.AGRAPA), seed=7)
+        reliable = derive_reliable(cfg, spec)
+        simharness._trial_block((cfg, spec, 7, 0, 2, reliable))  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            results, curves = simharness._trial_block((cfg, spec, 7, 0, 64, reliable))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.T < cfg.t_max for r in results)
+        assert peak <= 1.5 * curves.nbytes
 
     # The CPUs are the process's affinity set where the platform has one
     # (None: it has none), else the machine's count (None: unknown).
