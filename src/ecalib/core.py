@@ -102,7 +102,6 @@ class CalibrationConfig:
     t_max: int
     d_stop: int
     seed: int
-    literal_set: bool = False
     fixed_sequence_order: tuple[int, ...] | None = None
     extra_metrics: tuple[MetricSpec, ...] = ()
 
@@ -125,33 +124,63 @@ class CalibrationConfig:
 MAX_CANDIDATES = 2**30 // 400
 
 
-# A field's domain: the test its value passes, and how a value outside reads.
-UNIT = (lambda v: 0.0 <= v <= 1.0, "out of [0,1]")
-POSITIVE = (lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0")
+def _is_a(value, kind) -> bool:
+    """isinstance(value, kind), except that a bool is only a bool: it is no
+    integer or number, as in JSON."""
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, kind)
+
+
+def _type_errors(typed) -> list[str]:
+    """The violation of each (name, value, type, noun) whose value is not of
+    its type, the noun naming the type."""
+    return [f"{name} must be {noun}, got {value!r}" for name, value, kind, noun in typed if not _is_a(value, kind)]
+
+
+# A field's domain: its type and the noun that names it, the test a value of
+# that type passes, and how a value outside reads.
+UNIT = ((int, float), "a number", lambda v: 0.0 <= v <= 1.0, "out of [0,1]")
+POSITIVE = ((int, float), "a number", lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0")
+FLAG = (bool, "a boolean", lambda v: True, "")
 
 
 def check_domains(spec, domains: dict) -> None:
-    """InvalidConfig listing each field of spec outside its domain in
-    ``domains`` (field name -> domain), each violation led by the name."""
-    bad = [f"{name} {getattr(spec, name)!r} {reads}"
-           for name, (inside, reads) in domains.items() if not inside(getattr(spec, name))]
+    """InvalidConfig listing each field of spec, in ``domains`` (field name ->
+    domain), that is not of its domain's type or lies outside the domain;
+    each violation is led by the name."""
+    bad = []
+    for name, (kind, noun, inside, reads) in domains.items():
+        value = getattr(spec, name)
+        if not _is_a(value, kind):
+            bad += _type_errors([(name, value, kind, noun)])
+        elif not inside(value):
+            bad.append(f"{name} {value!r} {reads}")
     if bad:
         raise InvalidConfig(bad)
 
 
 def validate_config(cfg: CalibrationConfig) -> CalibrationConfig:
     """Check every config invariant; raise InvalidConfig listing all failures:
-    of the fields' types first, then, if every type is right, of the rest."""
-    acq, bet = cfg.acquisition, cfg.betting
+    of the shapes of the fields that hold others first, then of the fields'
+    types, then, if every type is right, of the rest."""
+    acq, bet, metrics = cfg.acquisition, cfg.betting, cfg.extra_metrics
+    # (name, value, type, noun) of each field; a holder's fields are read
+    # only once every holder has its shape.
+    shapes = [("acquisition", acq, AcquisitionSpec, "an AcquisitionSpec"),
+              ("betting", bet, BettingSpec, "a BettingSpec"),
+              ("extra_metrics", metrics, tuple, "a tuple"),
+              ("fixed_sequence_order", cfg.fixed_sequence_order, (tuple, type(None)), "a tuple or None")]
+    shapes += [(f"extra_metrics[{k}]", m, MetricSpec, "a MetricSpec")
+               for k, m in enumerate(metrics if isinstance(metrics, tuple) else ())]
+    bad = _type_errors(shapes)
+    if bad:
+        raise InvalidConfig(bad)
     enums = [
         ("direction", cfg.direction, Direction),
         ("selection_rule", cfg.selection_rule, SelectionRuleName),
         ("acquisition.policy", acq.policy, AcquisitionPolicy),
         ("betting.strategy", bet.strategy, BettingStrategy),
-    ] + [(f"extra_metrics[{k}].direction", m.direction, Direction) for k, m in enumerate(cfg.extra_metrics)]
-    # (name, value, type, noun) of each field; a bool is no integer or number.
+    ] + [(f"extra_metrics[{k}].direction", m.direction, Direction) for k, m in enumerate(metrics)]
     typed = [(name, value, kind, f"a {kind.__name__} member") for name, value, kind in enums]
-    typed += [("literal_set", cfg.literal_set, bool, "a boolean")]
     typed += [(name, getattr(cfg, name), int, "an integer") for name in ("n_candidates", "t_max", "d_stop", "seed")]
     typed += [("batch_size", acq.batch_size, int, "an integer")]
     typed += [(f"fixed_sequence_order[{j}]", v, int, "an integer") for j, v in enumerate(cfg.fixed_sequence_order or ())]
@@ -159,9 +188,8 @@ def validate_config(cfg: CalibrationConfig) -> CalibrationConfig:
     typed += [("acquisition.epsilon", acq.epsilon, (int, float), "a number")]
     typed += [(f"betting.{name}", getattr(bet, name), (int, float), "a number")
               for name in ("clip_fraction", "max_bet_epsilon")]
-    typed += [(f"extra_metrics[{k}].alpha", m.alpha, (int, float), "a number") for k, m in enumerate(cfg.extra_metrics)]
-    bad = [f"{name} must be {noun}, got {value!r}" for name, value, kind, noun in typed
-           if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)]
+    typed += [(f"extra_metrics[{k}].alpha", m.alpha, (int, float), "a number") for k, m in enumerate(metrics)]
+    bad = _type_errors(typed)
     if bad:
         raise InvalidConfig(bad)
 

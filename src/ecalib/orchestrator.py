@@ -204,9 +204,7 @@ def _run(
     rule_values = (evals if on_evals else pvals)[None]
 
     def select() -> frozenset[int]:
-        row = selection.select_rows(
-            cfg.selection_rule, rule_values, cfg.delta, cfg.literal_set, cfg.fixed_sequence_order
-        )[0]
+        row = selection.select_rows(cfg.selection_rule, rule_values, cfg.delta, cfg.fixed_sequence_order)[0]
         return frozenset(np.flatnonzero(row).tolist())
 
     acq_prefix = mix64(TAG_ACQ, seed, trial)
@@ -342,9 +340,7 @@ def run_block(
             redo = redo[np.concatenate(([True], redo[1:] != redo[:-1]))]
         moved = redo
         if len(redo):
-            sets = selection.select_rows(
-                rule, (evals if on_evals else pvals)[redo], cfg.delta, cfg.literal_set, order
-            )
+            sets = selection.select_rows(rule, (evals if on_evals else pvals)[redo], cfg.delta, order)
             moved = redo[(sets != certified[redo]).any(axis=1)]
             certified[redo] = sets
         if observer is not None:
@@ -358,9 +354,7 @@ def run_block(
                 live = live[~np.isin(live, done)]
 
     if not adaptive:
-        certified = selection.select_rows(
-            rule, evals if on_evals else pvals, cfg.delta, cfg.literal_set, order
-        )
+        certified = selection.select_rows(rule, evals if on_evals else pvals, cfg.delta, order)
     wealths = evals if on_evals else _exps(merged_lw)
     n_queries = arr.state[1, 0].reshape(m, n).sum(axis=1).astype(np.int64)
     selected = np.split(np.nonzero(certified)[1], np.cumsum(certified.sum(axis=1))[:-1])

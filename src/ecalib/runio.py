@@ -50,12 +50,15 @@ class OracleSpec:
     timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self):
-        try:
-            splits = bool(command_argv(self.command))
-        except OracleError:
-            splits = False
-        check_domains(self, {"command": (lambda _: splits, "must split, shell-style, into at least one word"),
+        check_domains(self, {"command": (str, "a string", _splits, "must split, shell-style, into at least one word"),
                              "timeout": POSITIVE})
+
+
+def _splits(command: str) -> bool:
+    try:
+        return bool(command_argv(command))
+    except OracleError:
+        return False
 
 
 Source = Union[SyntheticSpec, CompositeSyntheticSpec, OracleSpec]
@@ -86,12 +89,15 @@ _TAG_OF = {cls: (key, tag) for key, (_, classes) in _TAGS.items() for tag, cls i
 @dataclasses.dataclass(frozen=True)
 class _Document:
     """The keys of a config document besides the config's fields; two restate
-    settings: the rule implies the metric, batch_size is acquisition's default."""
+    settings: the rule implies the metric, batch_size is acquisition's default.
+    literal_set is read, never written: run directories from before the
+    step-up rules selected only their closure state it."""
 
     error_metric: ErrorMetric
     source: Source
     batch_size: int = AcquisitionSpec.batch_size
     sweep: dict | None = None
+    literal_set: bool = False
 
 
 # The two rule/metric mismatches, named by the metric the config states.
@@ -241,8 +247,9 @@ def _to_json(value):
 
 def config_to_dict(plan: RunPlan) -> dict:
     """The config document that parse_config reads back to plan."""
-    doc = _Document(plan.cfg.error_metric, plan.source, plan.cfg.acquisition.batch_size, plan.sweep or None)
-    return {**_to_json(plan.cfg), **_to_json(doc)}
+    doc = _to_json(_Document(plan.cfg.error_metric, plan.source, plan.cfg.acquisition.batch_size, plan.sweep or None))
+    del doc["literal_set"]
+    return {**_to_json(plan.cfg), **doc}
 
 
 def _replace_path(spec, path: list[str], value, name: str, bad: list[str]):
@@ -308,6 +315,9 @@ def parse_config(d: dict) -> RunPlan:
         bad.append(f"rule/metric mismatch: {doc.error_metric.name} requires {_METRIC_RULES[doc.error_metric]}")
     if cfg.acquisition.batch_size != doc.batch_size:
         bad.append("acquisition.batch_size disagrees with config batch_size")
+    if doc.literal_set and cfg.error_metric is ErrorMetric.FDR:
+        bad.append(f"literal_set true under {cfg.selection_rule.value} is refused: the literal step-up set voids "
+                   "FDR control, and the closure is what runs (set literal_set false or drop it)")
     try:
         validate_config(cfg)
     except InvalidConfig as exc:

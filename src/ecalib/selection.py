@@ -1,15 +1,13 @@
 """Certified-set selection rules.
 
 All rules are pure: given the current anytime-valid p-values (or e-values for
-ebh) they return the certified set.  Step-up rules (bh, by, ebh) default to
-the standard closure (select every rank up to the largest passing rank k*);
-``literal=True`` instead selects exactly the ranks whose own predicate
-passes, which can be non-contiguous.  Ties in p or e are ranked by ascending
-id so results are deterministic.  The closure never ranks: it cuts each row
-at the sorted value of rank k*, which selects the same set because a tie
-cannot straddle k*.  Only ``literal`` ranks, with a stable argsort
-that orders ties exactly as sorting on (value, id) does.  Each (N, delta)'s
-thresholds are computed once.
+ebh) they return the certified set.  Step-up rules (bh, by, ebh) select the
+standard closure: every rank up to the largest passing rank k*.  The closure
+is self-consistent, each selected id passing the threshold of the set's own
+size, which is what the FDR guarantees of BH, BY and e-BH rest on.  Ties in p
+or e are ranked by ascending id, but the closure never ranks: it cuts each
+row at the sorted value of rank k*, which selects the same set because a tie
+cannot straddle k*.  Each (N, delta)'s thresholds are computed once.
 
 ``select_rows`` is the one implementation of every rule: it applies a rule
 to each row of an (R, N) array at once, and both engines select through it.
@@ -59,16 +57,8 @@ def _ebh_thresholds(n: int, delta: float) -> np.ndarray:
     return _frozen([n / ((k + 1) * delta) for k in range(n)])
 
 
-def _step_up_rows(x: np.ndarray, thr_arr: np.ndarray, ascending: bool, literal: bool) -> np.ndarray:
+def _step_up_rows(x: np.ndarray, thr_arr: np.ndarray, ascending: bool) -> np.ndarray:
     """Step-up over ascending p (``ascending``) or descending e, row-wise."""
-    if literal:
-        # Each rank passes on its own, so ranks are needed: a stable sort
-        # keeps tied values in ascending id order.
-        ranked = np.argsort(x if ascending else -x, axis=1, kind="stable")
-        ordered = np.take_along_axis(x, ranked, axis=1)
-        selected = np.empty(x.shape, dtype=bool)
-        np.put_along_axis(selected, ranked, ordered <= thr_arr if ascending else ordered >= thr_arr, axis=1)
-        return selected
     # The closure keeps every rank up to the last passing rank k*: every
     # value at least as good as the cut, the sorted value at k*, which is the
     # worst passing one.  Ties cannot straddle k*: the thresholds are monotone
@@ -84,11 +74,7 @@ def _step_up_rows(x: np.ndarray, thr_arr: np.ndarray, ascending: bool, literal: 
 
 
 def select_rows(
-    rule: SelectionRuleName,
-    values: np.ndarray,
-    delta: float,
-    literal: bool = False,
-    order: Sequence[int] | None = None,
+    rule: SelectionRuleName, values: np.ndarray, delta: float, order: Sequence[int] | None = None
 ) -> np.ndarray:
     """The (R, N) mask of each row's certified set under ``rule``.
 
@@ -106,17 +92,13 @@ def select_rows(
         selected[:, order] = prefix
         return selected
     if rule is SelectionRuleName.EBH:
-        return _step_up_rows(values, _ebh_thresholds(n, delta), False, literal)
+        return _step_up_rows(values, _ebh_thresholds(n, delta), False)
     thresholds = _bh_thresholds if rule is SelectionRuleName.BH else _by_thresholds
-    return _step_up_rows(values, thresholds(n, delta), True, literal)
+    return _step_up_rows(values, thresholds(n, delta), True)
 
 
 def _select_one(
-    rule: SelectionRuleName,
-    values: Sequence[float],
-    delta: float,
-    literal: bool = False,
-    order: Sequence[int] | None = None,
+    rule: SelectionRuleName, values: Sequence[float], delta: float, order: Sequence[int] | None = None
 ) -> SelectionResult:
     """``select_rows`` on the one row ``values``, once every value is in the
     rule's domain; OutOfRange names the first that is not, as given."""
@@ -129,7 +111,7 @@ def _select_one(
         raise OutOfRange(f"e-value {v!r} not a nonnegative real" if on_e else f"p-value {v!r} out of [0,1]")
     if order is not None:
         check_order(tuple(order), len(x))
-    return SelectionResult(frozenset(np.flatnonzero(select_rows(rule, x[None, :], delta, literal, order)[0]).tolist()))
+    return SelectionResult(frozenset(np.flatnonzero(select_rows(rule, x[None, :], delta, order)[0]).tolist()))
 
 
 def bonferroni(p: Sequence[float], delta: float) -> SelectionResult:
@@ -142,16 +124,16 @@ def fixed_sequence(p: Sequence[float], order: Sequence[int], delta: float) -> Se
     return _select_one(SelectionRuleName.FIXED_SEQUENCE, p, delta, order=order)
 
 
-def bh(p: Sequence[float], delta: float, literal: bool = False) -> SelectionResult:
+def bh(p: Sequence[float], delta: float) -> SelectionResult:
     """Step-up over ascending p with per-rank threshold k * delta / N."""
-    return _select_one(SelectionRuleName.BH, p, delta, literal)
+    return _select_one(SelectionRuleName.BH, p, delta)
 
 
-def by(p: Sequence[float], delta: float, literal: bool = False) -> SelectionResult:
+def by(p: Sequence[float], delta: float) -> SelectionResult:
     """bh with every threshold shrunk by the harmonic sum H_N."""
-    return _select_one(SelectionRuleName.BY, p, delta, literal)
+    return _select_one(SelectionRuleName.BY, p, delta)
 
 
-def ebh(e: Sequence[float], delta: float, literal: bool = False) -> SelectionResult:
+def ebh(e: Sequence[float], delta: float) -> SelectionResult:
     """Step-up over descending e with per-rank threshold N / (k * delta)."""
-    return _select_one(SelectionRuleName.EBH, e, delta, literal)
+    return _select_one(SelectionRuleName.EBH, e, delta)

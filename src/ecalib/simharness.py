@@ -34,7 +34,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import POSITIVE, UNIT, CalibrationConfig, GroundTruth, check_domains, reliable_set
+from .core import FLAG, POSITIVE, UNIT, CalibrationConfig, GroundTruth, check_domains, reliable_set
 from .eprocess import quantile_transform
 from .errors import InvalidConfig
 from .orchestrator import RunResult, run_altt, run_block
@@ -136,8 +136,10 @@ class SyntheticSpec:
     quantile_threshold: float | None = None
 
     def __post_init__(self):
+        domains = {"shared_draw": FLAG}
         if self.quantile_threshold is not None:
-            check_domains(self, {"quantile_threshold": UNIT})
+            domains["quantile_threshold"] = UNIT
+        check_domains(self, domains)
 
     @property
     def n(self) -> int:

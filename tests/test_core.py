@@ -111,7 +111,13 @@ class TestValidateConfig:
              "betting.max_bet_epsilon must be a number, got None"),
             ({"extra_metrics": (MetricSpec(alpha="0.5", direction=Direction.RISK_BELOW),)},
              "extra_metrics[0].alpha must be a number, got '0.5'"),
-            ({"literal_set": 1}, "literal_set must be a boolean, got 1"),
+            # A field that holds others is checked for its shape before
+            # anything in it is read.
+            ({"fixed_sequence_order": 5}, "fixed_sequence_order must be a tuple or None, got 5"),
+            ({"extra_metrics": 5}, "extra_metrics must be a tuple, got 5"),
+            ({"extra_metrics": (0.5,)}, "extra_metrics[0] must be a MetricSpec, got 0.5"),
+            ({"acquisition": None}, "acquisition must be an AcquisitionSpec, got None"),
+            ({"betting": None}, "betting must be a BettingSpec, got None"),
         ],
     )
     def test_wrongly_typed_field_refused(self, overrides, violation):
@@ -129,7 +135,7 @@ class TestValidateConfig:
 class TestIndependentSettings:
     def test_each_setting_is_one_field(self):
         names = [f.name for f in dataclasses.fields(CalibrationConfig)]
-        assert len(names) == 13
+        assert len(names) == 12
         assert "batch_size" not in names and "error_metric" not in names
 
     @pytest.mark.parametrize("rule", list(SelectionRuleName))

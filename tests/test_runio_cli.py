@@ -193,7 +193,6 @@ def plans(draw) -> RunPlan:
         t_max=draw(st.integers(1, 10**6)),
         d_stop=draw(st.integers(1, n)),
         seed=draw(st.integers(0, 2**64 - 1)),
-        literal_set=draw(st.booleans()),
         fixed_sequence_order=None if order is None else tuple(order),
         extra_metrics=tuple(extra),
     )
@@ -230,7 +229,9 @@ def reference_to_json(value):
 
 def reference_echo(plan: RunPlan) -> str:
     doc = runio._Document(plan.cfg.error_metric, plan.source, plan.cfg.acquisition.batch_size, plan.sweep or None)
-    return json.dumps({**reference_to_json(plan.cfg), **reference_to_json(doc)})
+    doc = reference_to_json(doc)
+    del doc["literal_set"]  # read from old run directories, never written
+    return json.dumps({**reference_to_json(plan.cfg), **doc})
 
 
 def _workload_configs() -> dict:
@@ -473,23 +474,53 @@ class TestStrictScalarTypes:
         n=st.integers(1, 6),
         alpha=st.floats(0.01, 0.99),
         epsilon=st.floats(0.0, 1.0),
-        literal=st.booleans(),
         shared=st.booleans(),
         seed=st.integers(0, 2**64 - 1),
         params=st.lists(st.tuples(st.sampled_from(["bernoulli", "beta", "point"]), st.floats(0.01, 1.0)), min_size=6, max_size=6),
     )
-    def test_manifest_config_round_trips(self, n, alpha, epsilon, literal, shared, seed, params):
+    def test_manifest_config_round_trips(self, n, alpha, epsilon, shared, seed, params):
         arms = {
             "bernoulli": lambda x: {"dist": "bernoulli", "p": x},
             "beta": lambda x: {"dist": "beta", "a": x, "b": 2.0 * x},
             "point": lambda x: {"dist": "point", "value": x},
         }
         doc = base_config_doc()
-        doc.update(n_candidates=n, alpha=alpha, d_stop=n, seed=seed, literal_set=literal)
+        doc.update(n_candidates=n, alpha=alpha, d_stop=n, seed=seed)
         doc["acquisition"]["epsilon"] = epsilon
         doc["source"] = {"kind": "synthetic", "arms": [arms[k](x) for k, x in params[:n]], "shared_draw": shared}
         plan = parse_config(doc)
         assert parse_config(json.loads(json.dumps(config_to_dict(plan)))) == plan
+
+
+class TestRetiredLiteralSet:
+    """``literal_set`` is read from old run directories, never written: the
+    step-up rules select their closure, whatever it says."""
+
+    @pytest.mark.parametrize("rule, metric", [("bonferroni", "fwer"), ("fixed_sequence", "fwer"),
+                                              ("bh", "fdr"), ("by", "fdr"), ("ebh", "fdr")])
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_only_literal_step_up_sets_are_refused(self, rule, metric, literal):
+        doc = base_config_doc()
+        doc.update(selection_rule=rule, error_metric=metric)
+        plan = parse_config(doc)
+        assert "literal_set" not in config_to_dict(plan)
+        if literal and metric == "fdr":
+            with pytest.raises(InvalidConfig) as exc:
+                parse_config({**doc, "literal_set": True})
+            assert exc.value.violations == [
+                f"literal_set true under {rule} is refused: the literal step-up set voids FDR control, "
+                "and the closure is what runs (set literal_set false or drop it)"]
+        else:
+            assert parse_config({**doc, "literal_set": literal}) == plan
+
+    @pytest.mark.parametrize("rule", ["bh", "by", "ebh"])
+    def test_simulate_refuses_before_writing(self, tmp_path, caplog, rule):
+        doc = {**base_config_doc(), "selection_rule": rule, "error_metric": "fdr", "literal_set": True}
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
+        [line] = error_lines(caplog)
+        assert line.startswith(f"ERROR ecalib: literal_set true under {rule} is refused")
+        assert not out.exists()
 
 
 def composite_doc(metrics) -> dict:
@@ -634,6 +665,16 @@ class TestDistributionParameters:
             OracleSpec("'unclosed", 0.0)
         assert exc.value.violations == ["command \"'unclosed\" must split, shell-style, into at least one word",
                                         "timeout 0.0 must be finite and > 0"]
+
+    @pytest.mark.parametrize("command, timeout, violation", [
+        ("tool", "5", "timeout must be a number, got '5'"),
+        ("tool", True, "timeout must be a number, got True"),
+        (5, 1.0, "command must be a string, got 5"),
+    ])
+    def test_oracle_spec_checks_its_fields_types(self, command, timeout, violation):
+        with pytest.raises(InvalidConfig) as exc:
+            OracleSpec(command, timeout)
+        assert exc.value.violations == [violation]
 
     def test_composite_metric_arms_checked(self):
         doc = base_config_doc()
@@ -902,6 +943,26 @@ class TestEarlierRunDirectories:
         [line] = error_lines(caplog)
         assert line.startswith(f"ERROR ecalib: {run / artifact} line ")
 
+
+    def test_a_literal_step_up_manifest_is_refused_not_mismatched(self, tmp_path, caplog):
+        # ebh_wide logged the closure; its manifest asking for the literal
+        # set is a config error, found before any round is replayed.
+        run = tmp_path / "ebh_wide"
+        shutil.copytree(RUNS / "ebh_wide", run)
+        manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+        manifest["config"]["literal_set"] = True
+        (run / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        with pytest.raises(InvalidConfig):
+            replay_check(run)
+        caplog.clear()
+        assert main(["replay", "--in", str(run)]) == 1
+        [line] = error_lines(caplog)
+        assert line.startswith("ERROR ecalib: literal_set true under ebh is refused")
+
+    def test_composite_literal_flag_under_fixed_sequence_is_ignored(self):
+        config = read_manifest(RUNS / "composite")["config"]
+        assert config["literal_set"] is True and config["selection_rule"] == "fixed_sequence"
+        assert parse_config(config) == parse_config({k: v for k, v in config.items() if k != "literal_set"})
 
     def test_a_claimed_candidate_count_beyond_the_bound_is_refused(self, tmp_path, caplog):
         # An oracle config claims N without listing arms; replay refuses it

@@ -8,11 +8,16 @@ sorting logic shared with the implementation.
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecalib.selection import bh, bonferroni, by, ebh, fixed_sequence
+from ecalib.core import SelectionRuleName
+from ecalib.selection import _by_thresholds, _ebh_thresholds, bh, bonferroni, by, ebh, fixed_sequence, select_rows
 from ecalib.errors import InvalidOrder, OutOfRange
 
 
@@ -147,20 +152,93 @@ class TestStructure:
             assert bh(p, 0.05).selected <= bh(p, 0.2).selected
             assert bonferroni(p, 0.05).selected <= bonferroni(p, 0.2).selected
 
-    def test_literal_step_up_can_skip_ranks(self):
-        # delta=0.3, n=3: rank thresholds (0.1, 0.2, 0.3).  Sorted p:
-        # 0.05 passes rank 1, 0.25 fails rank 2, 0.29 passes rank 3, so the
-        # closure selects everything while the literal variant skips rank 2.
-        p = [0.05, 0.25, 0.29]
-        closure = bh(p, 0.3).selected
-        literal = bh(p, 0.3, literal=True).selected
-        assert closure == frozenset({0, 1, 2})
-        assert literal == frozenset({0, 2})
-
     def test_empty_and_full(self):
         assert bh([1.0, 1.0], 0.1).selected == frozenset()
         assert bh([0.0, 0.0], 0.1).selected == frozenset({0, 1})
         assert ebh([0.0, 0.0], 0.1).selected == frozenset()
+
+
+def own_rank_set(values, thresholds, ascending):
+    """The ids whose value passes the threshold of its own rank, ties ranked
+    by id: the literal step-up set, which need not be self-consistent."""
+    ranked = sorted(range(len(values)), key=lambda i: (values[i] if ascending else -values[i], i))
+    passes = (lambda v, t: v <= t) if ascending else (lambda v, t: v >= t)
+    return frozenset(i for k, i in enumerate(ranked) if passes(values[i], thresholds[k]))
+
+
+class TestClosureFdr:
+    """Why the step-up rules select their closure.  The FDR guarantees of BY
+    and e-BH hold under any dependence for a self-consistent set: every
+    selected id passes the threshold of the set's own size.  In these
+    worked examples (N = 20, delta = 0.1) the nulls are ids 0-9.  Null j has
+    its own event A_j, and the events are disjoint.  On A_j the ten non-nulls
+    fail ranks 1-10, null j ranks 11th and passes rank 11's threshold, and
+    every other null sits at its worst value.  The closure takes all 11 ids
+    there; the own-rank set is {j} alone.  The FDRs are exact sums over the
+    events, not Monte Carlo."""
+
+    N, DELTA, NULLS = 20, 0.1, 10
+
+    def fdrs(self, rule, rows, probs, thresholds, ascending):
+        """The exact FDR of the closure, selected by select_rows, and of the
+        own-rank set over the events' rows, each row holding with its
+        probability; the last row is the rest of the space."""
+        closure = [frozenset(np.flatnonzero(row).tolist()) for row in select_rows(rule, rows, self.DELTA)]
+        own_rank = [own_rank_set(row.tolist(), thresholds, ascending) for row in rows]
+        for j in range(self.NULLS):
+            assert closure[j] == {j, *range(self.NULLS, self.N)} and own_rank[j] == {j}
+        assert closure[-1] == own_rank[-1] == frozenset()
+        return [float(np.dot(probs, [sum(i < self.NULLS for i in s) / max(len(s), 1) for s in sets]))
+                for sets in (closure, own_rank)]
+
+    def events(self, null_at_a, worst, non_null):
+        """One row per event A_j, then the rest of the space's row."""
+        rows = np.full((self.NULLS + 1, self.N), worst)
+        rows[:, self.NULLS:] = non_null
+        rows[np.arange(self.NULLS), np.arange(self.NULLS)] = null_at_a
+        return rows
+
+    def test_ebh(self):
+        # e_j = N / (delta * 11) on A_j and 0 elsewhere, so E[e_j] = 1; the
+        # non-nulls hold e = 19, below rank 10's threshold of 20.
+        thresholds = _ebh_thresholds(self.N, self.DELTA)
+        e_j = thresholds[10]
+        rows = self.events(e_j, 0.0, 19.0)
+        probs = np.array([1.0 / e_j] * self.NULLS + [1.0 - self.NULLS / e_j])
+        assert all(math.isclose(np.dot(probs, rows[:, j]), 1.0) for j in range(self.NULLS))
+        closure, own_rank = self.fdrs(SelectionRuleName.EBH, rows, probs, thresholds, False)
+        assert closure == pytest.approx(0.05) and closure <= self.DELTA
+        assert own_rank == pytest.approx(0.55)
+
+    def test_by(self):
+        # p_j = rank 11's threshold on A_j, which has that probability, and 1
+        # elsewhere: P(p_j <= x) <= x.  The non-nulls sit halfway between
+        # the rank-10 and rank-11 thresholds.
+        thresholds = _by_thresholds(self.N, self.DELTA)
+        p_j = thresholds[10]
+        rows = self.events(p_j, 1.0, (thresholds[9] + thresholds[10]) / 2)
+        probs = np.array([p_j] * self.NULLS + [1.0 - self.NULLS * p_j])
+        closure, own_rank = self.fdrs(SelectionRuleName.BY, rows, probs, thresholds, True)
+        assert closure == pytest.approx(0.0139, abs=1e-4) and closure <= self.DELTA
+        assert own_rank == pytest.approx(0.153, abs=1e-3)
+
+
+p_atoms = st.sampled_from([0.0, 1e-3, 5e-3, 0.01, 0.02, 0.05, 0.1, 0.3, 1.0]) | st.floats(0.0, 1.0)
+e_atoms = st.sampled_from([0.0, 1.0, 10.0, 20.0, 50.0, 200.0, float("inf")]) | st.floats(0.0, 1e4)
+
+
+class TestMonotoneInEvidence:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 30), delta=st.sampled_from([0.05, 0.1, 0.3]))
+    def test_more_evidence_keeps_every_selected_id(self, data, n, delta):
+        # Every p-value falls or stays, and every e-value rises or stays.
+        p, q = (data.draw(st.lists(p_atoms, min_size=n, max_size=n)) for _ in range(2))
+        e, f = (data.draw(st.lists(e_atoms, min_size=n, max_size=n)) for _ in range(2))
+        lower, higher = list(map(min, p, q)), list(map(max, e, f))
+        order = data.draw(st.permutations(range(n)))
+        for rule in (bonferroni, bh, by, lambda v, d: fixed_sequence(v, order, d)):
+            assert rule(p, delta).selected <= rule(lower, delta).selected
+        assert ebh(e, delta).selected <= ebh(higher, delta).selected
 
 
 class TestDomains:

@@ -74,6 +74,15 @@ class TestDistributions:
         (lambda: Beta(0.0, math.inf), ["a 0.0 must be finite and > 0", "b inf must be finite and > 0"]),
         (lambda: SyntheticSpec((Bernoulli(0.5),), quantile_threshold=1.5), ["quantile_threshold 1.5 out of [0,1]"]),
         (lambda: CompositeSyntheticSpec(()), ["metrics must be nonempty and equally sized"]),
+        # A field of the wrong type is named, and its range never compared;
+        # a bool is no number.
+        (lambda: Bernoulli(True), ["p must be a number, got True"]),
+        (lambda: Beta("2", 2.0), ["a must be a number, got '2'"]),
+        (lambda: Beta(None, 1.0), ["a must be a number, got None"]),
+        (lambda: Beta(None, -1.0), ["a must be a number, got None", "b -1.0 must be finite and > 0"]),
+        (lambda: SyntheticSpec((Bernoulli(0.5),), shared_draw=1), ["shared_draw must be a boolean, got 1"]),
+        (lambda: SyntheticSpec((Bernoulli(0.5),), quantile_threshold="0.5"),
+         ["quantile_threshold must be a number, got '0.5'"]),
     ])
     def test_out_of_domain_parameters_refused(self, make, violations):
         with pytest.raises(InvalidConfig) as exc:
