@@ -124,120 +124,118 @@ class CalibrationConfig:
 MAX_CANDIDATES = 2**30 // 400
 
 
-def _is_a(value, kind) -> bool:
-    """isinstance(value, kind), except that a bool is only a bool: it is no
-    integer or number, as in JSON."""
-    return isinstance(value, bool) == (kind is bool) and isinstance(value, kind)
-
-
-def _type_errors(typed) -> list[str]:
-    """The violation of each (name, value, type, noun) whose value is not of
-    its type, the noun naming the type."""
-    return [f"{name} must be {noun}, got {value!r}" for name, value, kind, noun in typed if not _is_a(value, kind)]
-
-
 # A field's domain: its type and the noun that names it, the test a value of
-# that type passes, and how a value outside reads.
-UNIT = ((int, float), "a number", lambda v: 0.0 <= v <= 1.0, "out of [0,1]")
-POSITIVE = ((int, float), "a number", lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0")
-FLAG = (bool, "a boolean", lambda v: True, "")
+# that type passes, and how a value outside reads.  A number domain refuses
+# an integer too large for a float, which float() would round past the
+# largest float (from _FLOAT_LIMIT in size on), before its test.
+_NUMBERS, _FLOAT_LIMIT = (int, float), 2**1024 - 2**970
+UNIT = (_NUMBERS, "a number", lambda v: 0.0 <= v <= 1.0, "out of [0,1]")
+OPEN_UNIT = (_NUMBERS, "a number", lambda v: 0.0 < v < 1.0, "out of (0,1)")
+CLIP = (_NUMBERS, "a number", lambda v: 0.0 < v <= 1.0, "out of (0,1]")
+POSITIVE = (_NUMBERS, "a number", lambda v: 0.0 < v < math.inf, "must be finite and > 0")
+COUNT = (int, "an integer", lambda v: v >= 1, "must be >= 1")
+SEED = (int, "an integer", lambda v: 0 <= v < 2**64, "out of [0, 2**64)")
+
+
+def of_type(kind, noun: str) -> tuple:
+    """The domain of every value of type kind, which noun names."""
+    return (kind, noun, lambda v: True, "")
+
+
+def member(kind: type[enum.Enum]) -> tuple:
+    """The domain of the members of the enum kind."""
+    return of_type(kind, f"a {kind.__name__} member")
+
+
+NUMBER, INTEGER, FLAG = of_type(_NUMBERS, "a number"), of_type(int, "an integer"), of_type(bool, "a boolean")
+
+
+def domain_violations(values: dict, domains: dict, prefix: str = "") -> dict[str, str]:
+    """path -> violation of each value, in ``values`` (name -> value, as in a
+    spec's vars()), that is not of its type in ``domains`` (name -> domain)
+    or lies outside the domain; the path, prefix + the name, leads it.  A
+    bool is only a bool: it is no integer or number, as in JSON."""
+    bad = {}
+    for name, (kind, noun, inside, reads) in domains.items():
+        value = values[name]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            message = f"must be {noun}, got {value!r}"
+        elif kind is _NUMBERS and isinstance(value, int) and abs(value) >= _FLOAT_LIMIT:
+            message = "is an integer too large for a float"
+        elif not inside(value):
+            message = f"{value!r} {reads}"
+        else:
+            continue
+        bad[prefix + name] = f"{prefix}{name} {message}"
+    return bad
+
+
+def _each(values: tuple, domain) -> tuple[dict, dict]:
+    """A tuple's values, each named by its index ``[j]``, and their domain."""
+    items = {f"[{j}]": v for j, v in enumerate(values)}
+    return items, dict.fromkeys(items, domain)
 
 
 def check_domains(spec, domains: dict) -> None:
-    """InvalidConfig listing each field of spec, in ``domains`` (field name ->
-    domain), that is not of its domain's type or lies outside the domain;
-    each violation is led by the name."""
-    bad = []
-    for name, (kind, noun, inside, reads) in domains.items():
-        value = getattr(spec, name)
-        if not _is_a(value, kind):
-            bad += _type_errors([(name, value, kind, noun)])
-        elif not inside(value):
-            bad.append(f"{name} {value!r} {reads}")
+    """InvalidConfig listing each field of spec outside its domain, in
+    ``domains``; each violation is led by the field's name."""
+    bad = domain_violations(vars(spec), domains)
     if bad:
-        raise InvalidConfig(bad)
+        raise InvalidConfig(list(bad.values()))
+
+
+# The shape of each config field that holds others, checked before anything
+# in it is read, and the domain of every other field of a config and of the
+# specs it holds; an acquisition's epsilon is a rate only under eps-greedy.
+_SHAPES = {"acquisition": of_type(AcquisitionSpec, "an AcquisitionSpec"),
+           "betting": of_type(BettingSpec, "a BettingSpec"),
+           "extra_metrics": of_type(tuple, "a tuple"),
+           "fixed_sequence_order": of_type((tuple, type(None)), "a tuple or None")}
+_METRIC_SHAPE = of_type(MetricSpec, "a MetricSpec")
+_CONFIG = {"n_candidates": COUNT, "alpha": OPEN_UNIT, "delta": OPEN_UNIT, "direction": member(Direction),
+           "selection_rule": member(SelectionRuleName), "t_max": COUNT, "d_stop": COUNT, "seed": SEED}
+_BETTING = {"strategy": member(BettingStrategy), "clip_fraction": CLIP, "max_bet_epsilon": OPEN_UNIT}
+_METRIC = {"alpha": OPEN_UNIT, "direction": member(Direction)}
 
 
 def validate_config(cfg: CalibrationConfig) -> CalibrationConfig:
     """Check every config invariant; raise InvalidConfig listing all failures:
-    of the shapes of the fields that hold others first, then of the fields'
-    types, then, if every type is right, of the rest."""
-    acq, bet, metrics = cfg.acquisition, cfg.betting, cfg.extra_metrics
-    # (name, value, type, noun) of each field; a holder's fields are read
-    # only once every holder has its shape.
-    shapes = [("acquisition", acq, AcquisitionSpec, "an AcquisitionSpec"),
-              ("betting", bet, BettingSpec, "a BettingSpec"),
-              ("extra_metrics", metrics, tuple, "a tuple"),
-              ("fixed_sequence_order", cfg.fixed_sequence_order, (tuple, type(None)), "a tuple or None")]
-    shapes += [(f"extra_metrics[{k}]", m, MetricSpec, "a MetricSpec")
-               for k, m in enumerate(metrics if isinstance(metrics, tuple) else ())]
-    bad = _type_errors(shapes)
+    of the shapes of the fields that hold others first, then of every field's
+    domain and of each check across fields."""
+    metrics = cfg.extra_metrics
+    bad = domain_violations(vars(cfg), _SHAPES)
+    bad |= domain_violations(*_each(metrics if isinstance(metrics, tuple) else (), _METRIC_SHAPE), "extra_metrics")
     if bad:
-        raise InvalidConfig(bad)
-    enums = [
-        ("direction", cfg.direction, Direction),
-        ("selection_rule", cfg.selection_rule, SelectionRuleName),
-        ("acquisition.policy", acq.policy, AcquisitionPolicy),
-        ("betting.strategy", bet.strategy, BettingStrategy),
-    ] + [(f"extra_metrics[{k}].direction", m.direction, Direction) for k, m in enumerate(metrics)]
-    typed = [(name, value, kind, f"a {kind.__name__} member") for name, value, kind in enums]
-    typed += [(name, getattr(cfg, name), int, "an integer") for name in ("n_candidates", "t_max", "d_stop", "seed")]
-    typed += [("batch_size", acq.batch_size, int, "an integer")]
-    typed += [(f"fixed_sequence_order[{j}]", v, int, "an integer") for j, v in enumerate(cfg.fixed_sequence_order or ())]
-    typed += [(name, getattr(cfg, name), (int, float), "a number") for name in ("alpha", "delta")]
-    typed += [("acquisition.epsilon", acq.epsilon, (int, float), "a number")]
-    typed += [(f"betting.{name}", getattr(bet, name), (int, float), "a number")
-              for name in ("clip_fraction", "max_bet_epsilon")]
-    typed += [(f"extra_metrics[{k}].alpha", m.alpha, (int, float), "a number") for k, m in enumerate(metrics)]
-    bad = _type_errors(typed)
-    if bad:
-        raise InvalidConfig(bad)
-
-    n = cfg.n_candidates
-    most = MAX_CANDIDATES // (1 + len(cfg.extra_metrics))
-    if n < 1:
-        bad.append("n_candidates must be a positive integer")
-    elif n > most:
-        bad.append(f"n_candidates must be <= {most}, got {n}")
-    if not 0.0 < cfg.alpha < 1.0:
-        bad.append("alpha out of (0,1)")
-    if not 0.0 < cfg.delta < 1.0:
-        bad.append("delta out of (0,1)")
-    if cfg.t_max < 1:
-        bad.append("t_max must be >= 1")
-    if cfg.d_stop < 1:
-        bad.append("d_stop must be >= 1")
-    elif n >= 1 and cfg.d_stop > n:
-        bad.append("d_stop exceeds n_candidates")
-    if not 0 <= cfg.seed < 2**64:
-        bad.append("seed out of [0, 2**64)")
-
-    if acq.batch_size < 1:
-        bad.append("batch_size must be >= 1")
-    elif n >= 1 and acq.batch_size > n:
-        bad.append("batch_size exceeds n_candidates")
-    if acq.policy is AcquisitionPolicy.EPS_GREEDY and not 0.0 <= acq.epsilon <= 1.0:
-        bad.append("acquisition epsilon out of [0,1]")
-
-    if not 0.0 < bet.clip_fraction <= 1.0:
-        bad.append("betting clip_fraction out of (0,1]")
-    if not 0.0 < bet.max_bet_epsilon < 1.0:
-        bad.append("betting max_bet_epsilon out of (0,1)")
-    elif bet.clip_fraction * (1.0 - bet.max_bet_epsilon) >= 1.0:
-        bad.append("betting clip must stay strictly below mu_max")
-
-    for k, m in enumerate(cfg.extra_metrics):
-        if not 0.0 < m.alpha < 1.0:
-            bad.append(f"extra_metrics[{k}].alpha out of (0,1)")
-
-    if cfg.fixed_sequence_order is not None:
-        try:
-            check_order(cfg.fixed_sequence_order, n)
-        except InvalidOrder as exc:
-            bad.append(str(exc))
-
-    if bad:
-        raise InvalidConfig(bad)
+        raise InvalidConfig(list(bad.values()))
+    acq, bet, n, order = cfg.acquisition, cfg.betting, cfg.n_candidates, cfg.fixed_sequence_order
+    epsilon = UNIT if acq.policy is AcquisitionPolicy.EPS_GREEDY else NUMBER
+    bad = domain_violations(vars(cfg), _CONFIG)
+    bad |= domain_violations(vars(acq), {"policy": member(AcquisitionPolicy), "epsilon": epsilon, "batch_size": COUNT},
+                             "acquisition.")
+    bad |= domain_violations(vars(bet), _BETTING, "betting.")
+    for k, m in enumerate(metrics):
+        bad |= domain_violations(vars(m), _METRIC, f"extra_metrics[{k}].")
+    order_bad = domain_violations(*_each(order or (), INTEGER), "fixed_sequence_order")
+    # Each check across fields runs once its own fields are in their domains.
+    out = [*bad.values(), *order_bad.values()]
+    if "n_candidates" not in bad:
+        most = MAX_CANDIDATES // (1 + len(metrics))
+        if n > most:
+            out.append(f"n_candidates must be <= {most}, got {n}")
+        if "d_stop" not in bad and cfg.d_stop > n:
+            out.append("d_stop exceeds n_candidates")
+        if "acquisition.batch_size" not in bad and acq.batch_size > n:
+            out.append("acquisition.batch_size exceeds n_candidates")
+        if order is not None and not order_bad:
+            try:
+                check_order(order, n)
+            except InvalidOrder as exc:
+                out.append(str(exc))
+    clip = ("betting.clip_fraction", "betting.max_bet_epsilon")
+    if bad.keys().isdisjoint(clip) and bet.clip_fraction * (1.0 - bet.max_bet_epsilon) >= 1.0:
+        out.append("betting.clip_fraction * (1 - betting.max_bet_epsilon) must be < 1: the clip stays below mu_max")
+    if out:
+        raise InvalidConfig(out)
     return cfg
 
 

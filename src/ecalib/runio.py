@@ -37,7 +37,15 @@ from .errors import EcalibError, InvalidConfig, OracleError
 from .oracle import DEFAULT_TIMEOUT, command_argv
 from .orchestrator import RunResult, run_altt
 from .rng import MIXER_ID
-from .simharness import Bernoulli, Beta, CompositeSyntheticSpec, PointMass, SyntheticSpec, derive_reliable
+from .simharness import (
+    Bernoulli,
+    Beta,
+    CompositeSyntheticSpec,
+    PointMass,
+    SyntheticSpec,
+    derive_reliable,
+    source_violations,
+)
 
 
 class ReplayMismatch(EcalibError):
@@ -307,10 +315,7 @@ def parse_config(d: dict) -> RunPlan:
         if cfg.extra_metrics:
             bad.append("oracle sources support single-metric configs only")
     else:
-        if doc.source.n != cfg.n_candidates:
-            bad.append("source arm count disagrees with n_candidates")
-        if len(doc.source.metrics) != len(cfg.requirements):
-            bad.append("source metric count disagrees with config")
+        bad += source_violations(cfg, doc.source)
     if doc.error_metric is not cfg.error_metric:
         bad.append(f"rule/metric mismatch: {doc.error_metric.name} requires {_METRIC_RULES[doc.error_metric]}")
     if cfg.acquisition.batch_size != doc.batch_size:

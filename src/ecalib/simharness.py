@@ -34,7 +34,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import FLAG, POSITIVE, UNIT, CalibrationConfig, GroundTruth, check_domains, reliable_set
+from .core import FLAG, POSITIVE, UNIT, CalibrationConfig, GroundTruth, check_domains, reliable_set, validate_config
 from .eprocess import quantile_transform
 from .errors import InvalidConfig
 from .orchestrator import RunResult, run_altt, run_block
@@ -120,6 +120,9 @@ class PointMass:
 
 Distribution = Union[Bernoulli, Beta, PointMass]
 _FAMILIES = (Bernoulli, Beta, PointMass)
+# A spec's arms, in core.check_domains' domain form.
+_ARMS = (tuple, "a tuple", lambda v: len(v) > 0 and set(map(type, v)) <= set(_FAMILIES),
+         "must be a nonempty tuple of Bernoulli, Beta or PointMass")
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ class SyntheticSpec:
     quantile_threshold: float | None = None
 
     def __post_init__(self):
-        domains = {"shared_draw": FLAG}
+        domains = {"arms": _ARMS, "shared_draw": FLAG}
         if self.quantile_threshold is not None:
             domains["quantile_threshold"] = UNIT
         check_domains(self, domains)
@@ -274,8 +277,9 @@ class CompositeSyntheticSpec:
     metrics: tuple[SyntheticSpec, ...]
 
     def __post_init__(self):
-        sizes = {m.n for m in self.metrics}
-        if len(self.metrics) < 1 or len(sizes) != 1:
+        check_domains(self, {"metrics": (tuple, "a tuple", lambda v: all(type(m) is SyntheticSpec for m in v),
+                                         "must be a tuple of SyntheticSpec")})
+        if len({m.n for m in self.metrics}) != 1:
             raise InvalidConfig(["metrics must be nonempty and equally sized"])
 
     @property
@@ -286,11 +290,22 @@ class CompositeSyntheticSpec:
     make_block = SyntheticSpec.make_block
 
 
+def source_violations(cfg: CalibrationConfig, spec) -> list[str]:
+    """The violations of a synthetic spec whose arm or metric count is not
+    the config's: its risks could not answer the config's queries."""
+    bad = []
+    if spec.n != cfg.n_candidates:
+        bad.append("source arm count disagrees with n_candidates")
+    if len(spec.metrics) != len(cfg.requirements):
+        bad.append("source metric count disagrees with config")
+    return bad
+
+
 def derive_reliable(cfg: CalibrationConfig, spec) -> frozenset[int]:
     """Ground-truth reliable set implied by the spec's means and the config's
     requirement(s); composite candidates must conform on every metric."""
-    if len(cfg.requirements) != len(spec.metrics):
-        raise InvalidConfig(["spec metric count disagrees with config"])
+    if bad := source_violations(cfg, spec):
+        raise InvalidConfig(bad)
     out = frozenset(range(spec.n))
     for (alpha, direction), mspec in zip(cfg.requirements, spec.metrics):
         out &= reliable_set(GroundTruth(mspec.means()), alpha, direction)
@@ -526,9 +541,12 @@ def run_trials(
         raise InvalidConfig([f"M must be <= {MAX_TRIALS}, got {M}"])
     if workers < 1:
         raise InvalidConfig([f"workers must be >= 1, got {workers}"])
+    validate_config(cfg)
     check_t_max(cfg.t_max)
     if reliable is None:
         reliable = derive_reliable(cfg, spec)
+    elif bad := source_violations(cfg, spec):
+        raise InvalidConfig(bad)
 
     acc = TrialAccumulator(reliable, cfg.t_max)
     processes = min(workers, M, _usable_cpus())

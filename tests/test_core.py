@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecalib.core import (
     MAX_CANDIDATES,
@@ -23,6 +25,9 @@ from ecalib.core import (
     validate_config,
 )
 from ecalib.errors import InvalidConfig, InvalidOrder, OutOfRange
+from ecalib.oracle import command_argv
+from ecalib.runio import OracleSpec
+from ecalib.simharness import Bernoulli, Beta, CompositeSyntheticSpec, PointMass, SyntheticSpec
 
 
 def good_config(**overrides) -> CalibrationConfig:
@@ -99,7 +104,7 @@ class TestValidateConfig:
             ({"d_stop": 1.5}, "d_stop must be an integer, got 1.5"),
             ({"n_candidates": True}, "n_candidates must be an integer, got True"),
             ({"acquisition": AcquisitionSpec(AcquisitionPolicy.EPS_GREEDY, epsilon=0.25, batch_size=1.5)},
-             "batch_size must be an integer, got 1.5"),
+             "acquisition.batch_size must be an integer, got 1.5"),
             ({"fixed_sequence_order": (0, 1, 2, 3, 4.0)}, "fixed_sequence_order[4] must be an integer, got 4.0"),
             ({"alpha": "0.2"}, "alpha must be a number, got '0.2'"),
             ({"delta": None}, "delta must be a number, got None"),
@@ -130,6 +135,105 @@ class TestValidateConfig:
         with pytest.raises(InvalidConfig) as exc:
             validate_config(cfg)
         assert any("extra_metrics[0]" in v for v in exc.value.violations)
+
+
+# A config whose every field holds something: an extra metric, and the order
+# of a fixed sequence.
+FULL_CONFIG = good_config(selection_rule=SelectionRuleName.FIXED_SEQUENCE, fixed_sequence_order=(4, 3, 2, 1, 0),
+                          extra_metrics=(MetricSpec(alpha=0.3, direction=Direction.REWARD_ABOVE),))
+
+# The path of every field of FULL_CONFIG and of the specs it holds; an int
+# indexes a tuple.
+CONFIG_PATHS = [
+    *((f.name,) for f in dataclasses.fields(CalibrationConfig)),
+    *(("acquisition", f.name) for f in dataclasses.fields(AcquisitionSpec)),
+    *(("betting", f.name) for f in dataclasses.fields(BettingSpec)),
+    *(("extra_metrics", 0, f.name) for f in dataclasses.fields(MetricSpec)),
+    *(("fixed_sequence_order", j) for j in range(5)),
+]
+
+# Each spec class with valid values of its fields.
+SPECS = {
+    Bernoulli: {"p": 0.3},
+    Beta: {"a": 2.0, "b": 3.0},
+    PointMass: {"value": 0.2},
+    SyntheticSpec: {"arms": (Bernoulli(0.3), Beta(2.0, 3.0)), "shared_draw": False, "quantile_threshold": 0.4},
+    CompositeSyntheticSpec: {"metrics": (SyntheticSpec((Bernoulli(0.3),)),)},
+    OracleSpec: {"command": "tool --flag", "timeout": 5.0},
+}
+
+# What a library caller may pass by mistake: integers no float holds, NaN
+# and the infinities, booleans, strings and None.
+ANY_VALUE = st.one_of(
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([10**400, -(10**400), 2**1024, 2**64, -1, 0, 1]),
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=6),
+    st.none(),
+)
+
+
+def replaced(spec, path, value):
+    """spec with the field (or tuple item) at path set to value."""
+    key, *rest = path
+    inner = replaced(spec[key] if isinstance(spec, tuple) else getattr(spec, key), rest, value) if rest else value
+    if isinstance(spec, tuple):
+        return spec[:key] + (inner,) + spec[key + 1:]
+    return dataclasses.replace(spec, **{key: inner})
+
+
+class TestEveryFieldTyped:
+    """Whatever one field holds, a config or spec is valid or refused with
+    InvalidConfig: no builtins error escapes."""
+
+    @pytest.mark.parametrize("path", CONFIG_PATHS, ids=lambda p: ".".join(map(str, p)))
+    @given(value=ANY_VALUE)
+    @settings(max_examples=60, deadline=None)
+    def test_config_field(self, path, value):
+        cfg = replaced(FULL_CONFIG, path, value)
+        try:
+            assert validate_config(cfg) is cfg
+        except InvalidConfig as exc:
+            assert exc.violations
+
+    @pytest.mark.parametrize("cls, field", [(cls, name) for cls, fields in SPECS.items() for name in fields],
+                             ids=lambda x: getattr(x, "__name__", x))
+    @given(value=ANY_VALUE)
+    @settings(max_examples=60, deadline=None)
+    def test_spec_field(self, cls, field, value):
+        try:
+            spec = cls(**{**SPECS[cls], field: value})
+        except InvalidConfig as exc:
+            assert exc.violations
+            return
+        # A spec that is accepted serves what its users read of it.
+        if cls is OracleSpec:
+            assert command_argv(spec.command)
+        else:
+            synthetic = spec if cls in (SyntheticSpec, CompositeSyntheticSpec) else SyntheticSpec((spec,))
+            assert all(0.0 <= m <= 1.0 for metric in synthetic.metrics for m in metric.means())
+
+
+class TestIntegersTooLargeForAFloat:
+    @pytest.mark.parametrize("make, violation", [
+        (lambda: Beta(10**400, 2.0), "a is an integer too large for a float"),
+        (lambda: OracleSpec("tool", 10**400), "timeout is an integer too large for a float"),
+        (lambda: validate_config(good_config(betting=BettingSpec(BettingStrategy.AGRAPA, clip_fraction=10**400))),
+         "betting.clip_fraction is an integer too large for a float"),
+        (lambda: validate_config(good_config(alpha=-(10**400))), "alpha is an integer too large for a float"),
+    ])
+    def test_one_violation(self, make, violation):
+        with pytest.raises(InvalidConfig) as exc:
+            make()
+        assert exc.value.violations == [violation]
+
+    def test_the_largest_integers_a_float_holds_are_numbers(self):
+        # 2**1024 - 2**970 is the least integer that float() rounds past the
+        # largest float.
+        assert Beta(2**1024 - 2**970 - 1, 2.0).a == 2**1024 - 2**970 - 1
+        with pytest.raises(InvalidConfig):
+            Beta(2**1024 - 2**970, 2.0)
 
 
 class TestIndependentSettings:

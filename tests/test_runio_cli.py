@@ -371,7 +371,7 @@ class TestConfigErrors:
     def test_semantic_validation_applies(self):
         doc = base_config_doc()
         doc["alpha"] = 1.7
-        with pytest.raises(InvalidConfig, match="alpha out of"):
+        with pytest.raises(InvalidConfig, match=re.escape("alpha 1.7 out of (0,1)")):
             parse_config(doc)
 
     def test_invalid_json_file(self, tmp_path):
@@ -1114,9 +1114,9 @@ class TestValidateReportSweep:
             ({"strategy": ["agrapa", "foo"]}, "sweep.strategy[1] must be one of: unit, max, agrapa, ons"),
             ({"strategy": ["lbow"]}, "sweep.strategy[0] must be one of"),
             ({"alpha": ["abc"]}, "sweep.alpha[0] must be a JSON number"),
-            ({"alpha": [0.2, 1.5]}, "sweep.alpha[1] 1.5: alpha out of (0,1)"),
-            ({"delta": [0.1, 0]}, "sweep.delta[1] 0: delta out of (0,1)"),
-            ({"epsilon": [0.5, -0.1]}, "sweep.epsilon[1] -0.1: acquisition epsilon out of [0,1]"),
+            ({"alpha": [0.2, 1.5]}, "sweep.alpha[1] 1.5: alpha 1.5 out of (0,1)"),
+            ({"delta": [0.1, 0]}, "sweep.delta[1] 0: delta 0.0 out of (0,1)"),
+            ({"epsilon": [0.5, -0.1]}, "sweep.epsilon[1] -0.1: acquisition.epsilon -0.1 out of [0,1]"),
             ({"alpha": 0.2}, "sweep.alpha must be a nonempty JSON list"),
         ],
     )

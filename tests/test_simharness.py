@@ -83,6 +83,12 @@ class TestDistributions:
         (lambda: SyntheticSpec((Bernoulli(0.5),), shared_draw=1), ["shared_draw must be a boolean, got 1"]),
         (lambda: SyntheticSpec((Bernoulli(0.5),), quantile_threshold="0.5"),
          ["quantile_threshold must be a number, got '0.5'"]),
+        # The arms are a nonempty tuple of the distribution families.
+        (lambda: SyntheticSpec((0.1,)), ["arms (0.1,) must be a nonempty tuple of Bernoulli, Beta or PointMass"]),
+        (lambda: SyntheticSpec(()), ["arms () must be a nonempty tuple of Bernoulli, Beta or PointMass"]),
+        (lambda: SyntheticSpec([Bernoulli(0.5)]), ["arms must be a tuple, got [Bernoulli(p=0.5)]"]),
+        (lambda: CompositeSyntheticSpec((Bernoulli(0.5),)),
+         ["metrics (Bernoulli(p=0.5),) must be a tuple of SyntheticSpec"]),
     ])
     def test_out_of_domain_parameters_refused(self, make, violations):
         with pytest.raises(InvalidConfig) as exc:
@@ -162,8 +168,37 @@ class TestDeriveReliable:
             )
         )
         cfg = full_batch_config(1, alpha=0.2, delta=0.1, t_max=10, d_stop=1)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig) as exc:
             derive_reliable(cfg, spec)
+        assert exc.value.violations == ["source metric count disagrees with config"]
+
+
+class TestSourceAgreesWithConfig:
+    """run_trials refuses a spec whose arm or metric count is not the
+    config's, with the violations a config file gets, before any block."""
+
+    @pytest.mark.parametrize("arms", [3, 7])
+    @pytest.mark.parametrize("reliable", [None, frozenset({0})])
+    def test_arm_count(self, arms, reliable):
+        cfg = full_batch_config(5, alpha=0.2, delta=0.1, t_max=10, d_stop=5)
+        spec = SyntheticSpec((Bernoulli(0.1),) * arms)
+        with pytest.raises(InvalidConfig) as exc:
+            run_trials(cfg, spec, M=2, reliable=reliable)
+        assert exc.value.violations == ["source arm count disagrees with n_candidates"]
+
+    @pytest.mark.parametrize("reliable", [None, frozenset({0})])
+    def test_metric_count(self, reliable):
+        cfg = full_batch_config(2, alpha=0.2, delta=0.1, t_max=10, d_stop=2)
+        spec = CompositeSyntheticSpec((SyntheticSpec((Bernoulli(0.1),) * 2),) * 2)
+        with pytest.raises(InvalidConfig) as exc:
+            run_trials(cfg, spec, M=2, reliable=reliable)
+        assert exc.value.violations == ["source metric count disagrees with config"]
+
+    def test_config_checked_first(self):
+        cfg = full_batch_config(5, alpha=0.2, delta=0.1, t_max=2.5, d_stop=5)
+        with pytest.raises(InvalidConfig) as exc:
+            run_trials(cfg, SyntheticSpec((Bernoulli(0.1),) * 5), M=2)
+        assert exc.value.violations == ["t_max must be an integer, got 2.5"]
 
 
 class TestScoringBookkeeping:
