@@ -206,7 +206,7 @@ def select_rows(
             # Fill the rest of the batch with the lowest-id ties.
             room = np.minimum(b, sizes) - np.count_nonzero(above, axis=1)
             tested[exploit] = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
-    return np.nonzero(tested)
+    return np.divmod(np.flatnonzero(tested), n)
 
 
 def _fisher_yates(

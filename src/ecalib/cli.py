@@ -23,7 +23,7 @@ import math
 import sys
 from pathlib import Path
 
-from .core import ErrorMetric
+from .core import COUNT, POSITIVE, SEED, ErrorMetric, check_domains
 from .errors import EcalibError
 from .oracle import command_argv, oracle_client
 from .orchestrator import run_altt
@@ -45,7 +45,7 @@ from .runio import (
     write_run,
     write_summary_csv,
 )
-from .simharness import MAX_TRIALS, check_t_max, run_trials
+from .simharness import TRIALS, check_t_max, run_trials
 
 logger = logging.getLogger("ecalib")
 
@@ -65,8 +65,7 @@ def _prepare_out(path: str) -> Path:
 def _override_seed(plan: RunPlan, seed: int | None) -> RunPlan:
     if seed is None:
         return plan
-    if not 0 <= seed < 2**64:
-        raise EcalibError(f"--seed must be in [0, 2**64), got {seed}")
+    check_domains({"--seed": seed}, {"--seed": SEED})
     return RunPlan(dataclasses.replace(plan.cfg, seed=seed), plan.source, plan.sweep)
 
 
@@ -78,11 +77,8 @@ def _require_synthetic(plan: RunPlan, command: str) -> None:
 def _monte_carlo_plan(args, command: str) -> RunPlan:
     """The plan of validate and sweep, with --trials, --workers and t_max
     checked before anything is made."""
-    for flag, value in (("--trials", args.trials), ("--workers", args.workers)):
-        if value < 1:
-            raise EcalibError(f"{flag} must be >= 1, got {value}")
-    if args.trials > MAX_TRIALS:
-        raise EcalibError(f"--trials must be <= {MAX_TRIALS}, got {args.trials}")
+    flags = {"--trials": args.trials, "--workers": args.workers}
+    check_domains(flags, {"--trials": TRIALS, "--workers": COUNT})
     plan = _override_seed(load_config(args.config), args.seed)
     _require_synthetic(plan, command)
     check_t_max(plan.cfg.t_max)
@@ -168,8 +164,7 @@ def cmd_calibrate(args) -> int:
     command = plan.source.command if args.oracle is None else args.oracle
     command_argv(command, "--oracle")  # the config's command passed this check at parse time
     timeout = args.timeout if args.timeout is not None else plan.source.timeout
-    if not (math.isfinite(timeout) and timeout > 0.0):
-        raise EcalibError(f"--timeout must be finite and > 0, got {args.timeout}")
+    check_domains({"--timeout": timeout}, {"--timeout": POSITIVE})
     # The client starts from the plan, so the manifest records what ran.
     plan = dataclasses.replace(plan, source=OracleSpec(command, timeout))
     out = _prepare_out(args.out)

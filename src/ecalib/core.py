@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import enum
 import math
+import reprlib
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidConfig, InvalidOrder, OutOfRange
 
@@ -125,9 +128,10 @@ MAX_CANDIDATES = 2**30 // 400
 
 
 # A field's domain: its type and the noun that names it, the test a value of
-# that type passes, and how a value outside reads.  A number domain refuses
-# an integer too large for a float, which float() would round past the
-# largest float (from _FLOAT_LIMIT in size on), before its test.
+# that type passes, and how a value outside reads (after the value, or as a
+# function of it and its path).  A number domain refuses an integer too large
+# for a float, which float() would round past the largest float (from
+# _FLOAT_LIMIT in size on), before its test.
 _NUMBERS, _FLOAT_LIMIT = (int, float), 2**1024 - 2**970
 UNIT = (_NUMBERS, "a number", lambda v: 0.0 <= v <= 1.0, "out of [0,1]")
 OPEN_UNIT = (_NUMBERS, "a number", lambda v: 0.0 < v < 1.0, "out of (0,1)")
@@ -150,38 +154,89 @@ def member(kind: type[enum.Enum]) -> tuple:
 NUMBER, INTEGER, FLAG = of_type(_NUMBERS, "a number"), of_type(int, "an integer"), of_type(bool, "a boolean")
 
 
+def argument(domain: tuple) -> tuple:
+    """An integer or number domain as a library call's argument meets it,
+    where numpy's integers are integers and its floats numbers."""
+    return ((int, np.integer) if domain[0] is int else (*_NUMBERS, np.integer, np.floating), *domain[1:])
+
+
+# A run's seed or trial index: the key its random streams are hashed from.
+KEY = argument(SEED)
+
+
+def optional(domain: tuple) -> tuple:
+    """domain, or None."""
+    kind, noun, inside, reads = domain
+    return ((kind, type(None)), f"{noun} or None", lambda v: v is None or inside(v), reads)
+
+
+def tuple_of(item: tuple, nonempty: bool = False) -> tuple:
+    """The tuples (nonempty ones, with ``nonempty``) of items in the domain item;
+    one outside is named by its first item outside and a count of the others.
+    Items of a non-numeric of_type domain (reads empty) are tested by class."""
+    kind, reads = item[0], item[3]
+    whole = not reads and not isinstance(0.0, kind)
+
+    def inside(v: tuple) -> bool:
+        return (len(v) > 0 or not nonempty) and whole and all(
+            issubclass(c, kind) and issubclass(c, bool) == (kind is bool) for c in set(map(type, v)))
+
+    def outside(v: tuple, path: str) -> str | None:
+        if nonempty and not v:
+            return f"{path} must be nonempty"
+        items = {f"[{j}]": x for j, x in enumerate(v)}
+        bad = list(domain_violations(items, dict.fromkeys(items, item), path).values())
+        return f"{bad[0]} ({len(bad) - 1} more of {path} outside)" if len(bad) > 1 else next(iter(bad), None)
+
+    return (tuple, "a tuple", inside, outside)
+
+
+class _Shown(reprlib.Repr):
+    """Reprs of bounded length, where an integer past 2**256 is shown by its
+    size: Python refuses to print one of more than 4,300 digits."""
+
+    def repr_int(self, x: int, level: int) -> str:
+        bits = abs(x).bit_length()
+        return repr(x) if bits <= 256 else f"<a {'negative ' * (x < 0)}{bits:,}-bit integer>"
+
+
+_SHOWN = _Shown()
+_SHOWN.maxstring = _SHOWN.maxother = 100
+shown = _SHOWN.repr
+
+
 def domain_violations(values: dict, domains: dict, prefix: str = "") -> dict[str, str]:
-    """path -> violation of each value, in ``values`` (name -> value, as in a
-    spec's vars()), that is not of its type in ``domains`` (name -> domain)
-    or lies outside the domain; the path, prefix + the name, leads it.  A
-    bool is only a bool: it is no integer or number, as in JSON."""
+    """path -> violation of each value in ``values`` (name -> value, as in a
+    spec's vars() or a call's locals()) outside its domain in ``domains``,
+    led by its path, prefix + the name.  A bool is only a bool: it is no
+    integer or number, as in JSON."""
     bad = {}
     for name, (kind, noun, inside, reads) in domains.items():
-        value = values[name]
+        value, path = values[name], prefix + name
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-            message = f"must be {noun}, got {value!r}"
-        elif kind is _NUMBERS and isinstance(value, int) and abs(value) >= _FLOAT_LIMIT:
-            message = "is an integer too large for a float"
+            bad[path] = f"{path} must be {noun}, got {shown(value)}"
+        elif isinstance(value, int) and isinstance(0.0, kind) and abs(value) >= _FLOAT_LIMIT:
+            bad[path] = f"{path} is an integer too large for a float"
         elif not inside(value):
-            message = f"{value!r} {reads}"
-        else:
-            continue
-        bad[prefix + name] = f"{prefix}{name} {message}"
+            message = reads(value, path) if callable(reads) else f"{path} {shown(value)} {reads}"
+            if message:
+                bad[path] = message
     return bad
 
 
-def _each(values: tuple, domain) -> tuple[dict, dict]:
-    """A tuple's values, each named by its index ``[j]``, and their domain."""
-    items = {f"[{j}]": v for j, v in enumerate(values)}
-    return items, dict.fromkeys(items, domain)
+def check_domains(values: dict, domains: dict, error: type = InvalidConfig) -> None:
+    """Raise error unless each value in ``values`` lies in its domain in ``domains``:
+    InvalidConfig with every violation, or another error with the one value's."""
+    if bad := domain_violations(values, domains):
+        raise error(list(bad.values())) if error is InvalidConfig else error(*bad.values())
 
 
-def check_domains(spec, domains: dict) -> None:
-    """InvalidConfig listing each field of spec outside its domain, in
-    ``domains``; each violation is led by the field's name."""
-    bad = domain_violations(vars(spec), domains)
-    if bad:
-        raise InvalidConfig(list(bad.values()))
+def trial_keys(trials) -> np.ndarray:
+    """trials as a uint64 array, once each is a KEY (InvalidConfig names the
+    first that is not)."""
+    items = trials.tolist() if isinstance(trials, np.ndarray) else trials
+    check_domains({"trials": tuple(items) if isinstance(items, (list, range)) else items}, {"trials": tuple_of(KEY)})
+    return np.asarray(trials, dtype=np.uint64)
 
 
 # The shape of each config field that holds others, checked before anything
@@ -189,11 +244,10 @@ def check_domains(spec, domains: dict) -> None:
 # specs it holds; an acquisition's epsilon is a rate only under eps-greedy.
 _SHAPES = {"acquisition": of_type(AcquisitionSpec, "an AcquisitionSpec"),
            "betting": of_type(BettingSpec, "a BettingSpec"),
-           "extra_metrics": of_type(tuple, "a tuple"),
-           "fixed_sequence_order": of_type((tuple, type(None)), "a tuple or None")}
-_METRIC_SHAPE = of_type(MetricSpec, "a MetricSpec")
+           "extra_metrics": tuple_of(of_type(MetricSpec, "a MetricSpec"))}
 _CONFIG = {"n_candidates": COUNT, "alpha": OPEN_UNIT, "delta": OPEN_UNIT, "direction": member(Direction),
-           "selection_rule": member(SelectionRuleName), "t_max": COUNT, "d_stop": COUNT, "seed": SEED}
+           "selection_rule": member(SelectionRuleName), "t_max": COUNT, "d_stop": COUNT, "seed": SEED,
+           "fixed_sequence_order": optional(tuple_of(INTEGER))}
 _BETTING = {"strategy": member(BettingStrategy), "clip_fraction": CLIP, "max_bet_epsilon": OPEN_UNIT}
 _METRIC = {"alpha": OPEN_UNIT, "direction": member(Direction)}
 
@@ -202,12 +256,9 @@ def validate_config(cfg: CalibrationConfig) -> CalibrationConfig:
     """Check every config invariant; raise InvalidConfig listing all failures:
     of the shapes of the fields that hold others first, then of every field's
     domain and of each check across fields."""
-    metrics = cfg.extra_metrics
-    bad = domain_violations(vars(cfg), _SHAPES)
-    bad |= domain_violations(*_each(metrics if isinstance(metrics, tuple) else (), _METRIC_SHAPE), "extra_metrics")
-    if bad:
-        raise InvalidConfig(list(bad.values()))
+    check_domains(vars(cfg), _SHAPES)
     acq, bet, n, order = cfg.acquisition, cfg.betting, cfg.n_candidates, cfg.fixed_sequence_order
+    metrics = cfg.extra_metrics
     epsilon = UNIT if acq.policy is AcquisitionPolicy.EPS_GREEDY else NUMBER
     bad = domain_violations(vars(cfg), _CONFIG)
     bad |= domain_violations(vars(acq), {"policy": member(AcquisitionPolicy), "epsilon": epsilon, "batch_size": COUNT},
@@ -215,18 +266,17 @@ def validate_config(cfg: CalibrationConfig) -> CalibrationConfig:
     bad |= domain_violations(vars(bet), _BETTING, "betting.")
     for k, m in enumerate(metrics):
         bad |= domain_violations(vars(m), _METRIC, f"extra_metrics[{k}].")
-    order_bad = domain_violations(*_each(order or (), INTEGER), "fixed_sequence_order")
     # Each check across fields runs once its own fields are in their domains.
-    out = [*bad.values(), *order_bad.values()]
+    out = list(bad.values())
     if "n_candidates" not in bad:
         most = MAX_CANDIDATES // (1 + len(metrics))
         if n > most:
-            out.append(f"n_candidates must be <= {most}, got {n}")
+            out.append(f"n_candidates must be <= {most}, got {shown(n)}")
         if "d_stop" not in bad and cfg.d_stop > n:
             out.append("d_stop exceeds n_candidates")
         if "acquisition.batch_size" not in bad and acq.batch_size > n:
             out.append("acquisition.batch_size exceeds n_candidates")
-        if order is not None and not order_bad:
+        if order is not None and "fixed_sequence_order" not in bad:
             try:
                 check_order(order, n)
             except InvalidOrder as exc:
@@ -252,9 +302,7 @@ class GroundTruth:
     true_means: tuple[float, ...]
 
     def __post_init__(self):
-        for m in self.true_means:
-            if not 0.0 <= m <= 1.0:
-                raise OutOfRange(f"true mean {m!r} out of [0,1]")
+        check_domains(vars(self), {"true_means": tuple_of(UNIT)}, OutOfRange)
 
     @property
     def n(self) -> int:

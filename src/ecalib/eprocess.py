@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Direction
+from .core import OPEN_UNIT, Direction, argument, check_domains
 from .errors import BetOutOfBounds, OutOfRange
 
 # Payoff g is the stake-normalized margin; wealth update is 1 + mu * g.
@@ -50,8 +50,7 @@ class BetBound:
 
 
 def bet_bound(alpha: float, direction: Direction) -> BetBound:
-    if not 0.0 < alpha < 1.0:
-        raise OutOfRange("alpha out of (0,1)")
+    check_domains(locals(), {"alpha": argument(OPEN_UNIT)}, OutOfRange)
     if direction is Direction.RISK_BELOW:
         return BetBound(alpha, direction, 1.0 / (1.0 - alpha))
     return BetBound(alpha, direction, 1.0 / alpha)

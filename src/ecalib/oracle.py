@@ -28,7 +28,7 @@ import subprocess
 import time
 from typing import Sequence
 
-from .core import CalibrationConfig
+from .core import CalibrationConfig, shown
 from .errors import (
     InvalidConfig,
     OracleError,
@@ -84,7 +84,7 @@ class OracleClient:
                 }
             )
             if hello.get("type") != "hello":
-                raise OracleMalformed(f"expected hello ack, got: {hello!r}")
+                raise OracleMalformed(f"expected hello ack, got: {shown(hello)}")
         except BaseException:
             # Nothing outside can close a client whose constructor raised.
             self._shutdown(kill=True)
@@ -115,7 +115,7 @@ class OracleClient:
                 if not ready and pending:
                     raise OracleTimeout(f"oracle read no {msg['type']} request within {self.timeout}s")
                 if not ready:
-                    raise OracleTimeout(f"no answer within {self.timeout}s to request {json.dumps(msg)}")
+                    raise OracleTimeout(f"no answer within {self.timeout}s to request {shown(msg)}")
                 for key, _ in ready:
                     if key.fileobj is stdin:
                         pending = self._write(pending)
@@ -124,8 +124,8 @@ class OracleClient:
                     elif chunk := self._proc.stdout.read(4096):
                         self._unread += chunk
                     else:
-                        wrote = f"; it wrote {self._unread!r}" if self._unread else ""
-                        raise OracleProcessExit(f"oracle exited while answering {json.dumps(msg)}{wrote}")
+                        wrote = f"; it wrote {shown(self._unread)}" if self._unread else ""
+                        raise OracleProcessExit(f"oracle exited while answering {shown(msg)}{wrote}")
         except OracleError:
             self._shutdown(kill=True)
             raise
@@ -138,11 +138,11 @@ class OracleClient:
         try:
             reply = json.loads(line.decode())
         except ValueError:
-            raise OracleMalformed(f"not a JSON record: {line!r}") from None
+            raise OracleMalformed(f"not a JSON record: {shown(line)}") from None
         if not isinstance(reply, dict) or "type" not in reply:
-            raise OracleMalformed(f"not a protocol message: {line!r}")
+            raise OracleMalformed(f"not a protocol message: {shown(line)}")
         if reply["type"] == "error":
-            raise OracleError(f"oracle reported: {reply.get('message', '')!r}")
+            raise OracleError(f"oracle reported: {shown(reply.get('message', ''))}")
         return reply
 
     def query(self, round_index: int, ids: Sequence[int], token: str) -> list[float]:
@@ -150,22 +150,23 @@ class OracleClient:
             {"type": "test", "round": round_index, "ids": list(ids), "token": token}
         )
         if reply.get("type") != "risks":
-            raise OracleMalformed(f"expected risks, got: {reply!r}")
+            raise OracleMalformed(f"expected risks, got: {shown(reply)}")
         if type(reply.get("round")) is not int or reply["round"] != round_index:
             raise OracleMalformed(
-                f"answer for round {reply.get('round')!r} to a round-{round_index} request"
+                f"answer for round {shown(reply.get('round'))} to a round-{round_index} request"
             )
         values = reply.get("values")
         if not isinstance(values, list) or len(values) != len(ids):
-            raise OracleMalformed(f"values must list one risk per requested id: {reply!r}")
+            raise OracleMalformed(
+                f"round {round_index}: values must list one risk per requested id, got {shown(values)}")
         out = []
-        for v in values:
+        for i, v in zip(ids, values):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise OracleMalformed(f"non-numeric risk in: {reply!r}")
+                raise OracleMalformed(f"round {round_index}: non-numeric risk {shown(v)} for id {i}")
             # Compared before float(), which an int too large for a float
             # would fail.
             if not 0.0 <= v <= 1.0:
-                raise OracleOutOfRangeRisk(f"risk {v!r} out of [0,1] in: {reply!r}")
+                raise OracleOutOfRangeRisk(f"round {round_index}: risk {shown(v)} for id {i} out of [0,1]")
             out.append(float(v))
         return out
 

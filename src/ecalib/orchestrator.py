@@ -68,9 +68,13 @@ from .betting import BettingState, bind
 # them.  perfbench's tracer substitutes these two bindings, so they stay.
 from .betting import next_bet, observe  # noqa: F401
 from .core import (
+    KEY,
     AcquisitionPolicy,
     CalibrationConfig,
     SelectionRuleName,
+    argument,
+    check_domains,
+    trial_keys,
     validate_config,
 )
 from .eprocess import bet_bound, each, payoff, payoffs, update, updates
@@ -150,6 +154,8 @@ def _run(
     wealth and anytime p-value, float64 arrays of the engine's state, to be
     read during the call and not kept, and the certified frozenset."""
     validate_config(cfg)
+    check_domains({"trial": trial}, {"trial": KEY})
+    trial = int(trial)  # a numpy integer keys its streams as the int it equals
     n = cfg.n_candidates
     n_metrics = len(cfg.requirements)
     seed = cfg.seed
@@ -285,7 +291,8 @@ def run_block(
     the rows still running.
     """
     validate_config(cfg)
-    m, n = len(trials), cfg.n_candidates
+    keys = trial_keys(trials)
+    m, n = len(keys), cfg.n_candidates
     n_metrics = len(cfg.requirements)
     rule = cfg.selection_rule
     on_evals = rule is SelectionRuleName.EBH
@@ -300,7 +307,7 @@ def run_block(
     for view in views:
         view.flags.writeable = False
 
-    acq_prefix = mix64_np([TAG_ACQ, cfg.seed, np.asarray(trials, dtype=np.uint64)])
+    acq_prefix = mix64_np([TAG_ACQ, cfg.seed, keys])
     chunk = CHUNK_ROUNDS
     # A row tests each id at most once a round, so at batch 1 its tested
     # rows are distinct.
@@ -466,6 +473,5 @@ def run_ltt(
     """
     if cfg.acquisition.policy is AcquisitionPolicy.EPS_GREEDY:
         raise InvalidConfig(["run_ltt requires a non-adaptive acquisition policy"])
-    if T < 0:
-        raise InvalidConfig(["T must be >= 0"])
+    check_domains(locals(), {"T": argument((int, "an integer", lambda v: v >= 0, "must be >= 0"))})
     return _run(cfg, source, trial, T, False, observer)

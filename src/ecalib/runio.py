@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 from . import __version__
-from .core import POSITIVE, AcquisitionSpec, CalibrationConfig, ErrorMetric, check_domains, validate_config
+from .core import POSITIVE, AcquisitionSpec, CalibrationConfig, ErrorMetric, check_domains, shown, validate_config
 from .errors import EcalibError, InvalidConfig, OracleError
 from .oracle import DEFAULT_TIMEOUT, command_argv
 from .orchestrator import RunResult, run_altt
@@ -58,8 +58,8 @@ class OracleSpec:
     timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self):
-        check_domains(self, {"command": (str, "a string", _splits, "must split, shell-style, into at least one word"),
-                             "timeout": POSITIVE})
+        command = (str, "a string", _splits, "must split, shell-style, into at least one word")
+        check_domains(vars(self), {"command": command, "timeout": POSITIVE})
 
 
 def _splits(command: str) -> bool:
@@ -182,7 +182,7 @@ def _check(kind, value, name: str, bad: list[str]):
     An integer is a valid float (returned as one) unless it is too large for
     one; a boolean is only a boolean."""
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
-        bad.append(f"{name} must be a JSON {_JSON_TYPE[kind]}, got {value!r}")
+        bad.append(f"{name} must be a JSON {_JSON_TYPE[kind]}, got {shown(value)}")
         return None
     if kind is not float:
         return value
@@ -280,7 +280,7 @@ def sweep_value(cfg: CalibrationConfig, axis: str, value, name: str | None = Non
     try:
         return validate_config(cfg)
     except InvalidConfig as exc:
-        raise InvalidConfig([f"{name} {value!r}: {m}" for m in exc.violations]) from None
+        raise InvalidConfig([f"{name} {shown(value)}: {m}" for m in exc.violations]) from None
 
 
 def parse_config(d: dict) -> RunPlan:
@@ -547,7 +547,7 @@ def _same_bytes(logged: Path, replayed: str) -> None:
     new = replayed.encode("utf-8").splitlines(keepends=True)
     for n, (a, b) in enumerate(itertools.zip_longest(old, new, fillvalue=b""), 1):
         if a != b:
-            raise ReplayMismatch(f"{logged} line {n}: {a!r} != replayed {b!r}")
+            raise ReplayMismatch(f"{logged} line {n}: {shown(a)} != replayed {shown(b)}")
 
 
 class ReplaySource:
@@ -565,7 +565,7 @@ class ReplaySource:
         cells = self.rows[round_index - 1]
         where = f"{self.path} line {round_index + 1}"
         if _ids(ids) != cells[2]:
-            raise ReplayMismatch(f"{where}: engine asked for ids {_ids(ids)}, log has {cells[2]}")
+            raise ReplayMismatch(f"{where}: engine asked for ids {shown(_ids(ids))}, log has {shown(cells[2])}")
         try:
             if self.multi_metric:
                 return [tuple(map(float, risks.split("|"))) for risks in cells[3].split(";")]

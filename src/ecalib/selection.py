@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SelectionRuleName, check_order
+from .core import OPEN_UNIT, SelectionRuleName, argument, check_domains, check_order
 from .errors import OutOfRange
 
 
@@ -100,8 +100,10 @@ def select_rows(
 def _select_one(
     rule: SelectionRuleName, values: Sequence[float], delta: float, order: Sequence[int] | None = None
 ) -> SelectionResult:
-    """``select_rows`` on the one row ``values``, once every value is in the
-    rule's domain; OutOfRange names the first that is not, as given."""
+    """``select_rows`` on the one row ``values``, once delta and every value
+    are in their domains; OutOfRange names delta, or the first value outside
+    as given."""
+    check_domains(locals(), {"delta": argument(OPEN_UNIT)}, OutOfRange)
     x = np.array(values, dtype=np.float64)
     on_e = rule is SelectionRuleName.EBH
     # 0.0 is a p-value: extreme-evidence underflow of exp(-log max wealth).

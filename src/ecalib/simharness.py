@@ -34,7 +34,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import FLAG, POSITIVE, UNIT, CalibrationConfig, GroundTruth, check_domains, reliable_set, validate_config
+from .core import COUNT, FLAG, KEY, POSITIVE, UNIT, CalibrationConfig, GroundTruth, argument, check_domains, of_type
+from .core import optional, reliable_set, shown, trial_keys, tuple_of, validate_config
 from .eprocess import quantile_transform
 from .errors import InvalidConfig
 from .orchestrator import RunResult, run_altt, run_block
@@ -53,7 +54,7 @@ class Bernoulli:
     p: float
 
     def __post_init__(self):
-        check_domains(self, {"p": UNIT})
+        check_domains(vars(self), {"p": UNIT})
 
     @property
     def mean(self) -> float:
@@ -77,7 +78,7 @@ class Beta:
     b: float
 
     def __post_init__(self):
-        check_domains(self, {"a": POSITIVE, "b": POSITIVE})
+        check_domains(vars(self), {"a": POSITIVE, "b": POSITIVE})
 
     @property
     def mean(self) -> float:
@@ -104,7 +105,7 @@ class PointMass:
     value: float
 
     def __post_init__(self):
-        check_domains(self, {"value": UNIT})
+        check_domains(vars(self), {"value": UNIT})
 
     @property
     def mean(self) -> float:
@@ -120,9 +121,8 @@ class PointMass:
 
 Distribution = Union[Bernoulli, Beta, PointMass]
 _FAMILIES = (Bernoulli, Beta, PointMass)
-# A spec's arms, in core.check_domains' domain form.
-_ARMS = (tuple, "a tuple", lambda v: len(v) > 0 and set(map(type, v)) <= set(_FAMILIES),
-         "must be a nonempty tuple of Bernoulli, Beta or PointMass")
+_SPEC = {"arms": tuple_of(of_type(_FAMILIES, "a Bernoulli, Beta or PointMass"), nonempty=True),
+         "shared_draw": FLAG, "quantile_threshold": optional(UNIT)}
 
 
 @dataclass(frozen=True)
@@ -139,10 +139,7 @@ class SyntheticSpec:
     quantile_threshold: float | None = None
 
     def __post_init__(self):
-        domains = {"arms": _ARMS, "shared_draw": FLAG}
-        if self.quantile_threshold is not None:
-            domains["quantile_threshold"] = UNIT
-        check_domains(self, domains)
+        check_domains(vars(self), _SPEC)
 
     @property
     def n(self) -> int:
@@ -159,7 +156,7 @@ class SyntheticSpec:
         """(sampler, member mask, parameter arrays) of each family present."""
         out = []
         for family in _FAMILIES:
-            members = np.array([type(arm) is family for arm in self.arms])
+            members = np.array([isinstance(arm, family) for arm in self.arms])
             if members.any():
                 params = tuple(
                     np.array([getattr(arm, f.name) if member else 0.0
@@ -213,6 +210,7 @@ class SyntheticSource:
     reads_token = False
 
     def __init__(self, metrics: tuple[SyntheticSpec, ...], base_seed: int, trial: int):
+        check_domains(locals(), {"trial": KEY})  # the block checks base_seed
         self._block = SyntheticBlock(metrics, base_seed, [trial])
 
     def query(self, round_index: int, ids: Sequence[int], token: str) -> list:
@@ -239,8 +237,9 @@ class SyntheticBlock:
     """
 
     def __init__(self, metrics: tuple[SyntheticSpec, ...], base_seed: int, trials: np.ndarray):
+        check_domains(locals(), {"base_seed": KEY})
         self.metrics = metrics
-        trials = np.asarray(trials, dtype=np.uint64)
+        trials = trial_keys(trials)
         self._prefixes = [mix64_np([TAG_SHARED if m.shared_draw else TAG_RISK, base_seed, trials]) for m in metrics]
         self._rounds, self._keys = range(0), []
 
@@ -277,8 +276,7 @@ class CompositeSyntheticSpec:
     metrics: tuple[SyntheticSpec, ...]
 
     def __post_init__(self):
-        check_domains(self, {"metrics": (tuple, "a tuple", lambda v: all(type(m) is SyntheticSpec for m in v),
-                                         "must be a tuple of SyntheticSpec")})
+        check_domains(vars(self), {"metrics": tuple_of(of_type(SyntheticSpec, "a SyntheticSpec"))})
         if len({m.n for m in self.metrics}) != 1:
             raise InvalidConfig(["metrics must be nonempty and equally sized"])
 
@@ -331,13 +329,14 @@ MAX_T_MAX = (2**31 - 1) // (3 * BLOCK_TRIALS)
 # the accumulator's list and then in the summary's tuple; tracemalloc
 # measured 33-37 B per trial from M = 4,096 to 65,536, and 40 B are counted.
 MAX_TRIALS = 2**30 // 40
+TRIALS = (int, "an integer", lambda v: 1 <= v <= MAX_TRIALS, f"out of [1, {MAX_TRIALS}]")
 
 
 def check_t_max(t_max: int) -> None:
     """InvalidConfig for a t_max above MAX_T_MAX, which the Monte Carlo
     arrays cannot hold."""
     if t_max > MAX_T_MAX:
-        raise InvalidConfig([f"t_max must be <= {MAX_T_MAX} for Monte Carlo trials, got {t_max}"])
+        raise InvalidConfig([f"t_max must be <= {MAX_T_MAX} for Monte Carlo trials, got {shown(t_max)}"])
 
 
 @dataclass
@@ -535,12 +534,7 @@ def run_trials(
     for instances where the requirement does not reduce to cfg.alpha on
     spec.means(); when it is empty the TPR is NaN.
     """
-    if M < 1:
-        raise InvalidConfig(["M must be >= 1"])
-    if M > MAX_TRIALS:
-        raise InvalidConfig([f"M must be <= {MAX_TRIALS}, got {M}"])
-    if workers < 1:
-        raise InvalidConfig([f"workers must be >= 1, got {workers}"])
+    check_domains(locals(), {"M": argument(TRIALS), "base_seed": KEY, "workers": argument(COUNT)})
     validate_config(cfg)
     check_t_max(cfg.t_max)
     if reliable is None:
@@ -557,7 +551,7 @@ def run_trials(
         # loads neither concurrent.futures nor multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        if any(type(arm) is Beta for metric in spec.metrics for arm in metric.arms):
+        if any(isinstance(arm, Beta) for metric in spec.metrics for arm in metric.arms):
             # Beta draws need scipy.special: forked workers inherit one
             # import here instead of each importing it.
             import scipy.special  # noqa: F401

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +237,60 @@ class TestIntegersTooLargeForAFloat:
             Beta(2**1024 - 2**970, 2.0)
 
 
+class TestIntegersTooLongToPrint:
+    """Python refuses to print an integer of more than 4,300 digits: a
+    violation shows one by its size in bits."""
+
+    @pytest.mark.parametrize("field, violation", [
+        ("seed", "seed <a 16,610-bit integer> out of [0, 2**64)"),
+        ("n_candidates", f"n_candidates must be <= {MAX_CANDIDATES}, got <a 16,610-bit integer>"),
+    ])
+    def test_one_violation(self, field, violation):
+        with pytest.raises(InvalidConfig) as exc:
+            validate_config(good_config(**{field: 10**5000}))
+        assert exc.value.violations == [violation]
+
+    def test_integers_up_to_2_256_print_in_full(self):
+        with pytest.raises(InvalidConfig, match=re.escape(f"seed {2**256 - 1} out of")):
+            validate_config(good_config(seed=2**256 - 1))
+
+
+class TestTupleFields:
+    """A tuple field is checked item by item: one outside is named by its
+    first item outside and a count of the others, so a long tuple never
+    makes a long message."""
+
+    def test_fixed_sequence_order_counts_the_others(self):
+        cfg = good_config(selection_rule=SelectionRuleName.FIXED_SEQUENCE, fixed_sequence_order=(0.0, 1.0, 2, 3, 4))
+        with pytest.raises(InvalidConfig) as exc:
+            validate_config(cfg)
+        assert exc.value.violations == [
+            "fixed_sequence_order[0] must be an integer, got 0.0 (1 more of fixed_sequence_order outside)"]
+
+    def test_extra_metrics_name_the_first_item_outside(self):
+        metrics = (MetricSpec(0.5, Direction.RISK_BELOW), 0.5, None)
+        with pytest.raises(InvalidConfig) as exc:
+            validate_config(good_config(extra_metrics=metrics))
+        assert exc.value.violations == [
+            "extra_metrics[1] must be a MetricSpec, got 0.5 (1 more of extra_metrics outside)"]
+
+    def test_a_thousand_arms_make_one_short_violation(self):
+        arms = (Bernoulli(0.5),) * 999 + (0.1,)
+        with pytest.raises(InvalidConfig) as exc:
+            SyntheticSpec(arms)
+        assert exc.value.violations == ["arms[999] must be a Bernoulli, Beta or PointMass, got 0.1"]
+        with pytest.raises(InvalidConfig) as exc:
+            SyntheticSpec(list(arms))
+        assert len(str(exc.value)) < 200
+
+    def test_metrics_name_the_first_item_outside(self):
+        spec = SyntheticSpec((Bernoulli(0.5),))
+        with pytest.raises(InvalidConfig) as exc:
+            CompositeSyntheticSpec((spec, Bernoulli(0.5), spec, "x"))
+        assert exc.value.violations == [
+            "metrics[1] must be a SyntheticSpec, got Bernoulli(p=0.5) (1 more of metrics outside)"]
+
+
 class TestIndependentSettings:
     def test_each_setting_is_one_field(self):
         names = [f.name for f in dataclasses.fields(CalibrationConfig)]
@@ -274,6 +329,21 @@ class TestGroundTruth:
     def test_means_must_be_probabilities(self):
         with pytest.raises(OutOfRange):
             GroundTruth((0.5, 1.2))
+
+    # The means are a tuple of numbers in [0, 1]; a list or a bool is refused
+    # as a config's tuple fields refuse them.
+    @pytest.mark.parametrize("means, violation", [
+        ("a", "true_means must be a tuple, got 'a'"),
+        (5, "true_means must be a tuple, got 5"),
+        ([0.5], "true_means must be a tuple, got [0.5]"),
+        ((None,), "true_means[0] must be a number, got None"),
+        ((True,), "true_means[0] must be a number, got True"),
+        ((0.5, 1.2, -1.0), "true_means[1] 1.2 out of [0,1] (1 more of true_means outside)"),
+        ((10**5000,), "true_means[0] is an integer too large for a float"),
+    ])
+    def test_refused_means_name_the_first_item_outside(self, means, violation):
+        with pytest.raises(OutOfRange, match=f"^{re.escape(violation)}$"):
+            GroundTruth(means)
 
 
 class TestEnumValues:

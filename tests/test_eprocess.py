@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,19 @@ class TestBetBound:
     def test_alpha_domain(self, alpha):
         with pytest.raises(OutOfRange):
             bet_bound(alpha, Direction.RISK_BELOW)
+
+    @pytest.mark.parametrize("alpha, violation", [
+        ("0.5", "alpha must be a number, got '0.5'"),
+        (True, "alpha must be a number, got True"),
+        (None, "alpha must be a number, got None"),
+        (10**5000, "alpha is an integer too large for a float"),
+    ], ids=["str", "bool", "none", "huge_int"])
+    def test_alpha_of_another_type_refused(self, alpha, violation):
+        with pytest.raises(OutOfRange, match=f"^{re.escape(violation)}$"):
+            bet_bound(alpha, Direction.RISK_BELOW)
+
+    def test_numpy_alpha_is_a_number(self):
+        assert bet_bound(np.float32(0.5), Direction.RISK_BELOW).mu_max == 2.0
 
 
 class TestPayoff:

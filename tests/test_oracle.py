@@ -202,8 +202,31 @@ class TestAbortPaths:
         answer = f'{{"type": "risks", "round": 1, "values": [0.5, {sign}1{"0" * 400}]}}\\n'
         with oracle_client(after_hello(f"sys.stdin.readline(); os.write(1, b'{answer}'); sys.stdin.read()"),
                            oracle_config(2)) as client:
-            with pytest.raises(OracleOutOfRangeRisk, match=f"^risk {sign}10{{400}} out of"):
+            size = f"<a {'negative ' if sign else ''}1,329-bit integer>"
+            with pytest.raises(OracleOutOfRangeRisk, match=f"^round 1: risk {size} for id 1 out of"):
                 client.query(1, [0, 1], "00" * 8)
+
+    def test_an_out_of_range_answer_names_its_first_value(self):
+        # 30,000 ids answered 1.2 each: the error names the first, with its
+        # id and round, instead of printing the whole reply.
+        n = 30_000
+        with oracle_client(demo_argv(",".join(["0.5"] * n), "--misbehave", "range"), oracle_config(n)) as source:
+            source.query(1, range(n), "00" * 8)
+            with pytest.raises(OracleOutOfRangeRisk) as info:
+                source.query(2, range(n), "00" * 8)
+        assert str(info.value) == "round 2: risk 1.2 for id 0 out of [0,1]"
+
+    @pytest.mark.parametrize("values, message", [
+        ('[0.5, "x"]', "round 1: non-numeric risk 'x' for id 1"),
+        ("[0.5]", "round 1: values must list one risk per requested id, got [0.5]"),
+    ])
+    def test_a_malformed_answer_names_what_is_wrong(self, values, message):
+        answer = f'{{"type": "risks", "round": 1, "values": {values}}}\\n'
+        with oracle_client(after_hello(f"sys.stdin.readline(); os.write(1, b'{answer}'); sys.stdin.read()"),
+                           oracle_config(2)) as client:
+            with pytest.raises(OracleMalformed) as info:
+                client.query(1, [0, 1], "00" * 8)
+        assert str(info.value) == message
 
     def test_a_second_answer_in_one_write_is_refused_as_the_next(self):
         answer = '{"type": "risks", "round": 1, "values": [0.5, 0.5]}\\n'

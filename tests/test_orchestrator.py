@@ -192,6 +192,18 @@ class TestNonAdaptiveBaseline:
         with pytest.raises(InvalidConfig):
             run_ltt(config_n1(), ConstantSource([0.0]), -1)
 
+    # The round count is an integer, never a float or a bool that range()
+    # would refuse or run as 1.
+    @pytest.mark.parametrize("T, violation", [
+        (2.5, "T must be an integer, got 2.5"),
+        (True, "T must be an integer, got True"),
+        (-1, "T -1 must be >= 0"),
+    ])
+    def test_round_count_in_its_domain(self, T, violation):
+        with pytest.raises(InvalidConfig) as exc:
+            run_ltt(config_n1(), ConstantSource([0.0]), T)
+        assert exc.value.violations == [violation]
+
     def test_selection_is_deferred_not_skipped(self):
         result = run_ltt(config_n1(t_max=8), ConstantSource([0.0]), 8)
         assert result.selected == frozenset({0})
@@ -374,6 +386,35 @@ class TestMalformedAnswers:
 
         with pytest.raises(SourceFailure, match="^round 1: "):
             run_block(self.config(extra), Block(), [0], 10, True)
+
+
+class TestTrialIndices:
+    """A trial index keys the run's streams: one of another type or out of
+    [0, 2**64) is refused, never run as the trial it would alias."""
+
+    @pytest.mark.parametrize("trial, violation", [
+        (1.5, "trial must be an integer, got 1.5"),
+        (True, "trial must be an integer, got True"),
+        (-1, "trial -1 out of [0, 2**64)"),
+        (2**64, "trial 18446744073709551616 out of [0, 2**64)"),
+    ])
+    def test_one_run(self, trial, violation):
+        for run in (run_altt, lambda cfg, source, trial: run_ltt(cfg, source, 3, trial=trial)):
+            with pytest.raises(InvalidConfig) as exc:
+                run(config_n1(), ConstantSource([0.0]), trial=trial)
+            assert exc.value.violations == [violation]
+
+    def test_block(self):
+        spec = SyntheticSpec((Bernoulli(0.5),))
+        with pytest.raises(InvalidConfig) as exc:
+            run_block(config_n1(), spec.make_block(0, [0, 1]), [0, 1.5], 3, True)
+        assert exc.value.violations == ["trials[1] must be an integer, got 1.5"]
+
+    def test_a_numpy_trial_is_the_trial_it_equals(self):
+        cfg = config_n1(acquisition=AcquisitionSpec(AcquisitionPolicy.UNIFORM_ALL, batch_size=1))
+        spec = SyntheticSpec((Bernoulli(0.3),))
+        want = recorded(run_altt, cfg, spec.make_source(0, 7), trial=7)
+        assert recorded(run_altt, cfg, spec.make_source(0, 7), trial=np.uint64(7)) == want
 
 
 class TestObserverContract:

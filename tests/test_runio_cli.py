@@ -420,6 +420,13 @@ class TestStrictScalarTypes:
         with pytest.raises(InvalidConfig, match=re.escape(message)):
             parse_config(doc)
 
+    def test_a_long_value_is_shown_bounded(self):
+        doc = set_path(base_config_doc(), ("seed",), "x" * 100_000)
+        with pytest.raises(InvalidConfig) as exc:
+            parse_config(doc)
+        [violation] = exc.value.violations
+        assert violation.startswith("seed must be a JSON integer, got 'xxx") and len(violation) < 200
+
     def test_every_violation_in_one_error(self):
         doc = base_config_doc()
         doc["literal_set"] = "false"
@@ -1047,7 +1054,7 @@ class TestValidateReportSweep:
         out = tmp_path / "w"
         argv = [command, "--config", cfg_path, "--trials", "2", "--out", str(out), "--workers", workers]
         assert main(argv) == 1
-        assert f"--workers must be >= 1, got {workers}" in caplog.text
+        assert f"--workers {workers} must be >= 1" in caplog.text
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "sweep"])
@@ -1059,7 +1066,7 @@ class TestValidateReportSweep:
         out = tmp_path / "t"
         argv = [command, "--config", cfg_path, "--trials", trials, "--out", str(out)]
         assert main(argv) == 1
-        assert f"--trials must be >= 1, got {trials}" in caplog.text
+        assert f"--trials {trials} out of [1, {MAX_TRIALS}]" in caplog.text
         assert "M must be" not in caplog.text
         assert not out.exists()
 
@@ -1085,7 +1092,7 @@ class TestValidateReportSweep:
         out = tmp_path / "t"
         argv = [command, "--config", write_doc(tmp_path, doc), "--trials", str(trials), "--out", str(out)]
         assert main(argv) == 1
-        assert error_lines(caplog) == [f"ERROR ecalib: --trials must be <= {MAX_TRIALS}, got {trials}"]
+        assert error_lines(caplog) == [f"ERROR ecalib: --trials {trials} out of [1, {MAX_TRIALS}]"]
         assert not out.exists()
 
     def test_t_max_at_the_limit_is_accepted(self, tmp_path):
@@ -1105,7 +1112,7 @@ class TestValidateReportSweep:
         if command != "simulate":
             argv += ["--trials", "2"]
         assert main(argv) == 1
-        assert error_lines(caplog) == [f"ERROR ecalib: --seed must be in [0, 2**64), got {seed}"]
+        assert error_lines(caplog) == [f"ERROR ecalib: --seed {seed} out of [0, 2**64)"]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1222,7 +1229,7 @@ class TestUserSuppliedPaths:
         argv = ["calibrate", "--config", write_doc(tmp_path, oracle_config_doc()), "--timeout", timeout, "--out", str(out)]
         assert main(argv) == 1
         [line] = error_lines(caplog)
-        assert line.startswith("ERROR ecalib: --timeout must be finite and > 0")
+        assert line.startswith(f"ERROR ecalib: --timeout {float(timeout)!r} must be finite and > 0")
         assert not out.exists()
 
     @pytest.mark.parametrize("binary", ["definitely-not-a-real-binary", "DIR"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -274,6 +275,25 @@ class TestDomains:
     def test_e_error_names_the_first_bad_value_as_given(self, values, bad):
         with pytest.raises(OutOfRange, match=rf"^e-value {bad} not a nonnegative real$"):
             ebh(values, 0.1)
+
+    # delta is a level in (0, 1): at 5.0 Bonferroni would certify every id,
+    # and at 0.0 e-BH's thresholds would divide by it.
+    @pytest.mark.parametrize("rule", [bonferroni, bh, by, ebh, lambda p, d: fixed_sequence(p, [1, 0], d)],
+                             ids=["bonferroni", "bh", "by", "ebh", "fixed_sequence"])
+    @pytest.mark.parametrize("delta, violation", [
+        (5.0, "delta 5.0 out of (0,1)"),
+        (1.0, "delta 1.0 out of (0,1)"),
+        (0.0, "delta 0.0 out of (0,1)"),
+        (float("nan"), "delta nan out of (0,1)"),
+        ("x", "delta must be a number, got 'x'"),
+        (True, "delta must be a number, got True"),
+    ])
+    def test_delta_in_its_domain(self, rule, delta, violation):
+        with pytest.raises(OutOfRange, match=f"^{re.escape(violation)}$"):
+            rule([0.01, 0.5], delta)
+
+    def test_numpy_delta_is_a_number(self):
+        assert bonferroni([0.01, 0.5], np.float32(0.1)).selected == frozenset({0})
 
     def test_p_and_e_domains_differ(self):
         # An e-value above 1 is evidence; a p-value above 1 is not a p-value.

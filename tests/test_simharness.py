@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -82,13 +83,13 @@ class TestDistributions:
         (lambda: Beta(None, -1.0), ["a must be a number, got None", "b -1.0 must be finite and > 0"]),
         (lambda: SyntheticSpec((Bernoulli(0.5),), shared_draw=1), ["shared_draw must be a boolean, got 1"]),
         (lambda: SyntheticSpec((Bernoulli(0.5),), quantile_threshold="0.5"),
-         ["quantile_threshold must be a number, got '0.5'"]),
+         ["quantile_threshold must be a number or None, got '0.5'"]),
         # The arms are a nonempty tuple of the distribution families.
-        (lambda: SyntheticSpec((0.1,)), ["arms (0.1,) must be a nonempty tuple of Bernoulli, Beta or PointMass"]),
-        (lambda: SyntheticSpec(()), ["arms () must be a nonempty tuple of Bernoulli, Beta or PointMass"]),
+        (lambda: SyntheticSpec((0.1,)), ["arms[0] must be a Bernoulli, Beta or PointMass, got 0.1"]),
+        (lambda: SyntheticSpec(()), ["arms must be nonempty"]),
         (lambda: SyntheticSpec([Bernoulli(0.5)]), ["arms must be a tuple, got [Bernoulli(p=0.5)]"]),
         (lambda: CompositeSyntheticSpec((Bernoulli(0.5),)),
-         ["metrics (Bernoulli(p=0.5),) must be a tuple of SyntheticSpec"]),
+         ["metrics[0] must be a SyntheticSpec, got Bernoulli(p=0.5)"]),
     ])
     def test_out_of_domain_parameters_refused(self, make, violations):
         with pytest.raises(InvalidConfig) as exc:
@@ -416,7 +417,7 @@ class TestMetricOrderings:
     def test_workers_below_one_rejected(self, workers):
         spec = SyntheticSpec(tuple(Bernoulli(p) for p in (0.1, 0.3, 0.7)))
         cfg = full_batch_config(3, alpha=0.4, delta=0.1, t_max=5, d_stop=3)
-        with pytest.raises(InvalidConfig, match=f"workers must be >= 1, got {workers}"):
+        with pytest.raises(InvalidConfig, match=f"workers {workers} must be >= 1"):
             run_trials(cfg, spec, M=2, workers=workers)
 
     @pytest.mark.parametrize("t_max", [simharness.MAX_T_MAX + 1, 10**30])
@@ -432,8 +433,66 @@ class TestMetricOrderings:
         # _blocks list about 2 * 10**9 block edges first.
         spec = SyntheticSpec(tuple(Bernoulli(p) for p in (0.1, 0.3, 0.7)))
         cfg = full_batch_config(3, alpha=0.4, delta=0.1, t_max=5, d_stop=3)
-        with pytest.raises(InvalidConfig, match=f"M must be <= {simharness.MAX_TRIALS}, got {M}"):
+        with pytest.raises(InvalidConfig, match=re.escape(f"M {M} out of [1, {simharness.MAX_TRIALS}]")):
             run_trials(cfg, spec, M=M)
+
+
+class TestRunArgumentsRefused:
+    """run_trials' arguments and a synthetic source's seed and trials go
+    through the domain table: a value of another type or out of range is
+    refused, never run as the integer it would alias."""
+
+    SPEC = SyntheticSpec(tuple(Bernoulli(p) for p in (0.1, 0.3, 0.7)))
+
+    def config(self, **overrides):
+        return full_batch_config(3, **{"alpha": 0.4, "delta": 0.1, "t_max": 5, "d_stop": 3, **overrides})
+
+    @pytest.mark.parametrize("arguments, violation", [
+        ({"M": 2.5}, "M must be an integer, got 2.5"),
+        ({"M": True}, "M must be an integer, got True"),
+        ({"M": "3"}, "M must be an integer, got '3'"),
+        ({"workers": 1.5}, "workers must be an integer, got 1.5"),
+        ({"M": 10**5000}, f"M <a 16,610-bit integer> out of [1, {simharness.MAX_TRIALS}]"),
+        ({"workers": -(10**5000)}, "workers <a negative 16,610-bit integer> must be >= 1"),
+        ({"base_seed": 2**70}, "base_seed 1180591620717411303424 out of [0, 2**64)"),
+        ({"base_seed": -1}, "base_seed -1 out of [0, 2**64)"),
+        ({"base_seed": 1.5}, "base_seed must be an integer, got 1.5"),
+        ({"base_seed": True}, "base_seed must be an integer, got True"),
+    ])
+    def test_run_trials(self, arguments, violation):
+        with pytest.raises(InvalidConfig) as exc:
+            run_trials(self.config(), self.SPEC, **{"M": 2, **arguments})
+        assert exc.value.violations == [violation]
+
+    def test_t_max_too_long_to_print(self):
+        with pytest.raises(InvalidConfig) as exc:
+            run_trials(self.config(t_max=10**5000), self.SPEC, M=1)
+        assert exc.value.violations == [
+            f"t_max must be <= {simharness.MAX_T_MAX} for Monte Carlo trials, got <a 16,610-bit integer>"]
+
+    def test_numpy_integers_are_integers(self):
+        want = run_trials(self.config(), self.SPEC, M=3, base_seed=5)
+        assert run_trials(self.config(), self.SPEC, M=np.int64(3), base_seed=np.uint64(5), workers=np.int8(1)) == want
+
+    @pytest.mark.parametrize("make, violation", [
+        (lambda spec: spec.make_source(0, 1.5), "trial must be an integer, got 1.5"),
+        (lambda spec: spec.make_source(0, 2**64), "trial 18446744073709551616 out of [0, 2**64)"),
+        (lambda spec: spec.make_source(-1, 0), "base_seed -1 out of [0, 2**64)"),
+        (lambda spec: spec.make_block(2**70, np.arange(2)), "base_seed 1180591620717411303424 out of [0, 2**64)"),
+        (lambda spec: spec.make_block(0, np.array([0.0, 1.5])),
+         "trials[0] must be an integer, got 0.0 (1 more of trials outside)"),
+        (lambda spec: spec.make_block(0, [0, -1]), "trials[1] -1 out of [0, 2**64)"),
+        (lambda spec: spec.make_block(0, [0, 2**70]), "trials[1] 1180591620717411303424 out of [0, 2**64)"),
+        (lambda spec: spec.make_block(0, np.array([True])), "trials[0] must be an integer, got True"),
+    ])
+    def test_synthetic_sources(self, make, violation):
+        with pytest.raises(InvalidConfig) as exc:
+            make(self.SPEC)
+        assert exc.value.violations == [violation]
+
+    def test_a_numpy_trial_draws_its_own_risks(self):
+        got = self.SPEC.make_source(np.uint64(4), np.int64(1)).query(1, [0, 1, 2], "")
+        assert got == self.SPEC.make_source(4, 1).query(1, [0, 1, 2], "")
 
 
 class TestSingleArmLane:
